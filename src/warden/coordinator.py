@@ -24,6 +24,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 DEFAULT_LIMIT = 100
 MAX_LIMIT = 1000
+LISTEN_BACKLOG = 128  # socketserver's default of 5 resets bursts of concurrent clients
 
 LEDGER_ENV_VAR = "WARDEN_LEDGER_PATH"
 
@@ -187,6 +188,22 @@ def recover(ledger_path) -> CoordinatorState:
     return state
 
 
+def _cut_torn_tail(path) -> None:
+    """Truncate the ledger after its last newline, durably, so the next append
+    starts a line of its own instead of extending the torn bytes recovery skipped."""
+    with open(path, "r+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 class CoordinatorService:
     """Thread-safe service core behind the HTTP layer (usable in-process too)."""
 
@@ -196,6 +213,8 @@ class CoordinatorService:
         self.state = recover(self.ledger_path)
         directory = os.path.dirname(os.path.abspath(self.ledger_path))
         os.makedirs(directory, exist_ok=True)
+        if os.path.exists(self.ledger_path):
+            _cut_torn_tail(self.ledger_path)
         self._fh = open(self.ledger_path, "ab")
 
     def close(self) -> None:
@@ -411,13 +430,18 @@ class _Handler(BaseHTTPRequestHandler):
         return self._send(404, {"error": f"no route for POST {parsed.path}"})
 
 
+class _Server(ThreadingHTTPServer):
+    # class attributes: the constructor binds and listens, so setting them afterwards is too late
+    request_queue_size = LISTEN_BACKLOG
+    daemon_threads = True
+
+
 def make_server(listen: str, ledger_path) -> tuple[ThreadingHTTPServer, CoordinatorService]:
     """Bind the service; listen is "host:port" (port 0 picks a free port)."""
     host, _, port = listen.rpartition(":")
     service = CoordinatorService(ledger_path)
     handler = type("BoundHandler", (_Handler,), {"service": service})
-    server = ThreadingHTTPServer((host or "127.0.0.1", int(port)), handler)
-    server.daemon_threads = True
+    server = _Server((host or "127.0.0.1", int(port)), handler)
     return server, service
 
 

@@ -17,9 +17,9 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .features import FeatureConfig, FeatureVector, Window, window_vector
+from .features import FeatureConfig, FeatureVector, Window, Windower, window_vector
 from .ml.io import ModelBundle
-from .records import ResourceSample, SyscallEvent, format_real
+from .records import ResourceSample, format_real
 from .sandbox import JobHandle, KillReason, LimitTracker, SandboxPolicy
 
 
@@ -181,83 +181,6 @@ def parse_alert_line(line: str) -> Alert:
     return alert_from_dict(json.loads(line))
 
 
-# --- streaming windowing --------------------------------------------------------
-
-class StreamingWindower:
-    """Incremental equivalent of features.make_windows.
-
-    A window closes when a record arrives with t >= the window's end (any
-    record kind acts as the watermark) or when the stream finishes; only
-    windows holding at least one syscall event are emitted.
-    """
-
-    def __init__(self, config: FeatureConfig, job_id: str):
-        self.config = config
-        self.job_id = job_id
-        self._t0: int | None = None
-        self._last_t: int | None = None
-        self._next_k = 0
-        self._events: list[SyscallEvent] = []
-        self._samples: list[ResourceSample] = []
-
-    def _window_bounds(self, k: int) -> tuple[int, int]:
-        start = self._t0 + k * self.config.hop_ns
-        return start, start + self.config.window_ns
-
-    def _close(self, k: int) -> Window | None:
-        start, end = self._window_bounds(k)
-        events = tuple(e for e in self._events if start <= e.t_ns < end)
-        if not events:
-            return None
-        in_window = [s for s in self._samples if start <= s.t_ns < end]
-        before = [s for s in self._samples if s.t_ns < start]
-        samples = ([before[-1]] if before else []) + in_window
-        return Window(
-            job_id=self.job_id,
-            index=k,
-            t_start_ns=start,
-            t_end_ns=end,
-            events=events,
-            samples=tuple(samples),
-        )
-
-    def _prune(self) -> None:
-        next_start, _ = self._window_bounds(self._next_k)
-        self._events = [e for e in self._events if e.t_ns >= next_start]
-        before = [s for s in self._samples if s.t_ns < next_start]
-        keep = [s for s in self._samples if s.t_ns >= next_start]
-        self._samples = ([before[-1]] if before else []) + keep
-
-    def push(self, record) -> list[Window]:
-        if self._t0 is None:
-            self._t0 = record.t_ns
-        self._last_t = record.t_ns
-        closed: list[Window] = []
-        while record.t_ns >= self._window_bounds(self._next_k)[1]:
-            window = self._close(self._next_k)
-            self._next_k += 1
-            self._prune()
-            if window is not None:
-                closed.append(window)
-        if isinstance(record, SyscallEvent):
-            self._events.append(record)
-        elif isinstance(record, ResourceSample):
-            self._samples.append(record)
-        return closed
-
-    def finish(self) -> list[Window]:
-        """Close every window whose start does not exceed the last record time."""
-        if self._t0 is None:
-            return []
-        closed = []
-        while self._window_bounds(self._next_k)[0] <= self._last_t:
-            window = self._close(self._next_k)
-            self._next_k += 1
-            if window is not None:
-                closed.append(window)
-        return closed
-
-
 # --- scoring and the per-job pipeline --------------------------------------------
 
 def score_window(bundle: ModelBundle, vector: FeatureVector) -> float:
@@ -346,11 +269,10 @@ def run_pipeline(
     if bundle is None:
         raise ModelMissing("run_pipeline requires a loaded model bundle")
     config = feature_config or bundle.feature_config
-    windower = StreamingWindower(config, handle.job_id)
+    windower = Windower(config, handle.job_id)
     state = DetectorState()
     result = PipelineResult()
-    tracker = LimitTracker(policy, 0) if policy is not None else None
-    tracker_started = False
+    tracker: LimitTracker | None = None
     pv_count = 0
 
     def deliver(alert: Alert) -> None:
@@ -392,10 +314,9 @@ def run_pipeline(
     for record in handle.telemetry:
         for window in windower.push(record):
             handle_window(window)
-        if tracker is not None and isinstance(record, ResourceSample):
-            if not tracker_started:
-                tracker.t_start_ns = windower._t0 if windower._t0 is not None else record.t_ns
-                tracker_started = True
+        if policy is not None and isinstance(record, ResourceSample):
+            if tracker is None:
+                tracker = LimitTracker(policy, windower.t0)
             for violation in tracker.push(record):
                 pv_count += 1
                 deliver(

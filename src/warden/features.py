@@ -143,59 +143,112 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
 
 
-def make_windows(trace: LabeledTrace, config: FeatureConfig) -> list[Window]:
-    """Cut a trace into hop-spaced windows; only windows with syscall events are kept.
+class Windower:
+    """Cuts one job's record stream into hop-spaced windows, one record at a time.
 
-    Window k covers [t0 + k*hop, t0 + k*hop + window) where t0 is the first
-    record's timestamp; k advances while the window start is at most the last
-    record's timestamp.
+    Window k covers [t0 + k*hop, t0 + k*hop + window), where ``t0`` is the
+    first record's timestamp. A window closes when a record at or past its end
+    arrives (any record kind acts as the watermark); ``finish`` closes the rest,
+    up to the last window starting at or before the newest record. Only windows
+    holding at least one syscall event are emitted. A record older than the
+    newest buffered record of its kind (a wall clock stepping back) is inserted
+    at its timestamp, so every window's records stay time-ordered.
     """
-    if not trace.records:
-        raise EmptyTrace(f"trace {trace.job_id!r} has no records")
-    records = trace.records
-    t0 = records[0].t_ns
-    t_last = records[-1].t_ns
 
-    events = [r for r in records if isinstance(r, SyscallEvent)]
-    samples = [r for r in records if isinstance(r, ResourceSample)]
-    event_ts = [e.t_ns for e in events]
-    sample_ts = [s.t_ns for s in samples]
+    def __init__(self, config: FeatureConfig, job_id: str):
+        self.config = config
+        self.job_id = job_id
+        self.t0: int | None = None
+        self._t_max = 0
+        self._k = 0
+        self._next_end = 0
+        # buffered records per kind, each with a parallel list of timestamps
+        self._events: list[SyscallEvent] = []
+        self._event_ts: list[int] = []
+        self._samples: list[ResourceSample] = []
+        self._sample_ts: list[int] = []
 
-    win_ns, hop_ns = config.window_ns, config.hop_ns
-    out: list[Window] = []
-    k = 0
-    while t0 + k * hop_ns <= t_last:
-        start = t0 + k * hop_ns
-        end = start + win_ns
-        lo = bisect.bisect_left(event_ts, start)
-        hi = bisect.bisect_left(event_ts, end)
+    def push(self, record) -> list[Window]:
+        """Buffer one record; return the windows it closes, in window order."""
+        t = record.t_ns
+        if self.t0 is None:
+            self.t0 = self._t_max = t
+            self._next_end = t + self.config.window_ns
+        elif t > self._t_max:
+            self._t_max = t
+        closed: list[Window] = []
+        if t >= self._next_end:
+            while t >= self._next_end:
+                self._close(closed)
+            self._drop_consumed()
+        if isinstance(record, SyscallEvent):
+            records, ts = self._events, self._event_ts
+        elif isinstance(record, ResourceSample):
+            records, ts = self._samples, self._sample_ts
+        else:
+            return closed
+        if ts and t < ts[-1]:
+            i = bisect.bisect_right(ts, t)
+            ts.insert(i, t)
+            records.insert(i, record)
+        else:
+            ts.append(t)
+            records.append(record)
+        return closed
+
+    def finish(self) -> list[Window]:
+        """Close every remaining window whose start is at most the newest record time."""
+        closed: list[Window] = []
+        if self.t0 is not None:
+            while self.t0 + self._k * self.config.hop_ns <= self._t_max:
+                self._close(closed)
+        return closed
+
+    def _close(self, out: list[Window]) -> None:
+        """Close window k; append it to ``out`` if it holds a syscall event."""
+        start = self.t0 + self._k * self.config.hop_ns
+        end = start + self.config.window_ns
+        lo = bisect.bisect_left(self._event_ts, start)
+        hi = bisect.bisect_left(self._event_ts, end)
         if hi > lo:
-            s_lo = bisect.bisect_left(sample_ts, start)
-            s_hi = bisect.bisect_left(sample_ts, end)
-            if s_lo > 0:
-                s_lo -= 1  # last sample before the window, for delta computation
+            # from the last sample before the window, for delta computation
+            s_lo = max(bisect.bisect_left(self._sample_ts, start) - 1, 0)
+            s_hi = bisect.bisect_left(self._sample_ts, end)
             out.append(
                 Window(
-                    job_id=trace.job_id,
-                    index=k,
+                    job_id=self.job_id,
+                    index=self._k,
                     t_start_ns=start,
                     t_end_ns=end,
-                    events=tuple(events[lo:hi]),
-                    samples=tuple(samples[s_lo:s_hi]),
+                    events=tuple(self._events[lo:hi]),
+                    samples=tuple(self._samples[s_lo:s_hi]),
                 )
             )
-        k += 1
-    return out
+        self._k += 1
+        self._next_end = end + self.config.hop_ns
+
+    def _drop_consumed(self) -> None:
+        """Forget records no later window holds, keeping the carry-in sample."""
+        start = self.t0 + self._k * self.config.hop_ns
+        n = bisect.bisect_left(self._event_ts, start)
+        del self._events[:n], self._event_ts[:n]
+        n = max(bisect.bisect_left(self._sample_ts, start) - 1, 0)
+        del self._samples[:n], self._sample_ts[:n]
+
+
+def make_windows(trace: LabeledTrace, config: FeatureConfig) -> list[Window]:
+    """Cut a whole trace into windows with one Windower; see Windower for the rules."""
+    if not trace.records:
+        raise EmptyTrace(f"trace {trace.job_id!r} has no records")
+    windower = Windower(config, trace.job_id)
+    windows = [w for record in trace.records for w in windower.push(record)]
+    return windows + windower.finish()
 
 
 @functools.lru_cache(maxsize=65536)
-def _bucket(gram: str, hash_dim: int) -> int:
-    return fnv1a64(gram) % hash_dim
-
-
-def token_id(name: str, vocab: int) -> int:
-    """Token id for a syscall name under feature hashing (shared with the RNN path)."""
-    return fnv1a64(name) % vocab
+def hash_bucket(text: str, buckets: int) -> int:
+    """Feature-hashing bucket of a syscall name or n-gram (n-gram features and RNN token ids)."""
+    return fnv1a64(text) % buckets
 
 
 def ngram_features(events, config: FeatureConfig) -> np.ndarray:
@@ -215,7 +268,7 @@ def ngram_features(events, config: FeatureConfig) -> np.ndarray:
         for n in config.ngram_orders:
             for i in range(len(seq) - n + 1):
                 gram = seq[i] if n == 1 else "|".join(seq[i : i + n])
-                counts[_bucket(gram, config.hash_dim)] += 1
+                counts[hash_bucket(gram, config.hash_dim)] += 1
                 total += 1
     vec = np.array(counts, dtype=np.float64)
     if total:
@@ -345,16 +398,6 @@ class Scaler:
         if self.mean_ is None or self.std_ is None:
             raise ValueError("scaler is not fitted")
         return fnv1a64(self.mean_.tobytes() + self.std_.tobytes())
-
-
-def fit_scaler(vectors) -> Scaler:
-    """Fit a Scaler on a non-empty, dimension-consistent vector collection."""
-    return Scaler().fit(vectors if isinstance(vectors, np.ndarray) else feature_matrix(vectors))
-
-
-def apply_scaler(scaler: Scaler, vector) -> np.ndarray:
-    values = vector.values if isinstance(vector, FeatureVector) else vector
-    return scaler.transform(values)
 
 
 def csv_header(dim: int) -> str:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import FeatureConfig, extract, feature_matrix
+from ..features import FeatureConfig, extract, feature_matrix, hash_bucket
 from ..hashing import SplitMix64, derive_tagged_seed
 from ..records import ENTER, SyscallEvent, load_labeled_trace
 from .base import check_labels, check_matrix
@@ -169,12 +169,10 @@ def build_feature_dataset(manifest_path, config: FeatureConfig):
 
 def trace_token_ids(trace, vocab: int, t_max: int) -> np.ndarray:
     """Whole-trace token-id sequence: enter events only, truncated to t_max."""
-    from ..features import token_id
-
     ids = []
     for rec in trace.records:
         if isinstance(rec, SyscallEvent) and rec.direction == ENTER:
-            ids.append(token_id(rec.name, vocab))
+            ids.append(hash_bucket(rec.name, vocab))
             if len(ids) >= t_max:
                 break
     return np.array(ids, dtype=np.int64)

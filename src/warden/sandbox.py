@@ -33,7 +33,6 @@ from .records import (
     TelemetryRecord,
     UnsortedInput,
     read_trace_file,
-    serialize_line,
 )
 
 KILL_GRACE_S = 2.0
@@ -657,7 +656,3 @@ def replay_job(trace_path, job_id: str, speed: float = 0.0, policy: SandboxPolic
     backend = ReplayBackend(trace_path, speed=speed)
     return backend.launch(JobDescriptor(job_id=job_id, command=("replay",), policy=policy or SandboxPolicy()))
 
-
-def serialize_stream(records) -> list[str]:
-    """Canonical lines for a record sequence (used for replay fidelity checks)."""
-    return [serialize_line(r) for r in records]

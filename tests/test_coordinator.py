@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -251,6 +252,41 @@ def test_service_resumes_seq_after_restart(tmp_path):
     status, rec = service2.ingest_alert("node-1", alert_body(1))  # dedup survives restart
     assert status == 200 and rec["seq"] == 1
     service2.close()
+
+
+def test_restart_after_torn_tail_keeps_later_acks(tmp_path):
+    ledger = tmp_path / "ledger.log"
+    service = CoordinatorService(ledger)
+    service.register_node("host-a")
+    assert service.ingest_alert("node-1", alert_body(0))[0] == 201
+    service.close()
+    with open(ledger, "ab") as fh:
+        fh.write(b'{"event":"alert","seq":2,"node_')  # torn write, no newline
+    service = CoordinatorService(ledger)
+    assert [service.ingest_alert("node-1", alert_body(i))[0] for i in (1, 2)] == [201, 201]
+    service.close()
+    service = CoordinatorService(ledger)
+    service.close()
+    state = recover(ledger)
+    assert [a["alert_id"] for a in state.alerts] == ["job-1/0", "job-1/1", "job-1/2"]
+
+
+def test_listen_backlog_holds_a_burst_of_connections(tmp_path):
+    # nothing accepts: each connection must wait in the listen queue
+    server, service = make_server("127.0.0.1:0", tmp_path / "ledger.log")
+    sockets = []
+    try:
+        for _ in range(20):
+            try:
+                sockets.append(socket.create_connection(server.server_address, timeout=0.5))
+            except OSError:
+                pass
+        assert len(sockets) == 20
+    finally:
+        for sock in sockets:
+            sock.close()
+        server.server_close()
+        service.close()
 
 
 # --- crash-recovery fuzz --------------------------------------------------------------

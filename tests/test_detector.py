@@ -15,7 +15,6 @@ from warden.detector import (
     DetectorState,
     FingerprintMismatch,
     ResponseAction,
-    StreamingWindower,
     decide_action,
     parse_alert_line,
     run_pipeline,
@@ -23,11 +22,11 @@ from warden.detector import (
     serialize_alert_line,
     update,
 )
-from warden.features import FeatureConfig, Scaler, extract, make_windows, window_vector
+from warden.features import FeatureConfig, Scaler, Windower, extract, make_windows, window_vector
 from warden.hashing import SplitMix64
 from warden.ml import MlpClassifier, ModelBundle, SvmClassifier
 from warden.ml.data import build_feature_dataset
-from warden.records import write_trace_file
+from warden.records import ENTER, LabeledTrace, ResourceSample, SyscallEvent, write_trace_file
 from warden.sandbox import JobStatus, KillReason, replay_job
 
 
@@ -138,25 +137,76 @@ def test_alert_line_round_trip():
     assert parse_alert_line(line) == alert
 
 
-# --- streaming windower -----------------------------------------------------------
+# --- windowing ----------------------------------------------------------------------
+
+def oracle_windows(trace, config):
+    """Brute force over the whole trace: (index, start, end, events, samples) per kept window.
+
+    Window k holds the events in [start, end); its samples are the last sample
+    before start followed by the in-window samples.
+    """
+    events = [r for r in trace.records if isinstance(r, SyscallEvent)]
+    samples = [r for r in trace.records if isinstance(r, ResourceSample)]
+    t0, t_last = trace.records[0].t_ns, trace.records[-1].t_ns
+    out = []
+    k = 0
+    while t0 + k * config.hop_ns <= t_last:
+        start = t0 + k * config.hop_ns
+        end = start + config.window_ns
+        in_window = tuple(e for e in events if start <= e.t_ns < end)
+        if in_window:
+            before = [s for s in samples if s.t_ns < start]
+            inside = [s for s in samples if start <= s.t_ns < end]
+            out.append((k, start, end, in_window, tuple(before[-1:] + inside)))
+        k += 1
+    return out
+
+
+def as_tuples(windows):
+    return [(w.index, w.t_start_ns, w.t_end_ns, w.events, w.samples) for w in windows]
+
 
 @pytest.mark.parametrize("profile_name", ["batch-compute", "cryptominer", "ddos-flood"])
 def test_streaming_windower_equals_batch_windows(profile_name):
     trace = gen_trace(profiles_by_name()[profile_name], 33.0, "job-w", seed=9)
     config = FeatureConfig()
+    expected = oracle_windows(trace, config)
     batch = make_windows(trace, config)
-    windower = StreamingWindower(config, trace.job_id)
+    windower = Windower(config, trace.job_id)
     streamed = []
     for record in trace.records:
         streamed.extend(windower.push(record))
     streamed.extend(windower.finish())
-    assert [w.index for w in streamed] == [w.index for w in batch]
+    assert len(expected) >= 5
+    assert as_tuples(batch) == expected
+    assert as_tuples(streamed) == expected
     for a, b in zip(streamed, batch):
-        assert a.t_start_ns == b.t_start_ns and a.t_end_ns == b.t_end_ns
-        assert a.events == b.events
-        assert a.samples == b.samples
         va, vb = window_vector(a, config), window_vector(b, config)
         assert np.array_equal(va.values, vb.values)
+
+
+def test_windower_inserts_late_record_at_its_timestamp():
+    def ev(t_s):
+        return SyscallEvent(t_ns=int(t_s * 1e9), job_id="j", pid=1, tid=1, name="read", direction=ENTER)
+
+    def rs(t_s, rx):
+        return ResourceSample(
+            t_ns=int(t_s * 1e9), job_id="j", cpu_pct=1.0, rss_bytes=0,
+            net_rx_bytes=rx, net_tx_bytes=0, io_read_bytes=0, io_write_bytes=0,
+        )
+
+    config = FeatureConfig()
+    pushed = [ev(0), rs(1, 10), rs(3, 30), rs(2, 20), ev(4), ev(11)]  # the sample at 2 s arrives late
+    windower = Windower(config, "j")
+    windows = [w for record in pushed for w in windower.push(record)] + windower.finish()
+    assert [w.index for w in windows] == [0, 1, 2]
+    assert windows[0].samples == (rs(1, 10), rs(2, 20), rs(3, 30))
+    for w in windows:
+        window_vector(w, config)  # samples are in time order: no UnsortedInput
+    in_order = LabeledTrace(
+        job_id="j", label="normal", profile_name="", records=tuple(sorted(pushed, key=lambda r: r.t_ns))
+    )
+    assert windows == make_windows(in_order, config)
 
 
 # --- scoring and pipeline -----------------------------------------------------------

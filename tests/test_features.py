@@ -13,10 +13,8 @@ from warden.features import (
     FeatureVector,
     Scaler,
     Window,
-    apply_scaler,
     extract,
     feature_matrix,
-    fit_scaler,
     make_windows,
     ngram_features,
     resource_features,
@@ -257,8 +255,8 @@ def test_feature_vector_rejects_non_finite():
 
 def test_scaler_single_vector_zeroes():
     vec = FeatureVector(job_id="j", window_index=0, values=np.arange(5.0))
-    scaler = fit_scaler([vec])
-    assert np.allclose(apply_scaler(scaler, vec), 0.0)
+    scaler = Scaler().fit([vec])
+    assert np.allclose(scaler.transform(vec.values), 0.0)
 
 
 def test_scaler_constant_dimension_floor():
@@ -282,7 +280,7 @@ def test_scaler_moments_after_scaling():
 
 def test_scaler_errors():
     with pytest.raises(EmptyDataset):
-        fit_scaler([])
+        Scaler().fit([])
     from warden.features import DimensionMismatch
 
     scaler = Scaler().fit(np.ones((2, 3)))
