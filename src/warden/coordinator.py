@@ -37,6 +37,15 @@ class CoordinatorUnavailable(ConnectionError):
     """The coordinator endpoint cannot be reached."""
 
 
+class AlertRejected(ValueError):
+    """The coordinator answered an alert with a 4xx: resending it cannot succeed."""
+
+    def __init__(self, status: int, body: dict):
+        super().__init__(f"alert rejected: {status} {body}")
+        self.status = status
+        self.body = body
+
+
 def _canonical(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
@@ -489,7 +498,11 @@ class CoordinatorClient:
         return body["node_id"]
 
     def post_alert(self, node_id: str, alert) -> tuple[bool, dict]:
-        """Returns (created, stored_record); raises on transport failure or rejection."""
+        """Returns (created, stored_record).
+
+        Raises AlertRejected on a 4xx reply (unknown node, invalid alert) and
+        CoordinatorUnavailable on a transport failure or a server error.
+        """
         from .detector import Alert, alert_to_dict
 
         payload = alert_to_dict(alert) if isinstance(alert, Alert) else dict(alert)
@@ -499,7 +512,9 @@ class CoordinatorClient:
             return True, body
         if status == 200:
             return False, body
-        raise CoordinatorUnavailable(f"alert rejected: {status} {body}")
+        if 400 <= status < 500:
+            raise AlertRejected(status, body)
+        raise CoordinatorUnavailable(f"alert not stored: {status} {body}")
 
     def list_alerts(self, job_id=None, node_id=None, since_seq=0, limit=DEFAULT_LIMIT) -> dict:
         query = {"since_seq": since_seq, "limit": limit}

@@ -17,6 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .coordinator import AlertRejected
 from .features import FeatureConfig, FeatureVector, Window, Windower, window_vector
 from .ml.io import ModelBundle
 from .records import ResourceSample, format_real
@@ -228,16 +229,21 @@ class AlertSpool:
 def flush_spool(spool: AlertSpool, client, node_id: str) -> int:
     """Redeliver spooled alerts; server-side id dedup makes retries harmless.
 
-    Returns the number delivered; the spool is cleared only when every alert
-    went through.
+    An alert the coordinator rejects (AlertRejected) is skipped, since
+    resending it cannot succeed. Returns the number delivered; the spool is
+    cleared only when every alert was delivered or rejected, so a transport
+    failure keeps it whole for the next flush.
     """
     alerts = spool.drain()
-    if not alerts:
-        return 0
+    delivered = 0
     for alert in alerts:
-        client.post_alert(node_id, alert)
+        try:
+            client.post_alert(node_id, alert)
+        except AlertRejected:
+            continue
+        delivered += 1
     spool.clear()
-    return len(alerts)
+    return delivered
 
 
 @dataclass
@@ -245,7 +251,8 @@ class PipelineResult:
     alerts: list[Alert] = field(default_factory=list)
     windows_scored: int = 0
     terminated: bool = False
-    delivery_failures: int = 0
+    delivery_failures: int = 0  # alerts not delivered for a transport failure (spooled, if there is a spool)
+    rejected: int = 0  # alerts the coordinator refused (AlertRejected); never spooled
 
 
 def run_pipeline(
@@ -264,7 +271,8 @@ def run_pipeline(
     decision stops the job via the sandbox exactly once. When ``policy`` is
     given, CPU/memory/network violations are forwarded as RaiseAlert-severity
     alerts (ids ``<job>/pv<i>``) without terminating. Delivery failures fall
-    back to the spool and never crash the pipeline.
+    back to the spool and never crash the pipeline; alerts the coordinator
+    rejects are counted in ``rejected`` and not spooled.
     """
     if bundle is None:
         raise ModelMissing("run_pipeline requires a loaded model bundle")
@@ -280,6 +288,9 @@ def run_pipeline(
         if client is not None:
             try:
                 client.post_alert(node_id, alert)
+                return
+            except AlertRejected:
+                result.rejected += 1
                 return
             except Exception:
                 result.delivery_failures += 1

@@ -491,11 +491,57 @@ def write_trace_file(path, records: Iterable[TelemetryRecord]) -> None:
             fh.write("\n")
 
 
+# Canonical `sys` lines as serialize_line writes them. Each pattern admits
+# exactly the values SyscallEvent's invariants allow and strict json.loads
+# reads back unchanged: JSON integers of at most 20 digits, pid and tid >= 1,
+# strings without quote, backslash or control character, and the length
+# limits. A match therefore builds its record without re-running the checks;
+# any other line goes through parse_line.
+_STR = r'[^"\\\x00-\x1f]'
+_INT = r"-?(?:0|[1-9][0-9]{0,19})"
+_POS_INT = r"[1-9][0-9]{0,19}"
+_SYS_HEAD = (
+    rf'\{{"kind":"sys","t_ns":({_INT}),"job_id":"({_STR}{{1,{MAX_JOB_ID}}})",'
+    rf'"pid":({_POS_INT}),"tid":({_POS_INT}),"name":"([a-z0-9_]{{1,{MAX_NAME}}})",'
+)
+_ENTER_LINE = re.compile(_SYS_HEAD + rf'"dir":"enter","args":"({_STR}{{0,{MAX_ARGS}}})"\}}\n?')
+_EXIT_LINE = re.compile(_SYS_HEAD + rf'"dir":"exit","args":"({_STR}{{0,{MAX_ARGS}}})","ret":({_INT})\}}\n?')
+
+
+def _parse_canonical_sys(line: str) -> SyscallEvent | None:
+    """The record of a canonical syscall line, or None for any other line."""
+    m = _ENTER_LINE.fullmatch(line)
+    if m is not None:
+        t_ns, job_id, pid, tid, name, args = m.groups()
+        direction, retval = ENTER, None
+    else:
+        m = _EXIT_LINE.fullmatch(line)
+        if m is None:
+            return None
+        t_ns, job_id, pid, tid, name, args, ret = m.groups()
+        direction, retval = EXIT, int(ret)
+    rec = object.__new__(SyscallEvent)
+    # the pattern has proven every invariant, so __post_init__ is skipped
+    object.__setattr__(rec, "__dict__", {
+        "t_ns": int(t_ns), "job_id": job_id, "pid": int(pid), "tid": int(tid),
+        "name": name, "direction": direction, "args_digest": args, "retval": retval,
+    })
+    return rec
+
+
 def read_trace_file(path) -> list[TelemetryRecord]:
-    """Parse a `.trc` file; MalformedLine is re-raised with the line number attached."""
+    """Parse a `.trc` file; MalformedLine is re-raised with the line number attached.
+
+    Canonical syscall lines take a regex fast path; every other line goes
+    through parse_line, so records and errors are those of parse_line.
+    """
     out: list[TelemetryRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            rec = _parse_canonical_sys(line)
+            if rec is not None:
+                out.append(rec)
+                continue
             if not line.strip():
                 continue
             try:

@@ -14,10 +14,10 @@ only surface as violation records for the detector to weigh.
 
 from __future__ import annotations
 
+import collections
 import enum
 import os
 import platform
-import queue
 import re
 import signal
 import subprocess
@@ -36,6 +36,7 @@ from .records import (
 )
 
 KILL_GRACE_S = 2.0
+REPLAY_CHUNK_RECORDS = 512  # records per stream hand-off when replaying faster than recorded gaps
 
 
 class KillReason(enum.IntEnum):
@@ -159,10 +160,13 @@ class PolicyViolation:
 
 
 class LimitTracker:
-    """Incremental policy check over a job's time-ordered resource samples.
+    """Incremental policy check over a job's resource samples, one at a time.
 
-    Mirrors enforce_limits one sample at a time so the detection pipeline can
-    raise violations online; the Wallclock kind fires at most once.
+    Lets the detection pipeline raise violations online; the Wallclock kind
+    fires at most once. A sample older than the newest one seen (a wall
+    clock that stepped back) is still checked against the CPU, memory and
+    wallclock limits, but it is neither given a net delta nor used as the
+    base of the next one, which is taken against the newest sample.
     """
 
     def __init__(self, policy: SandboxPolicy, t_start_ns: int):
@@ -172,15 +176,14 @@ class LimitTracker:
         self._wallclock_fired = False
 
     def push(self, sample: ResourceSample) -> list[PolicyViolation]:
-        if self._prev is not None and sample.t_ns < self._prev.t_ns:
-            raise UnsortedInput("resource samples are unsorted")
+        late = self._prev is not None and sample.t_ns < self._prev.t_ns
         out: list[PolicyViolation] = []
         p = self.policy
         if sample.cpu_pct > p.cpu_limit_pct:
             out.append(PolicyViolation(sample.job_id, sample.t_ns, "CpuLimit", sample.cpu_pct, p.cpu_limit_pct))
         if sample.rss_bytes > p.mem_limit_bytes:
             out.append(PolicyViolation(sample.job_id, sample.t_ns, "MemLimit", float(sample.rss_bytes), float(p.mem_limit_bytes)))
-        if not p.net_allowed:
+        if not p.net_allowed and not late:
             prev_rx = self._prev.net_rx_bytes if self._prev else 0
             prev_tx = self._prev.net_tx_bytes if self._prev else 0
             delta = (sample.net_rx_bytes - prev_rx) + (sample.net_tx_bytes - prev_tx)
@@ -197,66 +200,104 @@ class LimitTracker:
                     p.wallclock_limit_s,
                 )
             )
-        self._prev = sample
+        if not late:
+            self._prev = sample
         return out
 
 
 def enforce_limits(samples, policy: SandboxPolicy, t_start_ns: int) -> list[PolicyViolation]:
-    """Pure scan over samples; violations appear in sample order.
+    """Pure scan over time-ordered samples; violations appear in sample order.
 
     Net deltas are taken against the previous sample (counters are cumulative
     from job start, so the first sample's delta is its absolute value).
+    Raises UnsortedInput if a sample is older than the one before it.
     """
     tracker = LimitTracker(policy, t_start_ns)
     out: list[PolicyViolation] = []
+    prev_t = None
     for sample in samples:
+        if prev_t is not None and sample.t_ns < prev_t:
+            raise UnsortedInput("resource samples are unsorted")
+        prev_t = sample.t_ns
         out.extend(tracker.push(sample))
     return out
 
 
 class TelemetryStream:
-    """Bounded single-producer single-consumer record stream.
+    """Bounded record stream from one or more producer threads to one consumer.
 
-    The producer either blocks (default) or drops the oldest buffered record
-    when the consumer lags. Iteration ends when the producer closes.
+    Records travel in chunks: ``put_many`` hands over a list of records in
+    one operation and ``put`` a single record. ``maxsize`` bounds the number
+    of buffered records (0 or less: unbounded). When it is reached, a
+    producer either blocks until the consumer catches up (default) or drops
+    the oldest buffered records. Iteration yields single records in the
+    order they were put and ends after the buffered records once the stream
+    is closed; records put after ``close`` are ignored.
     """
-
-    _SENTINEL = object()
 
     def __init__(self, maxsize: int = 10000, overflow: str = "block"):
         if overflow not in ("block", "drop_oldest"):
             raise ValueError("overflow must be 'block' or 'drop_oldest'")
-        self._q: queue.Queue = queue.Queue(maxsize=maxsize)
+        self._maxsize = maxsize
         self._overflow = overflow
+        self._chunks: collections.deque[list] = collections.deque()
+        self._size = 0  # records in self._chunks
+        self._cond = threading.Condition()
         self._closed = False
 
     def put(self, record: TelemetryRecord) -> None:
-        if self._closed:
-            return
-        if self._overflow == "block":
-            self._q.put(record)
-            return
-        while True:
-            try:
-                self._q.put_nowait(record)
-                return
-            except queue.Full:
-                try:
-                    self._q.get_nowait()
-                except queue.Empty:
-                    pass
+        self.put_many([record])
+
+    def put_many(self, records) -> None:
+        chunk = list(records)
+        with self._cond:
+            while chunk and not self._closed:
+                if self._maxsize <= 0 or self._overflow == "drop_oldest":
+                    self._append(chunk)
+                    self._drop_oldest()
+                    return
+                room = self._maxsize - self._size
+                if room <= 0:
+                    self._cond.wait()
+                    continue
+                self._append(chunk[:room])
+                chunk = chunk[room:]
+
+    def _append(self, chunk: list) -> None:
+        self._chunks.append(chunk)
+        self._size += len(chunk)
+        self._cond.notify_all()
+
+    def _drop_oldest(self) -> None:
+        excess = self._size - self._maxsize if self._maxsize > 0 else 0
+        while excess > 0:
+            head = self._chunks[0]
+            if len(head) <= excess:
+                self._chunks.popleft()
+                dropped = len(head)
+            else:
+                self._chunks[0] = head[excess:]
+                dropped = excess
+            self._size -= dropped
+            excess -= dropped
 
     def close(self) -> None:
-        if not self._closed:
+        with self._cond:
             self._closed = True
-            self._q.put(self._SENTINEL)
+            self._cond.notify_all()
 
     def __iter__(self):
+        cond = self._cond
         while True:
-            item = self._q.get()
-            if item is self._SENTINEL:
-                return
-            yield item
+            with cond:
+                while not self._chunks:
+                    if self._closed:
+                        return
+                    cond.wait()
+                chunk = self._chunks.popleft()
+                self._size -= len(chunk)
+                cond.notify_all()
+            yield from chunk
 
 
 class JobHandle:
@@ -346,7 +387,9 @@ class ReplayBackend(ExecutionBackend):
 
     ``speed`` scales recorded inter-record delays: 0 replays as fast as
     possible, 1 replays in real time. Records are forwarded verbatim (no
-    job_id rewriting), so the stream equals the file byte for byte.
+    job_id rewriting), so the stream equals the file byte for byte. They are
+    handed to the stream in chunks of up to REPLAY_CHUNK_RECORDS, flushed
+    before every delay, so a timed replay still delivers each record on time.
     """
 
     def __init__(self, trace_path, speed: float = 0.0, stream_maxsize: int = 100000, overflow: str = "block"):
@@ -367,13 +410,20 @@ class ReplayBackend(ExecutionBackend):
         def run():
             handle._set_running()
             prev_t = None
+            chunk = []
             for record in records:
                 if handle._stop.is_set():
                     break
                 if self.speed > 0 and prev_t is not None and record.t_ns > prev_t:
+                    stream.put_many(chunk)
+                    chunk = []
                     time.sleep((record.t_ns - prev_t) / 1e9 * self.speed)
                 prev_t = record.t_ns
-                stream.put(record)
+                chunk.append(record)
+                if len(chunk) >= REPLAY_CHUNK_RECORDS:
+                    stream.put_many(chunk)
+                    chunk = []
+            stream.put_many(chunk)
             if not handle._stop.is_set():
                 handle._set_terminal(JobStatus.completed(0))
             stream.close()

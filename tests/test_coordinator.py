@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from warden.coordinator import (
+    AlertRejected,
     CoordinatorClient,
     CoordinatorService,
     CoordinatorUnavailable,
@@ -91,8 +92,30 @@ def test_ingest_dedup_returns_first_record(live):
 
 
 def test_ingest_unknown_node_404(live):
-    with pytest.raises(CoordinatorUnavailable):
+    with pytest.raises(AlertRejected) as exc:
         live["client"].post_alert("node-999", alert_body(1))
+    assert exc.value.status == 404
+    assert not isinstance(exc.value, CoordinatorUnavailable)  # a rejection is not an outage
+
+
+def test_post_alert_with_score_2_is_rejected_with_422(live):
+    client = live["client"]
+    node = client.register("host-a")
+    bad = alert_body(3)
+    bad["score"] = 2  # a raw dict: Alert itself refuses scores above 1
+    with pytest.raises(AlertRejected) as exc:
+        client.post_alert(node, bad)
+    assert exc.value.status == 422
+    assert "score" in exc.value.body["error"]
+
+
+def test_post_alert_transport_failure_is_unavailable(tmp_path):
+    server, service = make_server("127.0.0.1:0", tmp_path / "ledger.log")
+    port = server.server_address[1]
+    server.server_close()
+    service.close()
+    with pytest.raises(CoordinatorUnavailable):
+        CoordinatorClient(f"http://127.0.0.1:{port}", timeout=2.0).post_alert("node-1", alert_body(1))
 
 
 def test_ingest_invalid_score_422(live):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warden.datagen import gen_trace, profiles_by_name
+from warden.coordinator import CoordinatorClient, make_server
 from warden.detector import (
     Alert,
     AlertSpool,
@@ -16,6 +19,7 @@ from warden.detector import (
     FingerprintMismatch,
     ResponseAction,
     decide_action,
+    flush_spool,
     parse_alert_line,
     run_pipeline,
     score_window,
@@ -327,8 +331,6 @@ def test_pipeline_spools_on_delivery_failure(small_bundle, tmp_path):
 
 
 def test_flush_spool_redelivers_then_clears(small_bundle, tmp_path):
-    from warden.detector import flush_spool
-
     spool = AlertSpool(tmp_path / "spool.alog")
     alert = Alert(
         alert_id="j/1", node_id="n1", job_id="j", t_ns=1, window_index=1,
@@ -351,3 +353,66 @@ def test_pipeline_policy_violations_forwarded_as_alerts(small_bundle, tmp_path):
     assert policy_alerts
     assert all(a.action_taken == ResponseAction.RAISE_ALERT for a in policy_alerts)
     assert all(a.alert_id.startswith("job-d1/pv") for a in policy_alerts)
+
+
+@pytest.fixture()
+def coordinator(tmp_path):
+    server, service = make_server("127.0.0.1:0", tmp_path / "ledger.log")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield CoordinatorClient(f"http://127.0.0.1:{server.server_address[1]}")
+    server.shutdown()
+    server.server_close()
+    service.close()
+
+
+def test_pipeline_counts_rejected_alerts_and_does_not_spool_them(small_bundle, tmp_path, coordinator):
+    trace = gen_trace(profiles_by_name()["cryptominer"], 40.0, "job-m5", seed=507)
+    spool = AlertSpool(tmp_path / "spool.alog")
+    # the node id was never registered, so the coordinator answers 404
+    _, result = _replay_and_run(trace, tmp_path, small_bundle, client=coordinator, node_id="ghost", spool=spool)
+    assert result.alerts
+    assert result.rejected == len(result.alerts)
+    assert result.delivery_failures == 0
+    assert spool.drain() == []
+
+
+def test_flush_spool_skips_rejected_alerts(tmp_path, coordinator):
+    spool = AlertSpool(tmp_path / "spool.alog")
+    for i in range(3):
+        spool.append(
+            Alert(
+                alert_id=f"j/{i}", node_id="n", job_id="j", t_ns=i, window_index=i,
+                score=0.9, model_id="m", rule="k-of-n:3/5", action_taken=ResponseAction.RAISE_ALERT,
+            )
+        )
+    assert flush_spool(spool, coordinator, "ghost") == 0  # every alert rejected with 404
+    assert spool.drain() == []
+    node = coordinator.register("host-a")
+    assert flush_spool(spool, coordinator, node) == 0  # nothing left to send
+    assert coordinator.list_alerts()["alerts"] == []
+
+
+def test_pipeline_survives_a_resource_sample_older_than_the_previous(small_bundle):
+    from warden.sandbox import SandboxPolicy
+
+    def ev(t_s):
+        return SyscallEvent(t_ns=int(t_s * 1e9), job_id="job-clk", pid=1, tid=1, name="read", direction=ENTER)
+
+    def rs(t_s, cpu):
+        return ResourceSample(
+            t_ns=int(t_s * 1e9), job_id="job-clk", cpu_pct=cpu, rss_bytes=0,
+            net_rx_bytes=0, net_tx_bytes=0, io_read_bytes=0, io_write_bytes=0,
+        )
+
+    class ListHandle:
+        job_id = "job-clk"
+        telemetry = [ev(0), rs(1, 10.0), rs(3, 10.0), rs(2, 90.0), ev(4)]  # the wall clock steps back: 3 s, then 2 s
+
+        def terminate(self, reason):
+            raise AssertionError("no terminate expected")
+
+    config = DetectorConfig(action_policy=((1, ResponseAction.RAISE_ALERT),))
+    result = run_pipeline(ListHandle(), small_bundle, config, policy=SandboxPolicy(cpu_limit_pct=50.0))
+    policy_alerts = [(a.rule, a.t_ns) for a in result.alerts if a.rule.startswith("policy:")]
+    assert policy_alerts == [("policy:CpuLimit", int(2e9))]  # the late sample's limit is still checked

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -20,7 +21,9 @@ from warden.records import (
     SyscallEvent,
     UnsortedInput,
     merge_streams,
+    _parse_canonical_sys,
     parse_line,
+    read_trace_file,
     serialize_line,
     validate_trace,
 )
@@ -333,3 +336,129 @@ def test_validate_agrees_with_brute_force_on_random_traces():
                 )
         trace = make_trace(records)
         assert (validate_trace(trace) == []) == brute_force_valid(trace)
+
+
+# --- read_trace_file's fast path for canonical syscall lines ------------------------
+
+def per_line_reference(path):
+    """read_trace_file without the fast path: parse_line on every non-blank line."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse_line(line))
+            except MalformedLine as exc:
+                err = MalformedLine(f"{path}:{lineno}: {exc}", offset=exc.offset)
+                err.lineno = lineno
+                raise err from None
+    return out
+
+
+def outcome(read, path):
+    """The records read, or the error's type, message, offset and line number."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None), getattr(exc, "lineno", None)
+
+
+def plain(s: str) -> bool:
+    """True when serialize_line writes ``s`` without an escape sequence."""
+    return not any(c in '"\\' or ord(c) < 0x20 for c in s)
+
+
+@given(
+    t_ns=st.integers(-(10**22), 10**22),
+    job_id=st.text(min_size=1, max_size=64),
+    pid=st.integers(1, 2**63),
+    tid=st.integers(1, 2**63),
+    name=name_st,
+    args=st.text(max_size=256),
+    retval=st.one_of(st.none(), st.integers(-(2**63), 2**63)),
+)
+@settings(max_examples=500, deadline=None)
+def test_fast_path_equals_parse_line_property(t_ns, job_id, pid, tid, name, args, retval):
+    rec = SyscallEvent(
+        t_ns=t_ns, job_id=job_id, pid=pid, tid=tid, name=name,
+        direction=ENTER if retval is None else EXIT, args_digest=args, retval=retval,
+    )
+    line = serialize_line(rec) + "\n"
+    fast = _parse_canonical_sys(line)
+    if plain(job_id) and plain(args) and len(str(abs(t_ns))) <= 20:
+        assert fast == parse_line(line) == rec
+        assert type(fast) is SyscallEvent and hash(fast) == hash(rec)
+    else:
+        assert fast is None
+
+
+ENTER_LINE = '{"kind":"sys","t_ns":100,"job_id":"j1","pid":7,"tid":8,"name":"read","dir":"enter","args":"ab"}'
+EXIT_LINE = '{"kind":"sys","t_ns":101,"job_id":"j1","pid":7,"tid":8,"name":"read","dir":"exit","args":"ab","ret":-3}'
+
+MUTATED_LINES = {
+    "canonical enter": ENTER_LINE,
+    "canonical exit": EXIT_LINE,
+    "reordered keys": ENTER_LINE.replace('"kind":"sys","t_ns":100', '"t_ns":100,"kind":"sys"'),
+    "escaped quote": ENTER_LINE.replace('"args":"ab"', '"args":"a\\"b"'),
+    "escaped e-acute": ENTER_LINE.replace('"job_id":"j1"', '"job_id":"caf\\u00e9"'),
+    "escaped tab": ENTER_LINE.replace('"args":"ab"', '"args":"a\\tb"'),
+    "raw tab": ENTER_LINE.replace('"args":"ab"', '"args":"a\tb"'),
+    "raw e-acute": ENTER_LINE.replace('"job_id":"j1"', '"job_id":"caf\u00e9"'),
+    "raw DEL": ENTER_LINE.replace('"args":"ab"', '"args":"a\x7fb"'),
+    "leading zero pid": ENTER_LINE.replace('"pid":7', '"pid":07'),
+    "leading zero t_ns": ENTER_LINE.replace('"t_ns":100', '"t_ns":0100'),
+    "minus zero t_ns": ENTER_LINE.replace('"t_ns":100', '"t_ns":-0'),
+    "minus zero ret": EXIT_LINE.replace('"ret":-3', '"ret":-0'),
+    "minus zero pid": ENTER_LINE.replace('"pid":7', '"pid":-0'),
+    "zero tid": ENTER_LINE.replace('"tid":8', '"tid":0'),
+    "exponent t_ns": ENTER_LINE.replace('"t_ns":100', '"t_ns":1e3'),
+    "fraction pid": ENTER_LINE.replace('"pid":7', '"pid":7.0'),
+    "unicode digits t_ns": ENTER_LINE.replace('"t_ns":100', '"t_ns":\u0661\u0662'),
+    "21-digit t_ns": ENTER_LINE.replace('"t_ns":100', '"t_ns":' + "9" * 21),
+    "5000-digit t_ns": ENTER_LINE.replace('"t_ns":100', '"t_ns":' + "1" * 5000),
+    "ret on enter": ENTER_LINE[:-1] + ',"ret":0}',
+    "no ret on exit": EXIT_LINE.replace(',"ret":-3', ""),
+    "32-char name": ENTER_LINE.replace('"name":"read"', '"name":"' + "r" * 32 + '"'),
+    "33-char name": ENTER_LINE.replace('"name":"read"', '"name":"' + "r" * 33 + '"'),
+    "uppercase name": ENTER_LINE.replace('"name":"read"', '"name":"Read"'),
+    "256-char args": ENTER_LINE.replace('"args":"ab"', '"args":"' + "a" * 256 + '"'),
+    "257-char args": ENTER_LINE.replace('"args":"ab"', '"args":"' + "a" * 257 + '"'),
+    "64-char job_id": ENTER_LINE.replace('"job_id":"j1"', '"job_id":"' + "j" * 64 + '"'),
+    "65-char job_id": ENTER_LINE.replace('"job_id":"j1"', '"job_id":"' + "j" * 65 + '"'),
+    "empty job_id": ENTER_LINE.replace('"job_id":"j1"', '"job_id":""'),
+    "unknown dir": ENTER_LINE.replace('"dir":"enter"', '"dir":"both"'),
+    "extra field": ENTER_LINE[:-1] + ',"extra":1}',
+    "trailing spaces": ENTER_LINE + "  ",
+    "leading space": " " + ENTER_LINE,
+    "space after colon": ENTER_LINE.replace('"pid":7', '"pid": 7'),
+    "no closing brace": ENTER_LINE[:-1],
+    "resource sample": serialize_line(res_sample(t_ns=100, job_id="j1")),
+    "log line": '{"kind":"log","t_ns":100,"job_id":"j1","source":"s","severity":"info","message":"m"}',
+    "blank": "",
+    "whitespace only": " \t ",
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("mutation", sorted(MUTATED_LINES))
+def test_read_trace_file_matches_per_line_parse_on_mutated_lines(tmp_path, mutation, newline):
+    path = tmp_path / "mutated.trc"
+    lines = [ENTER_LINE, EXIT_LINE, MUTATED_LINES[mutation], ENTER_LINE]
+    path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+    assert outcome(read_trace_file, path) == outcome(per_line_reference, path)
+
+
+def test_seed7_corpus_parses_to_equal_records_both_ways(small_corpus, monkeypatch):
+    import warden.records as records_module
+
+    paths = [os.path.join(small_corpus["dir"], e["file"]) for e in small_corpus["manifest"]["entries"]]
+    expected = [per_line_reference(p) for p in paths]
+    slow_lines = []
+    real_parse_line = records_module.parse_line
+    monkeypatch.setattr(records_module, "parse_line", lambda line: slow_lines.append(line) or real_parse_line(line))
+    assert [read_trace_file(p) for p in paths] == expected
+    syscalls = sum(isinstance(r, SyscallEvent) for records in expected for r in records)
+    assert syscalls > 10000
+    # every syscall line took the fast path; only res and log lines reached parse_line
+    assert len(slow_lines) == sum(map(len, expected)) - syscalls

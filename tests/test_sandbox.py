@@ -9,8 +9,9 @@ import time
 import pytest
 
 from warden.datagen import gen_trace, profiles_by_name
-from warden.records import LogRecord, ResourceSample, serialize_line, write_trace_file
+from warden.records import LogRecord, ResourceSample, read_trace_file, serialize_line, write_trace_file
 from warden.sandbox import (
+    REPLAY_CHUNK_RECORDS,
     DuplicateJobId,
     JobDescriptor,
     JobStatus,
@@ -20,6 +21,8 @@ from warden.sandbox import (
     ReplaySourceMissing,
     SandboxPolicy,
     SpawnFailure,
+    LimitTracker,
+    TelemetryStream,
     enforce_limits,
     replay_job,
     validate_policy,
@@ -145,6 +148,167 @@ def test_randomized_terminate_poll_interleavings(small_trace):
             if peak == 2:
                 assert r == 2
             peak = max(peak, r)
+
+
+# --- telemetry stream and chunked replay -----------------------------------------
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_put_many_blocks_once_maxsize_records_are_buffered():
+    stream = TelemetryStream(maxsize=4)
+    stream.put_many([0, 1, 2])
+    producer = threading.Thread(target=stream.put_many, args=([3, 4, 5],), daemon=True)
+    producer.start()
+    time.sleep(0.2)
+    assert producer.is_alive()  # 4 records buffered, 2 still waiting for room
+    assert stream._size == 4
+    consumed = []
+    consumer = threading.Thread(target=lambda: consumed.extend(stream), daemon=True)
+    consumer.start()
+    producer.join(5.0)
+    assert not producer.is_alive()
+    stream.close()
+    consumer.join(5.0)
+    assert not consumer.is_alive()
+    assert consumed == [0, 1, 2, 3, 4, 5]
+
+
+def test_close_releases_a_blocked_producer():
+    stream = TelemetryStream(maxsize=2)
+    stream.put_many([0, 1])
+    producer = threading.Thread(target=stream.put, args=(2,), daemon=True)
+    producer.start()
+    time.sleep(0.1)
+    assert producer.is_alive()
+    stream.close()
+    producer.join(5.0)
+    assert not producer.is_alive()
+    assert list(stream) == [0, 1]
+
+
+def test_drop_oldest_keeps_newest_maxsize_records_across_chunks():
+    stream = TelemetryStream(maxsize=5, overflow="drop_oldest")
+    stream.put_many([0, 1, 2])
+    stream.put_many([3, 4, 5])
+    stream.put_many([6, 7])
+    stream.put(8)
+    stream.close()
+    assert list(stream) == [4, 5, 6, 7, 8]
+
+    wide = TelemetryStream(maxsize=3, overflow="drop_oldest")
+    wide.put_many([0, 1])
+    wide.put_many(range(2, 12))  # one chunk wider than maxsize
+    wide.close()
+    assert list(wide) == [9, 10, 11]
+
+
+def test_put_after_close_is_ignored_and_iteration_ends_after_buffered_records():
+    stream = TelemetryStream()
+    stream.put_many([0, 1])
+    stream.put(2)
+    stream.close()
+    stream.put(3)
+    stream.put_many([4, 5])
+    stream.close()
+    assert list(stream) == [0, 1, 2]
+    assert list(stream) == []
+
+
+def test_many_producers_lose_no_record_and_keep_each_producers_order():
+    import sys
+
+    stream = TelemetryStream(maxsize=7)
+    got = []
+    consumer = threading.Thread(target=lambda: got.extend(stream), daemon=True)
+
+    def produce(p):
+        for i in range(0, 600, 3):
+            if p % 2:
+                stream.put_many([(p, i), (p, i + 1), (p, i + 2)])
+            else:
+                for j in range(i, i + 3):
+                    stream.put((p, j))
+
+    producers = [threading.Thread(target=produce, args=(p,), daemon=True) for p in range(4)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        consumer.start()
+        for t in producers:
+            t.start()
+        for t in producers:
+            t.join(30.0)
+            assert not t.is_alive()
+        stream.close()
+        consumer.join(30.0)
+        assert not consumer.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert sorted(got) == [(p, i) for p in range(4) for i in range(600)]
+    for p in range(4):
+        assert [i for q, i in got if q == p] == list(range(600))
+
+
+def test_speed0_replay_yields_read_trace_file_records_in_chunks(small_trace, monkeypatch):
+    chunks = []
+    real_put_many = TelemetryStream.put_many
+    monkeypatch.setattr(
+        TelemetryStream, "put_many", lambda self, records: (chunks.append(len(records)), real_put_many(self, records))[1]
+    )
+    handle = replay_job(small_trace["path"], "job-chunks")
+    streamed = list(handle.telemetry)
+    assert handle.wait(5.0) == JobStatus.completed(0)
+    expected = read_trace_file(small_trace["path"])
+    assert streamed == expected
+    assert len(expected) > REPLAY_CHUNK_RECORDS  # at least one full chunk and a partial one
+    assert sum(chunks) == len(expected)
+    assert chunks[:-1] == [REPLAY_CHUNK_RECORDS] * (len(chunks) - 1)
+
+
+def test_timed_replay_delivers_each_record_before_sleeping(tmp_path):
+    from warden.records import ENTER, SyscallEvent
+
+    records = [
+        SyscallEvent(t_ns=int(t * 1e9), job_id="job-timed", pid=1, tid=1, name="read", direction=ENTER)
+        for t in range(4)
+    ]
+    path = tmp_path / "job-timed.trc"
+    write_trace_file(path, records)
+    start = time.monotonic()
+    handle = ReplayBackend(path, speed=0.2).launch(JobDescriptor(job_id="job-timed", command=("replay",)))
+    arrivals = []
+    for _ in handle.telemetry:
+        arrivals.append(time.monotonic() - start)
+    assert handle.wait(5.0) == JobStatus.completed(0)
+    assert len(arrivals) == 4
+    assert arrivals[0] < 0.3  # not held back until the 0.6 s of recorded gaps have passed
+    assert arrivals[-1] - arrivals[0] >= 0.5
+
+
+def test_terminate_during_chunked_replay_ends_killed(tmp_path):
+    trace = gen_trace(profiles_by_name()["batch-compute"], 40.0, "job-long", seed=6)
+    path = tmp_path / "job-long.trc"
+    write_trace_file(path, trace.records)
+    # a buffer smaller than two chunks keeps the replay thread waiting for room
+    backend = ReplayBackend(path, speed=0, stream_maxsize=REPLAY_CHUNK_RECORDS + 10)
+    handle = backend.launch(JobDescriptor(job_id="job-kill-chunks", command=("replay",)))
+    assert wait_until(lambda: handle.telemetry._size == REPLAY_CHUNK_RECORDS + 10)
+    assert handle.status() == JobStatus.running()
+    assert handle.terminate(KillReason.OPERATOR_REQUEST) == JobStatus.killed(KillReason.OPERATOR_REQUEST)
+    streamed = list(handle.telemetry)  # ends: the replay stops and closes the stream
+    assert handle.wait(5.0) == JobStatus.killed(KillReason.OPERATOR_REQUEST)
+    expected = read_trace_file(path)
+    # the chunk in flight is delivered, then the replay stops
+    assert len(expected) > 3 * REPLAY_CHUNK_RECORDS
+    assert REPLAY_CHUNK_RECORDS + 10 <= len(streamed) <= 2 * REPLAY_CHUNK_RECORDS
+    assert streamed == expected[: len(streamed)]
 
 
 # --- process backend -------------------------------------------------------------
@@ -295,3 +459,16 @@ def test_enforce_limits_unsorted_input():
     policy = SandboxPolicy()
     with pytest.raises(UnsortedInput):
         enforce_limits([rs(2.0), rs(1.0)], policy, 0)
+
+
+def test_limit_tracker_checks_a_late_sample_without_basing_net_deltas_on_it():
+    policy = SandboxPolicy(cpu_limit_pct=50.0, net_allowed=False)
+    tracker = LimitTracker(policy, t_start_ns=0)
+    pushed = [rs(1.0, rx=100), rs(3.0, cpu=80.0, rx=300), rs(2.0, cpu=90.0, rx=200), rs(4.0, rx=300)]
+    got = [[(v.kind, v.observed) for v in tracker.push(sample)] for sample in pushed]
+    assert got == [
+        [("NetForbidden", 100.0)],
+        [("CpuLimit", 80.0), ("NetForbidden", 200.0)],
+        [("CpuLimit", 90.0)],  # late: limits checked, no net delta
+        [],  # delta against the 3-s sample, not the late one
+    ]
