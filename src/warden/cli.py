@@ -4,7 +4,8 @@ Exit codes are a stable scripting contract: 0 success, 2 usage or malformed
 input, 3 insufficient data (single-class training set), 4 fingerprint or
 format-version mismatch, 5 spawn failure, 10 a detector Terminate fired
 during `detect`, and 10+reason for jobs killed under `run` (11 policy,
-12 detector, 13 wallclock, 14 operator).
+12 detector, 13 wallclock). A coordinator that rejects the node's
+registration is a usage error (2), not an outage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import threading
 import numpy as np
 
 from . import __version__
-from .coordinator import LEDGER_ENV_VAR, CoordinatorClient, CoordinatorUnavailable, serve_forever
+from .coordinator import LEDGER_ENV_VAR, CoordinatorClient, CoordinatorUnavailable, Rejected, serve_forever
 from .datagen import InvalidSpec, ScenarioSpec, gen_dataset
 from .detector import (
     Alert,
@@ -53,9 +54,9 @@ from .records import MalformedLine
 from .sandbox import (
     JobDescriptor,
     ProcessBackend,
-    ReplayBackend,
     SandboxPolicy,
     SpawnFailure,
+    replay_job,
     validate_policy,
 )
 
@@ -425,6 +426,9 @@ def cmd_detect(args) -> int:
             node_id = client.register(args.hostname, idempotency_key=args.hostname)
             if spool is not None:
                 flush_spool(spool, client, node_id)
+        except Rejected as exc:
+            print(f"detect: coordinator {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except CoordinatorUnavailable:
             client = None  # alerts spool; exit code still reflects detection
 
@@ -432,8 +436,7 @@ def cmd_detect(args) -> int:
 
     def detect_one(trace_path: str) -> None:
         job_id = os.path.splitext(os.path.basename(trace_path))[0]
-        backend = ReplayBackend(trace_path, speed=args.replay_speed)
-        handle = backend.launch(JobDescriptor(job_id=job_id, command=("replay",)))
+        handle = replay_job(trace_path, job_id, speed=args.replay_speed)
         results[trace_path] = run_pipeline(
             handle,
             bundle,
@@ -510,20 +513,23 @@ def cmd_run(args) -> int:
     detector_config = _detector_config(args, model_id=bundle.model_id)
     _banner(args.seed, bundle.feature_config, detector_config)
 
+    client = CoordinatorClient(args.coordinator) if args.coordinator else None
+    node_id = "local"
+    if client is not None:
+        try:
+            node_id = client.register(args.hostname, idempotency_key=args.hostname)
+        except Rejected as exc:
+            print(f"run: coordinator {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except CoordinatorUnavailable:
+            client = None
+
     backend = ProcessBackend(sample_interval_ms=args.sample_interval_ms)
     try:
         handle = backend.launch(descriptor)
     except SpawnFailure as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_SPAWN
-
-    client = CoordinatorClient(args.coordinator) if args.coordinator else None
-    node_id = "local"
-    if client is not None:
-        try:
-            node_id = client.register(args.hostname, idempotency_key=args.hostname)
-        except CoordinatorUnavailable:
-            client = None
     spool = AlertSpool(args.spool) if args.spool else None
     result = run_pipeline(
         handle,

@@ -5,8 +5,8 @@ embedded CRC32 over the line's canonical form). Every mutating request is
 appended and fsynced before the response goes out, so any acknowledged write
 survives a crash; recovery replays intact lines and discards a torn tail.
 Alert ingest deduplicates on (node_id, alert_id), which gives node agents
-safe at-least-once retry semantics. Agents poll for action commands rather
-than holding server-initiated connections.
+safe at-least-once retry semantics. Request bodies are capped in size and
+every socket read times out, so a client cannot pin a server thread.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 DEFAULT_LIMIT = 100
 MAX_LIMIT = 1000
 LISTEN_BACKLOG = 128  # socketserver's default of 5 resets bursts of concurrent clients
+MAX_BODY_BYTES = 1 << 20  # one alert is a few hundred bytes
+REQUEST_TIMEOUT_S = 10.0  # per socket read or write on the server side
 
 LEDGER_ENV_VAR = "WARDEN_LEDGER_PATH"
 
@@ -37,11 +39,11 @@ class CoordinatorUnavailable(ConnectionError):
     """The coordinator endpoint cannot be reached."""
 
 
-class AlertRejected(ValueError):
-    """The coordinator answered an alert with a 4xx: resending it cannot succeed."""
+class Rejected(ValueError):
+    """The coordinator answered with a 4xx: resending the request cannot succeed."""
 
     def __init__(self, status: int, body: dict):
-        super().__init__(f"alert rejected: {status} {body}")
+        super().__init__(f"rejected: {status} {body}")
         self.status = status
         self.body = body
 
@@ -108,27 +110,8 @@ class NodeRecord:
         }
 
 
-@dataclass
-class ActionCommand:
-    command_id: str
-    job_id: str
-    node_id: str
-    action: str
-    issued_t_ns: int
-    status: str = "pending"  # "pending" | "acked" | "failed"
-
-    def to_dict(self) -> dict:
-        return {
-            "command_id": self.command_id,
-            "job_id": self.job_id,
-            "node_id": self.node_id,
-            "action": self.action,
-            "issued_t_ns": self.issued_t_ns,
-            "status": self.status,
-        }
-
-
 _ALERT_FIELDS = ("alert_id", "job_id", "t_ns", "window_index", "score", "model_id", "rule", "action")
+_RETIRED_EVENTS = ("command", "ack")  # a removed command channel's events: no-ops, so older ledgers recover
 
 
 class CoordinatorState:
@@ -140,9 +123,7 @@ class CoordinatorState:
         self.idempotency: dict[str, str] = {}
         self.alerts: list[dict] = []  # index = ledger_seq - 1
         self.dedup: dict[tuple[str, str], int] = {}  # (node_id, alert_id) -> seq
-        self.commands: dict[str, ActionCommand] = {}
         self.node_counter = 0
-        self.command_counter = 0
 
     @property
     def next_seq(self) -> int:
@@ -171,21 +152,7 @@ class CoordinatorState:
             node = self.nodes.get(event["node_id"])
             if node:
                 node.last_seen_t_ns = max(node.last_seen_t_ns, event["received_t_ns"])
-        elif kind == "command":
-            cmd = ActionCommand(
-                command_id=event["command_id"],
-                job_id=event["job_id"],
-                node_id=event["node_id"],
-                action=event["action"],
-                issued_t_ns=event["t_ns"],
-            )
-            self.commands[cmd.command_id] = cmd
-            self.command_counter = max(self.command_counter, int(cmd.command_id.split("-")[-1]))
-        elif kind == "ack":
-            cmd = self.commands.get(event["command_id"])
-            if cmd and cmd.status == "pending":
-                cmd.status = "acked"
-        else:
+        elif kind not in _RETIRED_EVENTS:
             raise CorruptLedger(f"unknown ledger event kind {kind!r}")
 
 
@@ -325,40 +292,6 @@ class CoordinatorService:
                 break
         return 200, {"alerts": out, "next_seq": next_seq}
 
-    def command_action(self, job_id: str, node_id: str, action: str) -> tuple[int, dict]:
-        with self._lock:
-            if node_id not in self.state.nodes:
-                return 404, {"error": f"unknown node {node_id!r}"}
-            self.state.command_counter += 1
-            command_id = f"cmd-{self.state.command_counter}"
-            self._append(
-                {
-                    "event": "command",
-                    "command_id": command_id,
-                    "job_id": job_id,
-                    "node_id": node_id,
-                    "action": action,
-                    "t_ns": time.time_ns(),
-                }
-            )
-            return 201, self.state.commands[command_id].to_dict()
-
-    def poll_commands(self, node_id: str) -> tuple[int, dict]:
-        with self._lock:
-            if node_id not in self.state.nodes:
-                return 404, {"error": f"unknown node {node_id!r}"}
-            pending = [c.to_dict() for c in self.state.commands.values() if c.node_id == node_id and c.status == "pending"]
-        return 200, {"commands": pending}
-
-    def ack_command(self, command_id: str) -> tuple[int, dict]:
-        with self._lock:
-            cmd = self.state.commands.get(command_id)
-            if cmd is None:
-                return 404, {"error": f"unknown command {command_id!r}"}
-            if cmd.status == "pending":
-                self._append({"event": "ack", "command_id": command_id, "t_ns": time.time_ns()})
-            return 200, cmd.to_dict()
-
     def health(self) -> tuple[int, dict]:
         with self._lock:
             return 200, {"status": "ok", "ledger_seq": len(self.state.alerts)}
@@ -366,6 +299,7 @@ class CoordinatorService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S  # a stalled client times out instead of pinning its thread
     service: CoordinatorService = None  # injected by make_server
 
     def log_message(self, fmt, *args):  # quiet by default
@@ -379,16 +313,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _read_body(self) -> dict | None:
-        length = int(self.headers.get("Content-Length", "0"))
+    def _read_body(self) -> tuple[int, dict]:
+        """(200, the JSON object sent) or (4xx, an error body)."""
+        header = self.headers.get("Content-Length", "0")
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True  # the body's end is unknown
+            return 400, {"error": f"Content-Length must be a non-negative integer, got {header!r}"}
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body is left unread
+            return 413, {"error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}"}
         raw = self.rfile.read(length) if length else b""
         if not raw:
-            return {}
+            return 200, {}
         try:
             obj = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
-            return None
-        return obj if isinstance(obj, dict) else None
+            obj = None
+        if not isinstance(obj, dict):
+            return 400, {"error": "request body must be a JSON object"}
+        return 200, obj
 
     def do_GET(self):
         parsed = urllib.parse.urlparse(self.path)
@@ -411,16 +355,14 @@ class _Handler(BaseHTTPRequestHandler):
                     job_id=q("job_id"), node_id=q("node_id"), since_seq=since_seq, limit=limit
                 )
             )
-        if len(parts) == 4 and parts[:2] == ["v1", "nodes"] and parts[3] == "commands":
-            return self._send(*self.service.poll_commands(parts[2]))
         return self._send(404, {"error": f"no route for GET {parsed.path}"})
 
     def do_POST(self):
         parsed = urllib.parse.urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
-        body = self._read_body()
-        if body is None:
-            return self._send(400, {"error": "request body must be a JSON object"})
+        status, body = self._read_body()
+        if status != 200:
+            return self._send(status, body)
         if parts == ["v1", "nodes"]:
             return self._send(
                 *self.service.register_node(
@@ -430,12 +372,6 @@ class _Handler(BaseHTTPRequestHandler):
         if parts == ["v1", "alerts"]:
             node_id = body.get("node_id", "")
             return self._send(*self.service.ingest_alert(node_id, body))
-        if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "actions":
-            return self._send(
-                *self.service.command_action(parts[2], body.get("node_id", ""), body.get("action", ""))
-            )
-        if len(parts) == 4 and parts[:2] == ["v1", "commands"] and parts[3] == "ack":
-            return self._send(*self.service.ack_command(parts[2]))
         return self._send(404, {"error": f"no route for POST {parsed.path}"})
 
 
@@ -472,6 +408,11 @@ class CoordinatorClient:
         self.timeout = timeout
 
     def _request(self, method: str, path: str, body: dict | None = None, headers: dict | None = None):
+        """(status, reply body) of a 2xx reply.
+
+        Raises Rejected on a 4xx reply and CoordinatorUnavailable on a
+        transport failure or any other status.
+        """
         url = self.base_url + path
         data = _canonical(body).encode("utf-8") if body is not None else None
         request = urllib.request.Request(url, data=data, method=method)
@@ -484,23 +425,24 @@ class CoordinatorClient:
         except urllib.error.HTTPError as exc:
             payload = exc.read().decode("utf-8", errors="replace")
             try:
-                return exc.code, json.loads(payload)
+                reply = json.loads(payload)
             except ValueError:
-                return exc.code, {"error": payload}
+                reply = {"error": payload}
+            if 400 <= exc.code < 500:
+                raise Rejected(exc.code, reply) from None
+            raise CoordinatorUnavailable(f"{method} {url}: {exc.code} {reply}") from None
         except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
             raise CoordinatorUnavailable(f"{method} {url}: {exc}") from None
 
     def register(self, hostname: str, idempotency_key: str | None = None) -> str:
         headers = {"Idempotency-Key": idempotency_key} if idempotency_key else {}
-        status, body = self._request("POST", "/v1/nodes", {"hostname": hostname}, headers)
-        if status not in (200, 201):
-            raise CoordinatorUnavailable(f"registration failed: {status} {body}")
+        _, body = self._request("POST", "/v1/nodes", {"hostname": hostname}, headers)
         return body["node_id"]
 
     def post_alert(self, node_id: str, alert) -> tuple[bool, dict]:
         """Returns (created, stored_record).
 
-        Raises AlertRejected on a 4xx reply (unknown node, invalid alert) and
+        Raises Rejected on a 4xx reply (unknown node, invalid alert) and
         CoordinatorUnavailable on a transport failure or a server error.
         """
         from .detector import Alert, alert_to_dict
@@ -508,13 +450,7 @@ class CoordinatorClient:
         payload = alert_to_dict(alert) if isinstance(alert, Alert) else dict(alert)
         payload["node_id"] = node_id
         status, body = self._request("POST", "/v1/alerts", payload)
-        if status == 201:
-            return True, body
-        if status == 200:
-            return False, body
-        if 400 <= status < 500:
-            raise AlertRejected(status, body)
-        raise CoordinatorUnavailable(f"alert not stored: {status} {body}")
+        return status == 201, body
 
     def list_alerts(self, job_id=None, node_id=None, since_seq=0, limit=DEFAULT_LIMIT) -> dict:
         query = {"since_seq": since_seq, "limit": limit}
@@ -522,31 +458,7 @@ class CoordinatorClient:
             query["job_id"] = job_id
         if node_id:
             query["node_id"] = node_id
-        status, body = self._request("GET", "/v1/alerts?" + urllib.parse.urlencode(query))
-        if status != 200:
-            raise CoordinatorUnavailable(f"list_alerts failed: {status} {body}")
-        return body
-
-    def command_action(self, job_id: str, node_id: str, action: str) -> dict:
-        status, body = self._request("POST", f"/v1/jobs/{job_id}/actions", {"node_id": node_id, "action": action})
-        if status != 201:
-            raise CoordinatorUnavailable(f"command failed: {status} {body}")
-        return body
-
-    def poll_commands(self, node_id: str) -> list[dict]:
-        status, body = self._request("GET", f"/v1/nodes/{node_id}/commands")
-        if status != 200:
-            raise CoordinatorUnavailable(f"poll failed: {status} {body}")
-        return body["commands"]
-
-    def ack_command(self, command_id: str) -> dict:
-        status, body = self._request("POST", f"/v1/commands/{command_id}/ack", {})
-        if status != 200:
-            raise CoordinatorUnavailable(f"ack failed: {status} {body}")
-        return body
+        return self._request("GET", "/v1/alerts?" + urllib.parse.urlencode(query))[1]
 
     def health(self) -> dict:
-        status, body = self._request("GET", "/v1/health")
-        if status != 200:
-            raise CoordinatorUnavailable(f"health failed: {status} {body}")
-        return body
+        return self._request("GET", "/v1/health")[1]

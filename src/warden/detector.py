@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .coordinator import AlertRejected
+from .coordinator import Rejected
 from .features import FeatureConfig, FeatureVector, Window, Windower, window_vector
 from .ml.io import ModelBundle
 from .records import ResourceSample, format_real
@@ -229,7 +229,7 @@ class AlertSpool:
 def flush_spool(spool: AlertSpool, client, node_id: str) -> int:
     """Redeliver spooled alerts; server-side id dedup makes retries harmless.
 
-    An alert the coordinator rejects (AlertRejected) is skipped, since
+    An alert the coordinator rejects (Rejected) is skipped, since
     resending it cannot succeed. Returns the number delivered; the spool is
     cleared only when every alert was delivered or rejected, so a transport
     failure keeps it whole for the next flush.
@@ -239,7 +239,7 @@ def flush_spool(spool: AlertSpool, client, node_id: str) -> int:
     for alert in alerts:
         try:
             client.post_alert(node_id, alert)
-        except AlertRejected:
+        except Rejected:
             continue
         delivered += 1
     spool.clear()
@@ -252,7 +252,7 @@ class PipelineResult:
     windows_scored: int = 0
     terminated: bool = False
     delivery_failures: int = 0  # alerts not delivered for a transport failure (spooled, if there is a spool)
-    rejected: int = 0  # alerts the coordinator refused (AlertRejected); never spooled
+    rejected: int = 0  # alerts the coordinator refused (Rejected); never spooled
 
 
 def run_pipeline(
@@ -289,7 +289,7 @@ def run_pipeline(
             try:
                 client.post_alert(node_id, alert)
                 return
-            except AlertRejected:
+            except Rejected:
                 result.rejected += 1
                 return
             except Exception:

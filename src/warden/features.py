@@ -391,9 +391,6 @@ class Scaler:
         out = (X - self.mean_) / self.std_
         return out[0] if single else out
 
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X if not isinstance(X, (list, tuple)) else feature_matrix(X))
-
     def digest(self) -> int:
         if self.mean_ is None or self.std_ is None:
             raise ValueError("scaler is not fitted")

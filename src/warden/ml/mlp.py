@@ -107,10 +107,6 @@ class MlpClassifier(BaseEstimator):
         """P(malicious) per row, strictly inside (0, 1)."""
         return probability(self.decision_function(X))
 
-    def predict_proba(self, X) -> np.ndarray:
-        p = self.proba(X)
-        return np.column_stack([1.0 - p, p])
-
     def predict(self, X) -> np.ndarray:
         return (self.proba(X) >= 0.5).astype(np.int64)
 

@@ -157,10 +157,6 @@ class RnnClassifier(BaseEstimator):
         """P(malicious) per sequence, strictly inside (0, 1)."""
         return probability(self.decision_function(sequences))
 
-    def predict_proba(self, sequences) -> np.ndarray:
-        p = self.proba(sequences)
-        return np.column_stack([1.0 - p, p])
-
     def predict(self, sequences) -> np.ndarray:
         return (self.proba(sequences) >= 0.5).astype(np.int64)
 

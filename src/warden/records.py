@@ -1,4 +1,4 @@
-"""Telemetry record types, the `.trc` line format, stream merging and trace validation.
+"""Telemetry record types, the `.trc` line format and trace validation.
 
 One job produces three kinds of monitored data: syscall enter/exit events,
 periodic resource-usage samples with cumulative I/O and network counters, and
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 ENTER = "enter"
 EXIT = "exit"
@@ -50,9 +50,8 @@ class MalformedLine(ValueError):
 class UnsortedInput(ValueError):
     """An input sequence violates its time-ordering precondition."""
 
-    def __init__(self, message: str, stream_index: int = 0, position: int = 0):
+    def __init__(self, message: str, position: int = 0):
         super().__init__(message)
-        self.stream_index = stream_index
         self.position = position
 
 
@@ -315,6 +314,8 @@ def parse_line(line: str) -> TelemetryRecord:
     except json.JSONDecodeError as exc:
         offset = len(stripped[: exc.pos].encode("utf-8"))
         raise MalformedLine(f"invalid object syntax: {exc.msg}", offset=offset) from None
+    except ValueError as exc:  # an integer beyond int's string-conversion digit limit
+        raise MalformedLine(f"invalid number: {exc}") from None
     if not isinstance(obj, dict):
         raise MalformedLine("line is not an object")
     if "kind" not in obj:
@@ -419,34 +420,7 @@ def _invariant_key(message: str, kind: str) -> str:
     return "kind"
 
 
-# --- stream merging and trace validation ------------------------------------
-
-def merge_streams(streams: Sequence[Sequence[TelemetryRecord]]) -> list[TelemetryRecord]:
-    """Stable k-way merge of individually time-ordered record sequences.
-
-    Records with equal t_ns keep (stream index, position) order. Raises
-    UnsortedInput naming the first inversion found in any input.
-    """
-    import heapq
-
-    seqs = [list(stream) for stream in streams]
-    for si, seq in enumerate(seqs):
-        for pos in range(1, len(seq)):
-            if seq[pos].t_ns < seq[pos - 1].t_ns:
-                raise UnsortedInput(
-                    f"stream {si} is unsorted at position {pos}", stream_index=si, position=pos
-                )
-    heap: list[tuple[int, int, int]] = [(seq[0].t_ns, si, 0) for si, seq in enumerate(seqs) if seq]
-    heapq.heapify(heap)
-    out: list[TelemetryRecord] = []
-    while heap:
-        t, si, pos = heapq.heappop(heap)
-        out.append(seqs[si][pos])
-        nxt = pos + 1
-        if nxt < len(seqs[si]):
-            heapq.heappush(heap, (seqs[si][nxt].t_ns, si, nxt))
-    return out
-
+# --- trace validation ----------------------------------------------------------
 
 _COUNTERS = ("net_rx_bytes", "net_tx_bytes", "io_read_bytes", "io_write_bytes")
 

@@ -31,7 +31,6 @@ from .records import (
     ResourceSample,
     SyscallEvent,
     TelemetryRecord,
-    UnsortedInput,
     read_trace_file,
 )
 
@@ -43,7 +42,6 @@ class KillReason(enum.IntEnum):
     POLICY_VIOLATION = 1
     DETECTOR_ACTION = 2
     WALLCLOCK_EXCEEDED = 3
-    OPERATOR_REQUEST = 4
 
 
 class SandboxError(Exception):
@@ -163,7 +161,9 @@ class LimitTracker:
     """Incremental policy check over a job's resource samples, one at a time.
 
     Lets the detection pipeline raise violations online; the Wallclock kind
-    fires at most once. A sample older than the newest one seen (a wall
+    fires at most once. Net deltas are taken against the previous sample
+    (counters are cumulative from job start, so the first sample's delta is
+    its absolute value). A sample older than the newest one seen (a wall
     clock that stepped back) is still checked against the CPU, memory and
     wallclock limits, but it is neither given a net delta nor used as the
     base of the next one, which is taken against the newest sample.
@@ -203,24 +203,6 @@ class LimitTracker:
         if not late:
             self._prev = sample
         return out
-
-
-def enforce_limits(samples, policy: SandboxPolicy, t_start_ns: int) -> list[PolicyViolation]:
-    """Pure scan over time-ordered samples; violations appear in sample order.
-
-    Net deltas are taken against the previous sample (counters are cumulative
-    from job start, so the first sample's delta is its absolute value).
-    Raises UnsortedInput if a sample is older than the one before it.
-    """
-    tracker = LimitTracker(policy, t_start_ns)
-    out: list[PolicyViolation] = []
-    prev_t = None
-    for sample in samples:
-        if prev_t is not None and sample.t_ns < prev_t:
-            raise UnsortedInput("resource samples are unsorted")
-        prev_t = sample.t_ns
-        out.extend(tracker.push(sample))
-    return out
 
 
 class TelemetryStream:

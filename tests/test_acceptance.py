@@ -261,7 +261,7 @@ def test_criterion_09_sandbox_contracts(tmp_path):
                 outcomes.append(handle.terminate(reason))
 
             killers = []
-            for reason in (KillReason.DETECTOR_ACTION, KillReason.OPERATOR_REQUEST):
+            for reason in (KillReason.DETECTOR_ACTION, KillReason.WALLCLOCK_EXCEEDED):
                 if rng.uniform() < 0.8:
                     killers.append(threading.Thread(target=killer, args=(reason,)))
             statuses = [handle.status()]
@@ -279,7 +279,7 @@ def test_criterion_09_sandbox_contracts(tmp_path):
             for outcome in outcomes:
                 assert outcome == final, f"trial {trial}: terminate returned {outcome}, final {final}"
             assert handle.terminate(KillReason.POLICY_VIOLATION) == final
-            assert handle.terminate(KillReason.OPERATOR_REQUEST) == final
+            assert handle.terminate(KillReason.WALLCLOCK_EXCEEDED) == final
 
         backend = ProcessBackend(sample_interval_ms=200)
         policy = SandboxPolicy(wallclock_limit_s=1.0)

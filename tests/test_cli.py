@@ -278,6 +278,30 @@ def test_detect_delivers_and_spool_flushes_with_dedup(workspace, tmp_path, capsy
     service.close()
 
 
+@pytest.fixture()
+def coordinator_url(tmp_path):
+    from warden.coordinator import make_server
+
+    server, service = make_server("127.0.0.1:0", tmp_path / "ledger.log")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    service.close()
+
+
+def test_detect_rejected_registration_exits_2(workspace, tmp_path, coordinator_url, capsys):
+    miner = trace_path(workspace, lambda e: e["profile"] == "cryptominer")
+    spool = tmp_path / "spool.alog"
+    code = run_cli("detect", miner, "--model", workspace["mlp"],
+                   "--coordinator", coordinator_url, "--spool", str(spool), "--hostname", "")
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "detect: coordinator rejected: 400" in err
+    assert out == "" and not spool.exists()  # a rejection is not an outage: nothing spools
+
+
 # --- run ----------------------------------------------------------------------------
 
 def write_job(tmp_path, name, command, policy=None):
@@ -310,6 +334,17 @@ def test_run_wallclock_kill_exits_13(workspace, tmp_path, capsys):
 def test_run_spawn_failure_exits_5(workspace, tmp_path):
     job = write_job(tmp_path, "ghost", ["/no/such/bin"])
     assert run_cli("run", "--job", job, "--model", workspace["mlp"]) == 5
+
+
+def test_run_rejected_registration_starts_no_process(workspace, tmp_path, coordinator_url, capsys):
+    marker = tmp_path / "started"
+    job = write_job(tmp_path, "marker", ["/bin/sh", "-c", f"touch {marker}"])
+    code = run_cli("run", "--job", job, "--model", workspace["mlp"],
+                   "--coordinator", coordinator_url, "--hostname", "")
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "run: coordinator rejected: 400" in err
+    assert not marker.exists()
 
 
 # --- report -------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Coordinator: ingest dedup, pagination, commands, durability, crash recovery."""
+"""Coordinator: ingest dedup, pagination, request bounds, durability, crash recovery."""
 
 from __future__ import annotations
 
@@ -15,12 +15,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from warden import coordinator
 from warden.coordinator import (
-    AlertRejected,
+    MAX_BODY_BYTES,
+    REQUEST_TIMEOUT_S,
     CoordinatorClient,
     CoordinatorService,
     CoordinatorUnavailable,
     CorruptLedger,
+    Rejected,
     encode_ledger_line,
     make_server,
     read_ledger,
@@ -47,7 +50,7 @@ def live(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     client = CoordinatorClient(f"http://127.0.0.1:{server.server_address[1]}")
-    yield {"client": client, "service": service, "ledger": str(tmp_path / "ledger.log")}
+    yield {"client": client, "service": service, "ledger": str(tmp_path / "ledger.log"), "address": server.server_address}
     server.shutdown()
     service.close()
 
@@ -65,8 +68,10 @@ def test_register_idempotency_key(live):
 
 
 def test_register_empty_hostname_is_400(live):
-    status, body = live["client"]._request("POST", "/v1/nodes", {"hostname": ""})
-    assert status == 400
+    with pytest.raises(Rejected) as exc:
+        live["client"].register("")
+    assert exc.value.status == 400
+    assert not isinstance(exc.value, CoordinatorUnavailable)  # a rejection is not an outage
 
 
 def test_parallel_registrations_all_distinct(live):
@@ -92,7 +97,7 @@ def test_ingest_dedup_returns_first_record(live):
 
 
 def test_ingest_unknown_node_404(live):
-    with pytest.raises(AlertRejected) as exc:
+    with pytest.raises(Rejected) as exc:
         live["client"].post_alert("node-999", alert_body(1))
     assert exc.value.status == 404
     assert not isinstance(exc.value, CoordinatorUnavailable)  # a rejection is not an outage
@@ -103,7 +108,7 @@ def test_post_alert_with_score_2_is_rejected_with_422(live):
     node = client.register("host-a")
     bad = alert_body(3)
     bad["score"] = 2  # a raw dict: Alert itself refuses scores above 1
-    with pytest.raises(AlertRejected) as exc:
+    with pytest.raises(Rejected) as exc:
         client.post_alert(node, bad)
     assert exc.value.status == 422
     assert "score" in exc.value.body["error"]
@@ -123,8 +128,15 @@ def test_ingest_invalid_score_422(live):
     node = client.register("host-a")
     bad = alert_body(2)
     bad["score"] = 1.5
-    status, body = client._request("POST", "/v1/alerts", {**bad, "node_id": node})
-    assert status == 422
+    with pytest.raises(Rejected) as exc:
+        client._request("POST", "/v1/alerts", {**bad, "node_id": node})
+    assert exc.value.status == 422
+
+
+def test_server_error_is_unavailable(live, monkeypatch):
+    monkeypatch.setattr(live["service"], "health", lambda: (503, {"error": "draining"}))
+    with pytest.raises(CoordinatorUnavailable):
+        live["client"].health()
 
 
 def test_concurrent_distinct_posts_dense_seq(live):
@@ -187,31 +199,66 @@ def test_list_filters_and_bad_limit(live):
     client.post_alert(node, alert_body(1, job="job-b"))
     page = client.list_alerts(job_id="job-b")
     assert [r["job_id"] for r in page["alerts"]] == ["job-b"]
-    status, _ = client._request("GET", "/v1/alerts?limit=5000")
-    assert status == 400
-    status, _ = client._request("GET", "/v1/alerts?limit=abc")
-    assert status == 400
+    with pytest.raises(Rejected) as exc:
+        client.list_alerts(limit=5000)
+    assert exc.value.status == 400
+    with pytest.raises(Rejected) as exc:
+        client._request("GET", "/v1/alerts?limit=abc")
+    assert exc.value.status == 400
 
 
-# --- commands -----------------------------------------------------------------------
+# --- routes and request bounds -------------------------------------------------------
 
-def test_command_lifecycle(live):
+def test_removed_command_routes_answer_404(live):
     client = live["client"]
     node = client.register("host-a")
-    cmd = client.command_action("job-1", node, "terminate")
-    assert cmd["status"] == "pending"
-    pending = client.poll_commands(node)
-    assert [c["command_id"] for c in pending] == [cmd["command_id"]]
-    acked = client.ack_command(cmd["command_id"])
-    assert acked["status"] in ("pending", "acked")
-    again = client.ack_command(cmd["command_id"])  # idempotent no-op
-    assert again["status"] == "acked"
-    assert client.poll_commands(node) == []
+    for method, path, body in (
+        ("POST", "/v1/jobs/job-1/actions", {"node_id": node, "action": "terminate"}),
+        ("GET", f"/v1/nodes/{node}/commands", None),
+        ("POST", "/v1/commands/cmd-1/ack", {}),
+    ):
+        with pytest.raises(Rejected) as exc:
+            client._request(method, path, body)
+        assert exc.value.status == 404
+        assert exc.value.body["error"].startswith(f"no route for {method}")
 
 
-def test_command_unknown_node_404(live):
-    status, _ = live["client"]._request("POST", "/v1/jobs/j/actions", {"node_id": "node-99", "action": "terminate"})
-    assert status == 404
+def raw_post_nodes(address, content_length: bytes, body: bytes, end_body: bool = True) -> bytes:
+    """One POST /v1/nodes over a raw socket; the reply bytes up to the server's close."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(
+            b"POST /v1/nodes HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n" + body
+        )
+        if end_body:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
+def test_bad_content_length_is_400_and_registers_nothing(live):
+    for length in (b"-1", b"abc"):
+        reply = raw_post_nodes(live["address"], length, b'{"hostname":"h"}')
+        assert reply.startswith(b"HTTP/1.1 400 "), (length, reply)
+    assert live["service"].state.nodes == {}
+
+
+def test_oversized_content_length_is_413(live):
+    reply = raw_post_nodes(live["address"], str(MAX_BODY_BYTES + 1).encode(), b'{"hostname":"h"}')
+    assert reply.startswith(b"HTTP/1.1 413 "), reply
+    assert live["service"].state.nodes == {}
+
+
+def test_body_shorter_than_content_length_is_closed_within_the_timeout(live, monkeypatch):
+    assert 0 < coordinator._Handler.timeout == REQUEST_TIMEOUT_S
+    monkeypatch.setattr(coordinator._Handler, "timeout", 0.5)  # the same mechanism, shorter
+    start = time.monotonic()
+    reply = raw_post_nodes(live["address"], b"100", b'{"hostname"', end_body=False)
+    assert reply == b""  # closed without an answer, well before the client's 5-s timeout
+    assert time.monotonic() - start < 4.0
+    assert live["service"].state.nodes == {}
 
 
 def test_health_reports_ledger_seq(live):
@@ -275,6 +322,50 @@ def test_service_resumes_seq_after_restart(tmp_path):
     status, rec = service2.ingest_alert("node-1", alert_body(1))  # dedup survives restart
     assert status == 200 and rec["seq"] == 1
     service2.close()
+
+
+# written by a coordinator that still had the operator command channel
+LEDGER_WITH_COMMANDS = """\
+{"crc":"62195aa0","event":"node","hostname":"host-a","idempotency_key":"key-a","node_id":"node-1","t_ns":1792346339162125951}
+{"crc":"71f13595","event":"node","hostname":"host-b","idempotency_key":null,"node_id":"node-2","t_ns":1792346339163841573}
+{"action":"terminate","alert_id":"job-1/0","crc":"d5e915f5","event":"alert","job_id":"job-1","model_id":"m1","node_id":"node-1","received_t_ns":1792346339164063296,"rule":"k-of-n:3/5","score":0.75,"seq":1,"t_ns":1000,"window_index":0}
+{"action":"terminate","command_id":"cmd-1","crc":"27e64aac","event":"command","job_id":"job-1","node_id":"node-1","t_ns":1792346339164326262}
+{"command_id":"cmd-1","crc":"6cc34c6c","event":"ack","t_ns":1792346339164513600}
+{"action":"terminate","command_id":"cmd-2","crc":"f6f8a004","event":"command","job_id":"job-2","node_id":"node-2","t_ns":1792346339164660658}
+{"action":"terminate","alert_id":"job-2/1","crc":"c644ecad","event":"alert","job_id":"job-2","model_id":"m1","node_id":"node-2","received_t_ns":1792346339164823106,"rule":"k-of-n:3/5","score":0.75,"seq":2,"t_ns":1001,"window_index":1}
+"""
+
+
+def test_ledger_with_command_and_ack_lines_recovers(tmp_path):
+    ledger = tmp_path / "ledger.log"
+    ledger.write_text(LEDGER_WITH_COMMANDS, encoding="utf-8")
+    state = recover(ledger)
+    # what recovery gave when command and ack lines still built state
+    assert {k: v.to_dict() for k, v in state.nodes.items()} == {
+        "node-1": {"node_id": "node-1", "hostname": "host-a",
+                   "registered_t_ns": 1792346339162125951, "last_seen_t_ns": 1792346339164063296},
+        "node-2": {"node_id": "node-2", "hostname": "host-b",
+                   "registered_t_ns": 1792346339163841573, "last_seen_t_ns": 1792346339164823106},
+    }
+    alerts = [e for e in read_ledger(ledger) if e["event"] == "alert"]
+    assert state.alerts == alerts and [a["alert_id"] for a in alerts] == ["job-1/0", "job-2/1"]
+    assert state.idempotency == {"key-a": "node-1"} and state.node_counter == 2
+
+    service = CoordinatorService(ledger)
+    assert service.register_node("host-a", "key-a") == (200, state.nodes["node-1"].to_dict())
+    assert service.register_node("host-c")[1]["node_id"] == "node-3"
+    assert service.ingest_alert("node-2", alert_body(1, job="job-2"))[0] == 200  # dedup survives
+    status, rec = service.ingest_alert("node-3", alert_body(2))
+    assert status == 201 and rec["seq"] == 3
+    service.close()
+    assert [a["seq"] for a in recover(ledger).alerts] == [1, 2, 3]
+
+
+def test_unknown_ledger_event_kind_is_corruption(tmp_path):
+    ledger = tmp_path / "ledger.log"
+    ledger.write_text(encode_ledger_line({"event": "bogus", "t_ns": 1}) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptLedger, match="unknown ledger event kind 'bogus'"):
+        recover(ledger)
 
 
 def test_restart_after_torn_tail_keeps_later_acks(tmp_path):

@@ -19,8 +19,6 @@ from warden.records import (
     MalformedLine,
     ResourceSample,
     SyscallEvent,
-    UnsortedInput,
-    merge_streams,
     _parse_canonical_sys,
     parse_line,
     read_trace_file,
@@ -210,48 +208,6 @@ def test_round_trip_property(rec):
     assert "\n" not in line
     assert parse_line(line) == rec
     assert serialize_line(parse_line(line)) == line
-
-
-# --- merge_streams ---------------------------------------------------------------
-
-def test_merge_empty():
-    assert merge_streams([[], []]) == []
-
-
-def test_merge_two_streams():
-    a = [sys_event(t_ns=1), sys_event(t_ns=3)]
-    b = [sys_event(t_ns=2)]
-    merged = merge_streams([a, b])
-    assert [r.t_ns for r in merged] == [1, 2, 3]
-
-
-def test_merge_unsorted_input_names_position():
-    bad = [sys_event(t_ns=5), sys_event(t_ns=3)]
-    with pytest.raises(UnsortedInput) as exc:
-        merge_streams([[], bad])
-    assert exc.value.stream_index == 1
-    assert exc.value.position == 1
-
-
-def test_merge_matches_stable_sort_oracle():
-    rng = random.Random(4)
-    streams = []
-    for si in range(3):
-        times = sorted(rng.randrange(0, 500) for _ in range(rng.randrange(1500, 1800)))
-        streams.append([sys_event(t_ns=t, pid=si + 1) for t in times])
-    merged = merge_streams(streams)
-    # oracle: full stable sort over (t_ns, stream index, position)
-    tagged = [(rec.t_ns, si, pos, rec) for si, stream in enumerate(streams) for pos, rec in enumerate(stream)]
-    oracle = [rec for _, _, _, rec in sorted(tagged, key=lambda x: (x[0], x[1], x[2]))]
-    assert len(merged) == sum(len(s) for s in streams)
-    assert merged == oracle
-
-
-def test_merge_stability_on_ties():
-    a = [sys_event(t_ns=1, pid=1), sys_event(t_ns=1, pid=2)]
-    b = [sys_event(t_ns=1, pid=3)]
-    merged = merge_streams([a, b])
-    assert [r.pid for r in merged] == [1, 2, 3]
 
 
 # --- validate_trace ---------------------------------------------------------------
@@ -447,6 +403,15 @@ def test_read_trace_file_matches_per_line_parse_on_mutated_lines(tmp_path, mutat
     lines = [ENTER_LINE, EXIT_LINE, MUTATED_LINES[mutation], ENTER_LINE]
     path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
     assert outcome(read_trace_file, path) == outcome(per_line_reference, path)
+
+
+def test_integer_past_the_digit_limit_is_a_malformed_line(tmp_path):
+    path = tmp_path / "long-int.trc"
+    path.write_text("\n".join([ENTER_LINE, EXIT_LINE, MUTATED_LINES["5000-digit t_ns"]]) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        read_trace_file(path)
+    assert str(exc.value).startswith(f"{path}:3: invalid number: ")
+    assert exc.value.lineno == 3
 
 
 def test_seed7_corpus_parses_to_equal_records_both_ways(small_corpus, monkeypatch):

@@ -23,7 +23,6 @@ from warden.sandbox import (
     SpawnFailure,
     LimitTracker,
     TelemetryStream,
-    enforce_limits,
     replay_job,
     validate_policy,
 )
@@ -104,7 +103,7 @@ def test_terminate_idempotent_and_terminal_immutable(small_trace):
     handle = replay_job(small_trace["path"], "job-t")
     first = handle.terminate(KillReason.DETECTOR_ACTION)
     assert first in (JobStatus.killed(KillReason.DETECTOR_ACTION), JobStatus.completed(0))
-    second = handle.terminate(KillReason.OPERATOR_REQUEST)
+    second = handle.terminate(KillReason.WALLCLOCK_EXCEEDED)
     third = handle.terminate(KillReason.POLICY_VIOLATION)
     assert second == first and third == first
 
@@ -112,7 +111,7 @@ def test_terminate_idempotent_and_terminal_immutable(small_trace):
     for _ in done.telemetry:
         pass
     done.wait(5.0)
-    assert done.terminate(KillReason.OPERATOR_REQUEST) == JobStatus.completed(0)
+    assert done.terminate(KillReason.POLICY_VIOLATION) == JobStatus.completed(0)
 
 
 def test_randomized_terminate_poll_interleavings(small_trace):
@@ -131,7 +130,7 @@ def test_randomized_terminate_poll_interleavings(small_trace):
         for t in threads:
             t.start()
         if rng.uniform() < 0.7:
-            handle.terminate(KillReason.OPERATOR_REQUEST)
+            handle.terminate(KillReason.POLICY_VIOLATION)
         consumer = threading.Thread(target=lambda: [None for _ in handle.telemetry], daemon=True)
         consumer.start()
         for t in threads:
@@ -301,9 +300,9 @@ def test_terminate_during_chunked_replay_ends_killed(tmp_path):
     handle = backend.launch(JobDescriptor(job_id="job-kill-chunks", command=("replay",)))
     assert wait_until(lambda: handle.telemetry._size == REPLAY_CHUNK_RECORDS + 10)
     assert handle.status() == JobStatus.running()
-    assert handle.terminate(KillReason.OPERATOR_REQUEST) == JobStatus.killed(KillReason.OPERATOR_REQUEST)
+    assert handle.terminate(KillReason.POLICY_VIOLATION) == JobStatus.killed(KillReason.POLICY_VIOLATION)
     streamed = list(handle.telemetry)  # ends: the replay stops and closes the stream
-    assert handle.wait(5.0) == JobStatus.killed(KillReason.OPERATOR_REQUEST)
+    assert handle.wait(5.0) == JobStatus.killed(KillReason.POLICY_VIOLATION)
     expected = read_trace_file(path)
     # the chunk in flight is delivered, then the replay stops
     assert len(expected) > 3 * REPLAY_CHUNK_RECORDS
@@ -356,7 +355,7 @@ def test_duplicate_job_id_while_live():
         with pytest.raises(DuplicateJobId):
             backend.launch(JobDescriptor(job_id="dup", command=("/bin/sleep", "5")))
     finally:
-        handle.terminate(KillReason.OPERATOR_REQUEST)
+        handle.terminate(KillReason.POLICY_VIOLATION)
         handle.wait(10.0)
     # after release the id is reusable
     handle2 = backend.launch(JobDescriptor(job_id="dup", command=("/bin/true",)))
@@ -396,24 +395,30 @@ def test_detector_kill_reason_reported():
     assert handle.wait(5.0) == status
 
 
-# --- enforce_limits ----------------------------------------------------------------
+# --- LimitTracker ------------------------------------------------------------------
+
+def push_all(samples, policy, t_start_ns=0):
+    """Every violation LimitTracker.push reports over ``samples``, in sample order."""
+    tracker = LimitTracker(policy, t_start_ns)
+    return [v for sample in samples for v in tracker.push(sample)]
+
 
 def test_cpu_limit_violation():
     policy = SandboxPolicy(cpu_limit_pct=100.0)
-    out = enforce_limits([rs(1.0, cpu=150.0)], policy, t_start_ns=0)
+    out = push_all([rs(1.0, cpu=150.0)], policy)
     assert [(v.kind, v.observed, v.limit) for v in out] == [("CpuLimit", 150.0, 100.0)]
 
 
 def test_zero_net_delta_is_not_forbidden():
     policy = SandboxPolicy(net_allowed=False)
-    out = enforce_limits([rs(1.0, tx=0), rs(2.0, tx=0)], policy, t_start_ns=0)
+    out = push_all([rs(1.0, tx=0), rs(2.0, tx=0)], policy)
     assert out == []
 
 
 def test_net_forbidden_fires_on_first_positive_delta():
     policy = SandboxPolicy(net_allowed=False)
     samples = [rs(1.0, tx=0), rs(2.0, tx=0), rs(3.0, tx=700), rs(4.0, tx=900)]
-    out = enforce_limits(samples, policy, t_start_ns=0)
+    out = push_all(samples, policy)
     net = [v for v in out if v.kind == "NetForbidden"]
     assert net[0].t_ns == int(3e9) and net[0].observed == 700.0
     assert len(net) == 2
@@ -423,7 +428,7 @@ def test_ddos_trace_net_forbidden_against_independent_scan():
     trace = gen_trace(profiles_by_name()["ddos-flood"], 60.0, "job-dd", seed=13)
     samples = [r for r in trace.records if isinstance(r, ResourceSample)]
     policy = SandboxPolicy(net_allowed=False)
-    out = [v for v in enforce_limits(samples, policy, 0) if v.kind == "NetForbidden"]
+    out = [v for v in push_all(samples, policy) if v.kind == "NetForbidden"]
     # oracle: recompute deltas with an independent scan (first sample vs zero)
     expected = []
     prev_rx = prev_tx = 0
@@ -440,7 +445,7 @@ def test_ddos_trace_net_forbidden_against_independent_scan():
 def test_wallclock_violation_exactly_once():
     policy = SandboxPolicy(wallclock_limit_s=2.0)
     samples = [rs(float(t)) for t in range(1, 7)]
-    out = enforce_limits(samples, policy, t_start_ns=0)
+    out = push_all(samples, policy)
     wall = [v for v in out if v.kind == "Wallclock"]
     assert len(wall) == 1
     assert wall[0].t_ns == int(3e9)  # first sample strictly past the limit
@@ -449,16 +454,8 @@ def test_wallclock_violation_exactly_once():
 def test_mem_limit_violation_order_preserved():
     policy = SandboxPolicy(mem_limit_bytes=100, cpu_limit_pct=50.0)
     samples = [rs(1.0, cpu=80.0, rss=200), rs(2.0, cpu=10.0, rss=50)]
-    out = enforce_limits(samples, policy, t_start_ns=0)
+    out = push_all(samples, policy)
     assert [v.kind for v in out] == ["CpuLimit", "MemLimit"]
-
-
-def test_enforce_limits_unsorted_input():
-    from warden.records import UnsortedInput
-
-    policy = SandboxPolicy()
-    with pytest.raises(UnsortedInput):
-        enforce_limits([rs(2.0), rs(1.0)], policy, 0)
 
 
 def test_limit_tracker_checks_a_late_sample_without_basing_net_deltas_on_it():
