@@ -417,11 +417,18 @@ def cmd_detect(args) -> int:
         return EXIT_USAGE
     _banner(args.seed, feature_config, detector_config)
 
-    client = None
+    coordinator = CoordinatorClient(args.coordinator) if args.coordinator else None
+    try:
+        return _detect_traces(args, bundle, detector_config, feature_config, coordinator)
+    finally:
+        if coordinator is not None:
+            coordinator.close()
+
+
+def _detect_traces(args, bundle, detector_config, feature_config, client) -> int:
     node_id = "local"
     spool = AlertSpool(args.spool) if args.spool else None
-    if args.coordinator:
-        client = CoordinatorClient(args.coordinator)
+    if client is not None:
         try:
             node_id = client.register(args.hostname, idempotency_key=args.hostname)
             if spool is not None:
@@ -513,7 +520,15 @@ def cmd_run(args) -> int:
     detector_config = _detector_config(args, model_id=bundle.model_id)
     _banner(args.seed, bundle.feature_config, detector_config)
 
-    client = CoordinatorClient(args.coordinator) if args.coordinator else None
+    coordinator = CoordinatorClient(args.coordinator) if args.coordinator else None
+    try:
+        return _run_job(args, descriptor, policy, bundle, detector_config, coordinator)
+    finally:
+        if coordinator is not None:
+            coordinator.close()
+
+
+def _run_job(args, descriptor, policy, bundle, detector_config, client) -> int:
     node_id = "local"
     if client is not None:
         try:

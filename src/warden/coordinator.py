@@ -7,17 +7,22 @@ survives a crash; recovery replays intact lines and discards a torn tail.
 Alert ingest deduplicates on (node_id, alert_id), which gives node agents
 safe at-least-once retry semantics. Request bodies are capped in size and
 every socket read times out, so a client cannot pin a server thread.
+
+Connections are persistent (HTTP/1.1 keep-alive): the server sends each reply
+in one write and drops a connection after REQUEST_TIMEOUT_S of silence, and
+CoordinatorClient pools idle connections and resends only idempotent requests
+after a reset (see its docstring).
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import random
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -26,7 +31,9 @@ DEFAULT_LIMIT = 100
 MAX_LIMIT = 1000
 LISTEN_BACKLOG = 128  # socketserver's default of 5 resets bursts of concurrent clients
 MAX_BODY_BYTES = 1 << 20  # one alert is a few hundred bytes
-REQUEST_TIMEOUT_S = 10.0  # per socket read or write on the server side
+REQUEST_TIMEOUT_S = 10.0  # per socket read or write on the server side; also how long an idle connection lives
+IDLE_CONNECTIONS = 8  # per client; each one parked holds a server thread
+RETRY_DELAYS_S = (0.01, 0.04)  # bounds of the jittered sleeps before the two resends of an idempotent request
 
 LEDGER_ENV_VAR = "WARDEN_LEDGER_PATH"
 
@@ -310,8 +317,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        if self.close_connection:
+            self.send_header("Connection", "close")  # so the client does not park this connection
+        # status line, headers and body in one write: a second small write on a
+        # kept-alive connection waits on Nagle and the client's delayed ACK (~40 ms)
+        self._headers_buffer.append(b"\r\n" + payload)
+        self.flush_headers()
 
     def _read_body(self) -> tuple[int, dict]:
         """(200, the JSON object sent) or (4xx, an error body)."""
@@ -401,42 +412,101 @@ def serve_forever(listen: str, ledger_path) -> None:
 
 
 class CoordinatorClient:
-    """Small HTTP client for node agents and the CLI."""
+    """Small HTTP client for node agents and the CLI; one instance may be shared by threads.
+
+    Requests go over persistent HTTP/1.1 connections kept in a small idle pool.
+    An idempotent request (a GET, an alert, a registration with an
+    Idempotency-Key) that meets a reset or a dropped connection, such as a
+    pooled one the server closed after REQUEST_TIMEOUT_S of silence, is resent
+    at most twice, each time on a fresh connection after a short jittered
+    sleep. A refused connection or a timeout is not resent. A registration
+    without a key goes out once, on a fresh connection.
+    """
 
     def __init__(self, base_url: str, timeout: float = 5.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
-    def _request(self, method: str, path: str, body: dict | None = None, headers: dict | None = None):
+    def close(self) -> None:
+        """Close the idle connections, each of which holds a server thread until it times out."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _connection(self, fresh: bool) -> http.client.HTTPConnection:
+        if not fresh:
+            with self._lock:
+                if self._idle:
+                    return self._idle.pop()
+        return self._connection_class(self._netloc, timeout=self.timeout)
+
+    def _park(self, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < IDLE_CONNECTIONS:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def _exchange(self, method: str, path: str, data, headers: dict, idempotent: bool):
+        """(status, body bytes), resending an idempotent request after a reset."""
+        delays = iter(RETRY_DELAYS_S if idempotent else ())
+        fresh = not idempotent
+        while True:
+            connection = self._connection(fresh)
+            try:
+                connection.request(method, self._prefix + path, body=data, headers=headers)
+                response = connection.getresponse()
+                payload = response.read()
+            except (ConnectionResetError, ConnectionAbortedError, BrokenPipeError) as exc:
+                connection.close()  # RemoteDisconnected is a ConnectionResetError
+                delay = next(delays, None)
+                if delay is None:
+                    raise CoordinatorUnavailable(f"{method} {self.base_url}{path}: {exc}") from None
+                time.sleep(random.uniform(0.0, delay))
+                fresh = True
+                continue
+            except (http.client.HTTPException, OSError) as exc:
+                connection.close()
+                raise CoordinatorUnavailable(f"{method} {self.base_url}{path}: {exc}") from None
+            if response.will_close:
+                connection.close()
+            else:
+                self._park(connection)
+            return response.status, payload
+
+    def _request(self, method: str, path: str, body: dict | None = None, headers: dict | None = None,
+                 idempotent: bool = True):
         """(status, reply body) of a 2xx reply.
 
         Raises Rejected on a 4xx reply and CoordinatorUnavailable on a
         transport failure or any other status.
         """
-        url = self.base_url + path
         data = _canonical(body).encode("utf-8") if body is not None else None
-        request = urllib.request.Request(url, data=data, method=method)
-        request.add_header("Content-Type", "application/json")
-        for key, value in (headers or {}).items():
-            request.add_header(key, value)
+        headers = {"Content-Type": "application/json", **(headers or {})}
+        status, payload = self._exchange(method, path, data, headers, idempotent)
+        if 200 <= status < 300:
+            return status, json.loads(payload.decode("utf-8"))
+        text = payload.decode("utf-8", errors="replace")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            payload = exc.read().decode("utf-8", errors="replace")
-            try:
-                reply = json.loads(payload)
-            except ValueError:
-                reply = {"error": payload}
-            if 400 <= exc.code < 500:
-                raise Rejected(exc.code, reply) from None
-            raise CoordinatorUnavailable(f"{method} {url}: {exc.code} {reply}") from None
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
-            raise CoordinatorUnavailable(f"{method} {url}: {exc}") from None
+            reply = json.loads(text)
+        except ValueError:
+            reply = {"error": text}
+        if 400 <= status < 500:
+            raise Rejected(status, reply)
+        raise CoordinatorUnavailable(f"{method} {self.base_url}{path}: {status} {reply}")
 
     def register(self, hostname: str, idempotency_key: str | None = None) -> str:
         headers = {"Idempotency-Key": idempotency_key} if idempotency_key else {}
-        _, body = self._request("POST", "/v1/nodes", {"hostname": hostname}, headers)
+        _, body = self._request("POST", "/v1/nodes", {"hostname": hostname}, headers, idempotent=bool(headers))
         return body["node_id"]
 
     def post_alert(self, node_id: str, alert) -> tuple[bool, dict]:

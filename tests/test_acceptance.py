@@ -234,6 +234,7 @@ def test_criterion_08_coordinator_durability(tmp_path):
         assert sum(1 for created, _ in dups if created) == 0
         alert_events = [e for e in read_ledger(tmp_path / "acc8.log") if e["event"] == "alert"]
         assert len(alert_events) == 100
+        client.close()
         server.shutdown()
         service.close()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -17,8 +18,10 @@ import pytest
 
 from warden import coordinator
 from warden.coordinator import (
+    IDLE_CONNECTIONS,
     MAX_BODY_BYTES,
     REQUEST_TIMEOUT_S,
+    RETRY_DELAYS_S,
     CoordinatorClient,
     CoordinatorService,
     CoordinatorUnavailable,
@@ -50,8 +53,11 @@ def live(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     client = CoordinatorClient(f"http://127.0.0.1:{server.server_address[1]}")
-    yield {"client": client, "service": service, "ledger": str(tmp_path / "ledger.log"), "address": server.server_address}
+    yield {"client": client, "service": service, "ledger": str(tmp_path / "ledger.log"),
+           "address": server.server_address, "server": server}
+    client.close()
     server.shutdown()
+    server.server_close()
     service.close()
 
 
@@ -114,13 +120,17 @@ def test_post_alert_with_score_2_is_rejected_with_422(live):
     assert "score" in exc.value.body["error"]
 
 
-def test_post_alert_transport_failure_is_unavailable(tmp_path):
+def test_post_alert_transport_failure_is_unavailable(tmp_path, monkeypatch):
     server, service = make_server("127.0.0.1:0", tmp_path / "ledger.log")
     port = server.server_address[1]
     server.server_close()
     service.close()
+    connects = []
+    connect = http.client.HTTPConnection.connect
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", lambda c: connects.append(c) or connect(c))
     with pytest.raises(CoordinatorUnavailable):
         CoordinatorClient(f"http://127.0.0.1:{port}", timeout=2.0).post_alert("node-1", alert_body(1))
+    assert len(connects) == 1  # a refused connection is not resent
 
 
 def test_ingest_invalid_score_422(live):
@@ -242,12 +252,14 @@ def test_bad_content_length_is_400_and_registers_nothing(live):
     for length in (b"-1", b"abc"):
         reply = raw_post_nodes(live["address"], length, b'{"hostname":"h"}')
         assert reply.startswith(b"HTTP/1.1 400 "), (length, reply)
+        assert b"\r\nConnection: close\r\n" in reply  # the body's end is unknown: a client must not reuse it
     assert live["service"].state.nodes == {}
 
 
 def test_oversized_content_length_is_413(live):
     reply = raw_post_nodes(live["address"], str(MAX_BODY_BYTES + 1).encode(), b'{"hostname":"h"}')
     assert reply.startswith(b"HTTP/1.1 413 "), reply
+    assert b"\r\nConnection: close\r\n" in reply
     assert live["service"].state.nodes == {}
 
 
@@ -267,6 +279,187 @@ def test_health_reports_ledger_seq(live):
     node = client.register("host-a")
     client.post_alert(node, alert_body(1))
     assert client.health()["ledger_seq"] == 1
+
+
+# --- persistent connections ---------------------------------------------------------
+
+def count_connections(monkeypatch, server) -> list:
+    """The client addresses of the connections the server accepts from now on."""
+    opened = []
+    accept = server.process_request
+
+    def process_request(request, client_address):
+        opened.append(client_address)
+        return accept(request, client_address)
+
+    monkeypatch.setattr(server, "process_request", process_request)
+    return opened
+
+
+def test_serial_posts_share_one_connection(live, monkeypatch):
+    opened = count_connections(monkeypatch, live["server"])
+    client = live["client"]
+    node = client.register("host-a")
+    for i in range(200):
+        assert client.post_alert(node, alert_body(i))[1]["seq"] == i + 1
+    assert len(opened) == 1
+
+
+class RecordingWriter:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("close_connection", [False, True])
+def test_each_reply_leaves_in_one_write(close_connection):
+    handler = coordinator._Handler.__new__(coordinator._Handler)  # no socket: _send only writes
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "GET /v1/health HTTP/1.1"
+    handler.close_connection = close_connection
+    for status, body in ((200, {"status": "ok", "ledger_seq": 0}), (404, {"error": "no route for GET /x"})):
+        handler.wfile = RecordingWriter()
+        handler._send(status, body)
+        [reply] = handler.wfile.writes
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert payload == (json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        assert f"\r\nContent-Length: {len(payload)}".encode() in head
+        assert (b"\r\nConnection: close" in head) == close_connection
+
+
+def test_post_after_the_server_dropped_an_idle_connection_succeeds(live, monkeypatch):
+    monkeypatch.setattr(coordinator._Handler, "timeout", 0.3)  # REQUEST_TIMEOUT_S, shortened
+    opened = count_connections(monkeypatch, live["server"])
+    dropped = threading.Event()
+    shutdown_request = live["server"].shutdown_request
+
+    def record_drop(request):
+        shutdown_request(request)
+        dropped.set()
+
+    monkeypatch.setattr(live["server"], "shutdown_request", record_drop)
+    client = live["client"]
+    node = client.register("host-a", idempotency_key="host-a")
+    client.post_alert(node, alert_body(1))
+    time.sleep(0.6)
+    assert dropped.wait(timeout=5.0)  # the parked connection is closed on the server side
+    created, record = client.post_alert(node, alert_body(2))
+    assert created and record["seq"] == 2
+    assert len(opened) == 2
+    alert_ids = [e["alert_id"] for e in read_ledger(live["ledger"]) if e["event"] == "alert"]
+    assert alert_ids == ["job-1/1", "job-1/2"]
+
+
+def test_rejected_reply_keeps_the_connection(live, monkeypatch):
+    opened = count_connections(monkeypatch, live["server"])
+    client = live["client"]
+    with pytest.raises(Rejected) as exc:
+        client.post_alert("node-999", alert_body(1))
+    assert exc.value.status == 404
+    node = client.register("host-a", idempotency_key="host-a")
+    bad = alert_body(2)
+    bad["score"] = 2
+    with pytest.raises(Rejected) as exc:
+        client.post_alert(node, bad)
+    assert exc.value.status == 422
+    assert client.post_alert(node, alert_body(1))[0] is True
+    assert len(opened) == 1
+
+
+def test_reply_that_closes_the_connection_makes_the_client_reconnect(live, monkeypatch):
+    read_body = coordinator._Handler._read_body
+
+    def refuse_and_close(handler):
+        read_body(handler)
+        handler.close_connection = True  # as for a bad or oversized Content-Length
+        return 400, {"error": "refused"}
+
+    opened = count_connections(monkeypatch, live["server"])
+    client = live["client"]
+    assert client.health()["status"] == "ok"
+    monkeypatch.setattr(coordinator._Handler, "_read_body", refuse_and_close)
+    with pytest.raises(Rejected) as exc:
+        client.register("host-a", idempotency_key="host-a")
+    assert exc.value.status == 400 and exc.value.body == {"error": "refused"}
+    assert client._idle == []  # closed on the reply's "Connection: close", not parked for a failed resend
+    monkeypatch.setattr(coordinator._Handler, "_read_body", read_body)
+    assert client.register("host-a", idempotency_key="host-a") == "node-1"
+    assert len(opened) == 2
+
+
+def fail_exchanges(monkeypatch, error) -> list:
+    """Make every reply read raise error; returns the connections that tried, one per attempt."""
+    attempts = []
+
+    def getresponse(connection):
+        attempts.append(connection)
+        raise error
+
+    monkeypatch.setattr(http.client.HTTPConnection, "getresponse", getresponse)
+    return attempts
+
+
+def test_register_without_key_is_sent_once_on_a_reset(live, monkeypatch):
+    attempts = fail_exchanges(monkeypatch, ConnectionResetError(104, "Connection reset by peer"))
+    with pytest.raises(CoordinatorUnavailable):
+        live["client"].register("host-a")
+    assert len(attempts) == 1
+
+
+def test_idempotent_request_is_resent_twice_on_fresh_connections(live, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(coordinator.time, "sleep", sleeps.append)
+    client = live["client"]
+    assert client.health()["status"] == "ok"  # parks a connection for the first attempt
+    parked = list(client._idle)
+    attempts = fail_exchanges(monkeypatch, http.client.RemoteDisconnected("closed"))
+    for request in (
+        lambda: client.register("host-a", idempotency_key="host-a"),
+        lambda: client.post_alert("node-1", alert_body(1)),
+        client.health,
+    ):
+        attempts.clear()
+        sleeps.clear()
+        with pytest.raises(CoordinatorUnavailable):
+            request()
+        assert len(attempts) == 3 and len(set(map(id, attempts))) == 3
+        assert len(sleeps) == 2 and all(0 <= s <= bound for s, bound in zip(sleeps, RETRY_DELAYS_S))
+    assert sum(RETRY_DELAYS_S) < 0.1
+    assert parked and not client._idle  # a failed connection is never parked
+
+
+@pytest.mark.parametrize("error", [TimeoutError("timed out"), http.client.BadStatusLine("junk")])
+def test_timeout_or_garbled_reply_is_not_resent(live, monkeypatch, error):
+    attempts = fail_exchanges(monkeypatch, error)
+    with pytest.raises(CoordinatorUnavailable):
+        live["client"].post_alert("node-1", alert_body(1))
+    assert len(attempts) == 1
+
+
+def test_shared_client_under_thread_churn(live):
+    # more threads than idle slots, with frequent switches: a connection handed to two
+    # threads at once would cross replies or break one
+    client = live["client"]
+    node = client.register("host-a")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2 * IDLE_CONNECTIONS) as pool:
+            results = list(pool.map(lambda i: client.post_alert(node, alert_body(i)), range(400), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [rec["alert_id"] for _, rec in results] == [f"job-1/{i}" for i in range(400)]
+    assert sorted(rec["seq"] for _, rec in results) == list(range(1, 401))
+    assert 0 < len(client._idle) <= IDLE_CONNECTIONS
+    client.close()
+    assert client._idle == []
 
 
 # --- recovery -----------------------------------------------------------------------
@@ -464,6 +657,7 @@ def crash_round(tmp_path, round_index, posts=30):
         time.sleep(0.02 + (round_index % 5) * 0.01)
         proc.send_signal(signal.SIGKILL)
         thread.join(timeout=10)
+        client.close()
     finally:
         proc.kill()
         proc.wait()

@@ -360,7 +360,9 @@ def coordinator(tmp_path):
     server, service = make_server("127.0.0.1:0", tmp_path / "ledger.log")
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield CoordinatorClient(f"http://127.0.0.1:{server.server_address[1]}")
+    client = CoordinatorClient(f"http://127.0.0.1:{server.server_address[1]}")
+    yield client
+    client.close()
     server.shutdown()
     server.server_close()
     service.close()
