@@ -440,8 +440,11 @@ def _detect_traces(args, bundle, detector_config, feature_config, client) -> int
             client = None  # alerts spool; exit code still reflects detection
 
     results = {}
+    # each pipeline spools into its own list; the lists reach the file in
+    # argument order, so the spool does not depend on thread timing
+    pending = [[] for _ in args.traces]
 
-    def detect_one(trace_path: str) -> None:
+    def detect_one(i: int, trace_path: str) -> None:
         job_id = os.path.splitext(os.path.basename(trace_path))[0]
         handle = replay_job(trace_path, job_id, speed=args.replay_speed)
         results[trace_path] = run_pipeline(
@@ -451,14 +454,18 @@ def _detect_traces(args, bundle, detector_config, feature_config, client) -> int
             feature_config=feature_config,
             client=client,
             node_id=node_id,
-            spool=spool,
+            spool=pending[i] if spool is not None else None,
         )
 
-    threads = [threading.Thread(target=detect_one, args=(t,)) for t in args.traces]
+    threads = [threading.Thread(target=detect_one, args=item) for item in enumerate(args.traces)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    if spool is not None:
+        for alerts in pending:
+            for alert in alerts:
+                spool.append(alert)
 
     terminated = False
     for trace_path in args.traces:  # deterministic grouping: input order

@@ -262,17 +262,20 @@ def run_pipeline(
     feature_config: FeatureConfig | None = None,
     client=None,
     node_id: str = "local",
-    spool: AlertSpool | None = None,
+    spool: AlertSpool | list[Alert] | None = None,
     policy: SandboxPolicy | None = None,
 ) -> PipelineResult:
     """Consume one job's telemetry stream to completion.
 
     Per emitted window: extract, scale, score, smooth, act. A Terminate
-    decision stops the job via the sandbox exactly once. When ``policy`` is
-    given, CPU/memory/network violations are forwarded as RaiseAlert-severity
-    alerts (ids ``<job>/pv<i>``) without terminating. Delivery failures fall
-    back to the spool and never crash the pipeline; alerts the coordinator
-    rejects are counted in ``rejected`` and not spooled.
+    decision stops the job via the sandbox exactly once; the pipeline then
+    scores no further window and raises no further alert, but still reads
+    the stream to its end. When ``policy`` is given, CPU/memory/network
+    violations are forwarded as RaiseAlert-severity alerts (ids
+    ``<job>/pv<i>``) without terminating. Delivery failures fall back to the
+    spool (an AlertSpool, or a list to collect them) and never crash the
+    pipeline; alerts the coordinator rejects are counted in ``rejected`` and
+    not spooled.
     """
     if bundle is None:
         raise ModelMissing("run_pipeline requires a loaded model bundle")
@@ -318,13 +321,25 @@ def run_pipeline(
             action_taken=action,
         )
         deliver(alert)
-        if action == ResponseAction.TERMINATE and not result.terminated:
+        if action == ResponseAction.TERMINATE:
             result.terminated = True
             handle.terminate(KillReason.DETECTOR_ACTION)
 
-    for record in handle.telemetry:
-        for window in windower.push(record):
+    def handle_windows(windows: list[Window]) -> bool:
+        """Score windows in order until the job is terminated; True if it was."""
+        for window in windows:
             handle_window(window)
+            if result.terminated:
+                return True
+        return False
+
+    telemetry = iter(handle.telemetry)
+    for record in telemetry:
+        closed = windower.push(record)
+        if closed and handle_windows(closed):
+            for _ in telemetry:  # drain, so that no producer blocks on a full stream
+                pass
+            return result
         if policy is not None and isinstance(record, ResourceSample):
             if tracker is None:
                 tracker = LimitTracker(policy, windower.t0)
@@ -343,6 +358,5 @@ def run_pipeline(
                         action_taken=ResponseAction.RAISE_ALERT,
                     )
                 )
-    for window in windower.finish():
-        handle_window(window)
+    handle_windows(windower.finish())
     return result

@@ -28,10 +28,16 @@ class RnnClassifier(BaseEstimator):
 
     Training is plain SGD with one update per example, gradients computed by
     full backpropagation through time over the (t_max-truncated) sequence and
-    clipped to a global L2 norm of ``clip``. Example order is reshuffled each
-    epoch with the seeded generator; initialization matches the MLP scheme
-    (uniform Glorot, biases zero), drawn in the fixed order embedding, Wxh,
-    Whh, wo. ``epochs=0`` returns the freshly initialized model.
+    clipped to a global L2 norm of ``clip``. Only the recurrence runs per
+    token: ``Whh h_{t-1}``, the add and the tanh going forward, and
+    ``dz_t = dh * (1 - h_t^2)`` and ``dh = Whh^T dz_t`` going back. Once per
+    sequence run the input projection ``Wxh e(x_t) + bh`` of every token,
+    ``1 - h_t^2`` of every step, and the gradients of ``Wxh``, ``Whh``,
+    ``bh`` and the embedding rows (one matrix product or sum each over the
+    stacked ``dz_t``). Example order is reshuffled each epoch with the
+    seeded generator; initialization matches the MLP scheme (uniform Glorot,
+    biases zero), drawn in the fixed order embedding, Wxh, Whh, wo.
+    ``epochs=0`` returns the freshly initialized model.
     """
 
     def __init__(
@@ -114,34 +120,47 @@ class RnnClassifier(BaseEstimator):
         self.bo_ -= scale * float(grads["bo"][0])
 
     def _forward(self, seq: np.ndarray) -> tuple[np.ndarray, float]:
-        """Hidden states for one sequence; returns (hs with h_0 at row 0, logit)."""
+        """Hidden states for one sequence; returns (hs with h_0 at row 0, logit).
+
+        The input projection of every token is one matrix product; only the
+        recurrence ``Whh h_{t-1}`` runs per token, writing into ``hs`` in place.
+        """
         T = seq.shape[0]
         hs = np.zeros((T + 1, self.hidden), dtype=np.float64)
-        for t in range(T):
-            hs[t + 1] = np.tanh(self.Wxh_ @ self.emb_[seq[t]] + self.Whh_ @ hs[t] + self.bh_)
+        xs = self.emb_[seq] @ self.Wxh_.T
+        xs += self.bh_
+        Whh = self.Whh_
+        dot, add, tanh = np.dot, np.add, np.tanh  # bound once: the loop is call-bound
+        for h_prev, h, x in zip(hs[:-1], hs[1:], xs):
+            dot(Whh, h_prev, out=h)
+            add(h, x, out=h)
+            tanh(h, out=h)
         z = float(self.wo_ @ hs[T] + self.bo_)
         return hs, z
 
     def _example_grads_seq(self, seq: np.ndarray, y: float) -> dict[str, np.ndarray]:
-        """BCE gradient for one sequence w.r.t. every parameter (full BPTT)."""
+        """BCE gradient for one sequence w.r.t. every parameter (full BPTT).
+
+        The backward loop only carries ``dh`` through the recurrence and keeps
+        each step's pre-activation gradient as a row of ``D``; the weight,
+        bias and embedding gradients are then one product each over ``D``.
+        """
         hs, z = self._forward(seq)
-        T = seq.shape[0]
         dz = float(sigmoid(np.array([z]))[0] - y)
-        d_emb = np.zeros_like(self.emb_)
-        d_Wxh = np.zeros_like(self.Wxh_)
-        d_Whh = np.zeros_like(self.Whh_)
-        d_bh = np.zeros_like(self.bh_)
-        d_wo = dz * hs[T]
+        d_wo = dz * hs[-1]
         d_bo = np.array([dz])
+        D = 1.0 - hs[1:] * hs[1:]  # tanh'(pre-activation); row t becomes dL/d(pre_t)
+        Whh = self.Whh_
+        dot, multiply = np.dot, np.multiply
         dh = dz * self.wo_
-        for t in range(T - 1, -1, -1):
-            h = hs[t + 1]
-            dzt = dh * (1.0 - h * h)
-            d_Wxh += np.outer(dzt, self.emb_[seq[t]])
-            d_Whh += np.outer(dzt, hs[t])
-            d_bh += dzt
-            d_emb[seq[t]] += self.Wxh_.T @ dzt
-            dh = self.Whh_.T @ dzt
+        for dzt in D[::-1]:
+            multiply(dzt, dh, out=dzt)
+            dh = dot(dzt, Whh)  # Whh^T dzt
+        d_emb = np.zeros_like(self.emb_)
+        np.add.at(d_emb, seq, D @ self.Wxh_)  # add.at sums the rows of repeated tokens
+        d_Wxh = D.T @ self.emb_[seq]
+        d_Whh = D.T @ hs[:-1]
+        d_bh = D.sum(axis=0)
         return {"emb": d_emb, "Wxh": d_Wxh, "Whh": d_Whh, "bh": d_bh, "wo": d_wo, "bo": d_bo}
 
     def _require_fitted(self) -> None:

@@ -28,7 +28,8 @@ def workspace(tmp_path_factory):
     mlp = str(root / "mlp.wmdl")
     assert run_cli("train", "--kind", "svm", "--manifest", manifest, "--out", svm, "--seed", "1") == 0
     assert run_cli("train", "--kind", "mlp", "--manifest", manifest, "--out", mlp, "--seed", "1") == 0
-    entries = json.load(open(manifest))["entries"]
+    with open(manifest) as fh:
+        entries = json.load(fh)["entries"]
     return {
         "root": root,
         "corpus": corpus,
@@ -89,7 +90,8 @@ def test_extract_corrupt_trace_exits_2(workspace, tmp_path, capsys):
     corrupt_dir = tmp_path / "corrupt"
     corrupt_dir.mkdir()
     src = trace_path(workspace, lambda e: True)
-    lines = open(src).read().splitlines()
+    with open(src) as fh:
+        lines = fh.read().splitlines()
     lines[4] = '{"kind":"sys","broken":true}'
     (corrupt_dir / "bad.trc").write_text("\n".join(lines) + "\n")
     manifest = corrupt_dir / "manifest.json"
@@ -189,7 +191,8 @@ def test_eval_fingerprint_mismatch_exits_4(workspace, tmp_path):
 def test_model_version_bump_exits_4(workspace, tmp_path):
     import struct
 
-    blob = bytearray(open(workspace["svm"], "rb").read())
+    with open(workspace["svm"], "rb") as fh:
+        blob = bytearray(fh.read())
     blob[4:6] = struct.pack("<H", 9)
     bad = tmp_path / "bad.wmdl"
     bad.write_bytes(bytes(blob))
@@ -232,6 +235,33 @@ def test_detect_multiple_traces_grouped_output(workspace, capsys):
     assert jobs == sorted(jobs, key=jobs.index)  # grouped per trace, input order
 
 
+def test_detect_output_ends_at_the_terminate_alert(workspace, capsys):
+    miner = trace_path(workspace, lambda e: e["profile"] == "cryptominer")
+    outputs = set()
+    for _ in range(20):
+        assert run_cli("detect", miner, "--model", workspace["mlp"], "--policy", "alert:1,terminate:2") == 10
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+    actions = [json.loads(line)["action"] for line in outputs.pop().strip().split("\n")]
+    assert actions[-1] == "terminate" and actions.count("terminate") == 1
+
+
+def test_detect_spool_is_written_in_argument_order(workspace, tmp_path, capsys):
+    traces = [str(workspace["corpus"] / e["file"]) for e in workspace["entries"]][:6]
+    singles = []
+    for i, path in enumerate(traces):
+        spool = tmp_path / f"single-{i}.alog"
+        run_cli("detect", path, "--model", workspace["mlp"], "--spool", str(spool))
+        singles.append(spool.read_bytes() if spool.exists() else b"")
+    expected = b"".join(singles)
+    assert sum(1 for single in singles if single) >= 2  # the order between traces is tested
+    for run in range(5):
+        spool = tmp_path / f"all-{run}.alog"
+        assert run_cli("detect", *traces, "--model", workspace["mlp"], "--spool", str(spool)) == 10
+        assert spool.read_bytes() == expected
+    capsys.readouterr()
+
+
 def test_detect_rnn_model_rejected(workspace, tmp_path):
     rnn_path = tmp_path / "rnn.wmdl"
     assert run_cli("train", "--kind", "rnn", "--manifest", workspace["manifest"],
@@ -263,19 +293,22 @@ def test_detect_delivers_and_spool_flushes_with_dedup(workspace, tmp_path, capsy
     server, service = make_server("127.0.0.1:0", tmp_path / "ledger.log")
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    url = f"http://127.0.0.1:{server.server_address[1]}"
-    # second run: spool flushes first, then live alerts; duplicates are deduped
-    assert run_cli("detect", miner, "--model", workspace["mlp"],
-                   "--coordinator", url, "--spool", str(spool),
-                   "--hostname", "cli-node") == 10
-    capsys.readouterr()
-    alerts = service.list_alerts(limit=1000)[1]["alerts"]
-    ids = [a["alert_id"] for a in alerts]
-    assert len(ids) == len(set(ids))
-    assert len(ids) == spooled  # same trace replayed: every live alert deduped to one copy
-    assert not spool.exists() or not spool.read_text().strip()
-    server.shutdown()
-    service.close()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        # second run: spool flushes first, then live alerts; duplicates are deduped
+        assert run_cli("detect", miner, "--model", workspace["mlp"],
+                       "--coordinator", url, "--spool", str(spool),
+                       "--hostname", "cli-node") == 10
+        capsys.readouterr()
+        alerts = service.list_alerts(limit=1000)[1]["alerts"]
+        ids = [a["alert_id"] for a in alerts]
+        assert len(ids) == len(set(ids))
+        assert len(ids) == spooled  # same trace replayed: every live alert deduped to one copy
+        assert not spool.exists() or not spool.read_text().strip()
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
 
 
 @pytest.fixture()

@@ -661,6 +661,7 @@ def crash_round(tmp_path, round_index, posts=30):
     finally:
         proc.kill()
         proc.wait()
+        proc.stdout.close()
 
     state = recover(ledger)
     nodes, oracle_alerts = independent_replay(ledger)

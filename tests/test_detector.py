@@ -418,3 +418,28 @@ def test_pipeline_survives_a_resource_sample_older_than_the_previous(small_bundl
     result = run_pipeline(ListHandle(), small_bundle, config, policy=SandboxPolicy(cpu_limit_pct=50.0))
     policy_alerts = [(a.rule, a.t_ns) for a in result.alerts if a.rule.startswith("policy:")]
     assert policy_alerts == [("policy:CpuLimit", int(2e9))]  # the late sample's limit is still checked
+
+
+def test_pipeline_stops_scoring_after_terminate_but_drains_the_stream(small_bundle):
+    from warden.sandbox import SandboxPolicy
+
+    trace = gen_trace(profiles_by_name()["cryptominer"], 40.0, "job-m6", seed=508)
+    consumed = []
+    terminations = []
+
+    class ListHandle:
+        job_id = trace.job_id
+        telemetry = (consumed.append(r) or r for r in trace.records)
+
+        def terminate(self, reason):
+            terminations.append(reason)
+
+    # every resource sample breaks the CPU limit, so a policy alert after the
+    # terminate would show up at the end of the alert list
+    result = run_pipeline(ListHandle(), small_bundle, DetectorConfig(), policy=SandboxPolicy(cpu_limit_pct=1e-9))
+    assert terminations == [KillReason.DETECTOR_ACTION]
+    assert len(consumed) == len(trace.records)  # the stream was read to its end
+    actions = [a.action_taken for a in result.alerts]
+    assert actions.count(ResponseAction.TERMINATE) == 1
+    assert actions[-1] == ResponseAction.TERMINATE
+    assert result.windows_scored < len(make_windows(trace, FeatureConfig()))

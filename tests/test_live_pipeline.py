@@ -106,4 +106,5 @@ def test_serve_cli_honors_ledger_env_var(tmp_path):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
     assert ledger.exists()
