@@ -14,7 +14,8 @@ import argparse
 import json
 import os
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .records import MalformedLine
 from .sandbox import (
     JobDescriptor,
     ProcessBackend,
+    SandboxError,
     SandboxPolicy,
     SpawnFailure,
     replay_job,
@@ -66,6 +68,9 @@ EXIT_DATA = 3
 EXIT_FINGERPRINT = 4
 EXIT_SPAWN = 5
 EXIT_TERMINATED = 10
+
+# traces that `detect` replays and scores at once; each also runs one replay thread
+DETECT_WORKERS = 4
 
 
 def _banner(seed, feature_config: FeatureConfig, detector_config: DetectorConfig | None = None) -> None:
@@ -226,7 +231,6 @@ def _train_window_model(args, config: FeatureConfig):
     else:
         dataset, _ = build_feature_dataset(args.manifest, config)
     scaler = Scaler().fit(dataset.X)
-    X_scaled = scaler.transform(dataset.X)
     if args.kind == "svm":
         model = SvmClassifier(lambda_=args.svm_lambda, epochs=args.epochs or 20, seed=args.seed)
     else:
@@ -234,9 +238,8 @@ def _train_window_model(args, config: FeatureConfig):
             hidden=args.hidden, lr=args.lr if args.lr is not None else 0.05,
             epochs=args.epochs or 50, batch=args.batch, seed=args.seed,
         )
-    model.fit(X_scaled, dataset.y)
-    scores = model.proba(X_scaled)
-    return model, scaler, scores, dataset.y, dataset.groups
+    model.fit(scaler.transform(dataset.X), dataset.y)
+    return ModelBundle(kind=args.kind, model=model, feature_config=config, scaler=scaler), dataset.X, dataset.y
 
 
 def cmd_train(args) -> int:
@@ -266,11 +269,11 @@ def cmd_train(args) -> int:
                 vocab=config.hash_dim,
             )
             model.fit(seqdata.sequences, seqdata.y)
-            scores, y = model.proba(seqdata.sequences), seqdata.y
             bundle = ModelBundle(kind="rnn", model=model, feature_config=config, scaler=None)
+            inputs, y = seqdata.sequences, seqdata.y
         else:
-            model, scaler, scores, y, _ = _train_window_model(args, config)
-            bundle = ModelBundle(kind=args.kind, model=model, feature_config=config, scaler=scaler)
+            bundle, inputs, y = _train_window_model(args, config)
+        scores = bundle.score(inputs)
     except SingleClass as exc:
         print(f"train: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -316,7 +319,7 @@ def cmd_eval(args) -> int:
                 print("eval: rnn models need a manifest", file=sys.stderr)
                 return EXIT_USAGE
             seqdata = build_sequence_dataset(args.manifest, config, t_max=bundle.model.t_max)
-            scores, y, groups = bundle.model.proba(seqdata.sequences), seqdata.y, seqdata.groups
+            scores, y = bundle.score(seqdata.sequences), seqdata.y
             rows = [("rnn", evaluate_scores(scores, y))]
             roc_scores, roc_labels = scores, y
         else:
@@ -330,7 +333,7 @@ def cmd_eval(args) -> int:
             else:
                 dataset, _ = build_feature_dataset(args.manifest, config)
                 X, y, groups = dataset.X, dataset.y, dataset.groups
-            scores = bundle.model.proba(bundle.scaler.transform(X))
+            scores = bundle.score(X)
             _, trace_scores, trace_labels = group_mean_scores(scores, y, groups)
             rows = [
                 (bundle.kind, evaluate_scores(scores, y)),
@@ -397,35 +400,36 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else 1
 
 
-def cmd_detect(args) -> int:
+def _load_online_model(args, cmd: str):
+    """(bundle, detector config) for `detect` and `run`, or an exit code once the error is printed."""
     try:
         bundle = load_model(args.model)
+        if bundle.scaler is None:
+            raise ValueError("online window scoring needs an svm or mlp model")
+        detector_config = _detector_config(args, model_id=bundle.model_id)
     except VersionMismatch as exc:
-        print(f"detect: {exc}", file=sys.stderr)
+        print(f"{cmd}: {exc}", file=sys.stderr)
         return EXIT_FINGERPRINT
     except (OSError, ValueError) as exc:
-        print(f"detect: {exc}", file=sys.stderr)
+        print(f"{cmd}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if bundle.kind == "rnn":
-        print("detect: online window scoring needs an svm or mlp model", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        detector_config = _detector_config(args, model_id=bundle.model_id)
-        feature_config = bundle.feature_config
-    except (ValueError, OSError) as exc:
-        print(f"detect: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _banner(args.seed, feature_config, detector_config)
+    _banner(args.seed, bundle.feature_config, detector_config)
+    return bundle, detector_config
 
+
+def cmd_detect(args) -> int:
+    loaded = _load_online_model(args, "detect")
+    if isinstance(loaded, int):
+        return loaded
     coordinator = CoordinatorClient(args.coordinator) if args.coordinator else None
     try:
-        return _detect_traces(args, bundle, detector_config, feature_config, coordinator)
+        return _detect_traces(args, *loaded, coordinator)
     finally:
         if coordinator is not None:
             coordinator.close()
 
 
-def _detect_traces(args, bundle, detector_config, feature_config, client) -> int:
+def _detect_traces(args, bundle, detector_config, client) -> int:
     node_id = "local"
     spool = AlertSpool(args.spool) if args.spool else None
     if client is not None:
@@ -439,55 +443,45 @@ def _detect_traces(args, bundle, detector_config, feature_config, client) -> int
         except CoordinatorUnavailable:
             client = None  # alerts spool; exit code still reflects detection
 
-    results = {}
-    # each pipeline spools into its own list; the lists reach the file in
-    # argument order, so the spool does not depend on thread timing
-    pending = [[] for _ in args.traces]
-
-    def detect_one(i: int, trace_path: str) -> None:
+    def detect_one(trace_path: str):
+        """(result, spooled alerts, None), or (None, None, error) for an unreadable trace."""
         job_id = os.path.splitext(os.path.basename(trace_path))[0]
-        handle = replay_job(trace_path, job_id, speed=args.replay_speed)
-        results[trace_path] = run_pipeline(
-            handle,
-            bundle,
-            detector_config,
-            feature_config=feature_config,
-            client=client,
-            node_id=node_id,
-            spool=pending[i] if spool is not None else None,
-        )
+        try:
+            handle = replay_job(trace_path, job_id, speed=args.replay_speed)
+        except MalformedLine as exc:
+            return None, None, f"malformed input: {exc}"
+        except (SandboxError, OSError, ValueError) as exc:
+            return None, None, str(exc)
+        # each pipeline spools into its own list; the lists reach the file in
+        # argument order, so the spool does not depend on thread timing
+        spooled = [] if spool is not None else None
+        result = run_pipeline(handle, bundle, detector_config, client=client, node_id=node_id, spool=spooled)
+        return result, spooled, None
 
-    threads = [threading.Thread(target=detect_one, args=item) for item in enumerate(args.traces)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if spool is not None:
-        for alerts in pending:
-            for alert in alerts:
-                spool.append(alert)
-
-    terminated = False
-    for trace_path in args.traces:  # deterministic grouping: input order
-        result = results.get(trace_path)
-        if result is None:
-            print(f"detect: no result for {trace_path}", file=sys.stderr)
-            return EXIT_USAGE
+    with ThreadPoolExecutor(max_workers=DETECT_WORKERS) as pool:
+        outcomes = list(pool.map(detect_one, args.traces))
+    failed = terminated = False
+    for result, spooled, error in outcomes:  # deterministic grouping: input order
+        if error is not None:
+            print(f"detect: {error}", file=sys.stderr)
+            failed = True
+            continue
+        for alert in spooled or ():
+            spool.append(alert)
         for alert in result.alerts:
             print(serialize_alert_line(alert))
         terminated = terminated or result.terminated
+    if failed:
+        return EXIT_USAGE
     return EXIT_TERMINATED if terminated else EXIT_OK
 
 
 def _policy_from_dict(data: dict) -> SandboxPolicy:
-    return SandboxPolicy(
-        cpu_limit_pct=data.get("cpu_limit_pct", 100.0),
-        mem_limit_bytes=data.get("mem_limit_bytes", 2 * 2**30),
-        net_allowed=data.get("net_allowed", True),
-        max_pids=data.get("max_pids", 64),
-        wallclock_limit_s=data.get("wallclock_limit_s", 3600.0),
-        fs_hidden_paths=tuple(data.get("fs_hidden_paths", ())),
-    )
+    """The fields present in ``data``; the rest keep SandboxPolicy's defaults, unknown keys are ignored."""
+    params = {f.name: data[f.name] for f in fields(SandboxPolicy) if f.name in data}
+    if "fs_hidden_paths" in params:
+        params["fs_hidden_paths"] = tuple(params["fs_hidden_paths"])
+    return SandboxPolicy(**params)
 
 
 def cmd_run(args) -> int:
@@ -496,14 +490,7 @@ def cmd_run(args) -> int:
             job_spec = json.load(fh)
         policy = _policy_from_dict(job_spec.get("policy", {}))
         if args.wallclock_limit_s is not None:
-            policy = SandboxPolicy(
-                cpu_limit_pct=policy.cpu_limit_pct,
-                mem_limit_bytes=policy.mem_limit_bytes,
-                net_allowed=policy.net_allowed,
-                max_pids=policy.max_pids,
-                wallclock_limit_s=args.wallclock_limit_s,
-                fs_hidden_paths=policy.fs_hidden_paths,
-            )
+            policy = replace(policy, wallclock_limit_s=args.wallclock_limit_s)
         descriptor = JobDescriptor(
             job_id=job_spec["job_id"],
             command=tuple(job_spec["command"]),
@@ -514,22 +501,15 @@ def cmd_run(args) -> int:
         if problems:
             print(f"run: invalid policy: {problems}", file=sys.stderr)
             return EXIT_USAGE
-        bundle = load_model(args.model)
-    except VersionMismatch as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_FINGERPRINT
     except (OSError, ValueError, KeyError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if bundle.kind == "rnn":
-        print("run: online window scoring needs an svm or mlp model", file=sys.stderr)
-        return EXIT_USAGE
-    detector_config = _detector_config(args, model_id=bundle.model_id)
-    _banner(args.seed, bundle.feature_config, detector_config)
-
+    loaded = _load_online_model(args, "run")
+    if isinstance(loaded, int):
+        return loaded
     coordinator = CoordinatorClient(args.coordinator) if args.coordinator else None
     try:
-        return _run_job(args, descriptor, policy, bundle, detector_config, coordinator)
+        return _run_job(args, descriptor, policy, *loaded, coordinator)
     finally:
         if coordinator is not None:
             coordinator.close()

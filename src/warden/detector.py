@@ -185,7 +185,7 @@ def parse_alert_line(line: str) -> Alert:
 # --- scoring and the per-job pipeline --------------------------------------------
 
 def score_window(bundle: ModelBundle, vector: FeatureVector) -> float:
-    """Scale and score one window vector; pure."""
+    """Score one window vector through ``bundle.score``; pure."""
     if bundle.scaler is None:
         raise ModelMissing(f"{bundle.kind} bundles cannot score windows (no scaler)")
     if vector.schema_version != bundle.feature_config.schema_version:
@@ -196,8 +196,7 @@ def score_window(bundle: ModelBundle, vector: FeatureVector) -> float:
         raise FingerprintMismatch(
             f"vector dimension {vector.values.shape[0]} != model dimension {bundle.feature_config.dim}"
         )
-    scaled = bundle.scaler.transform(vector.values)
-    return float(bundle.model.proba(scaled[None, :])[0])
+    return float(bundle.score(vector.values[None, :])[0])
 
 
 class AlertSpool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +103,6 @@ class FeatureConfig:
             hash_dim=data["hash_dim"],
             schema_version=data["schema_version"],
         )
-
-    def digest(self) -> int:
-        return fnv1a64(json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")))
 
 
 @dataclass(frozen=True)
@@ -363,14 +359,6 @@ class Scaler:
         self.mean_: np.ndarray | None = None
         self.std_: np.ndarray | None = None
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {}
-
-    def set_params(self, **params) -> "Scaler":
-        if params:
-            raise ValueError(f"unknown parameters: {sorted(params)}")
-        return self
-
     def fit(self, X) -> "Scaler":
         X = feature_matrix(X) if isinstance(X, (list, tuple)) else np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1:
@@ -390,11 +378,6 @@ class Scaler:
             raise DimensionMismatch(f"expected dimension {self.mean_.shape[0]}, got {X.shape[1]}")
         out = (X - self.mean_) / self.std_
         return out[0] if single else out
-
-    def digest(self) -> int:
-        if self.mean_ is None or self.std_ is None:
-            raise ValueError("scaler is not fitted")
-        return fnv1a64(self.mean_.tobytes() + self.std_.tobytes())
 
 
 def csv_header(dim: int) -> str:

@@ -4,7 +4,7 @@ from .base import BaseEstimator, SingleClass, sigmoid
 from .data import Dataset, InsufficientGroups, SequenceDataset, split, split_indices
 from .gradcheck import grad_check
 from .io import CorruptFile, ModelBundle, VersionMismatch, load_model, save_model
-from .metrics import Metrics, auc_score, evaluate, evaluate_scores, group_mean_scores, roc_points
+from .metrics import Metrics, auc_score, evaluate_scores, group_mean_scores, roc_points
 from .mlp import MlpClassifier
 from .rnn import EmptySequence, RnnClassifier
 from .svm import SvmClassifier
@@ -24,7 +24,6 @@ __all__ = [
     "SvmClassifier",
     "VersionMismatch",
     "auc_score",
-    "evaluate",
     "evaluate_scores",
     "grad_check",
     "group_mean_scores",

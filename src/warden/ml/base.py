@@ -14,11 +14,26 @@ class SingleClass(ValueError):
 
 
 class BaseEstimator:
-    """Minimal get_params/set_params so estimators compose with sklearn tooling.
+    """Shared classifier plumbing, plus sklearn-style get_params/set_params.
 
-    Parameters are read from the subclass ``__init__`` signature, exactly like
-    sklearn's BaseEstimator, without depending on sklearn itself.
+    Hyperparameters are read from the subclass ``__init__`` signature, exactly
+    like sklearn's BaseEstimator, without depending on sklearn itself.
+
+    Subclasses name their trainable parameters in ``_params``, in `.wmdl`
+    order; parameter ``name`` lives in the attribute ``name_`` (None until
+    fitted), and the names in ``_scalars`` hold a float bias instead of an
+    array. ``kind`` names the model in `.wmdl` files. A subclass supplies
+    ``decision_function``; ``proba`` and ``predict`` follow from it.
     """
+
+    kind: str = ""
+    _params: tuple[str, ...] = ()
+    _scalars: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls._params:
+            setattr(cls, f"{name}_", None)
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -43,6 +58,40 @@ class BaseEstimator:
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+    def _require_fitted(self) -> None:
+        if getattr(self, f"{self._params[0]}_") is None:
+            raise ValueError("model is not fitted")
+
+    def proba(self, X) -> np.ndarray:
+        """P(malicious) per input, strictly inside (0, 1)."""
+        return probability(self.decision_function(X))
+
+    def predict(self, X) -> np.ndarray:
+        return (self.proba(X) >= 0.5).astype(np.int64)
+
+    def param_arrays(self) -> dict[str, np.ndarray]:
+        """Snapshot of all trainable parameters, keyed by name; a scalar is a 1-element array."""
+        self._require_fitted()
+        out = {}
+        for name in self._params:
+            value = getattr(self, f"{name}_")
+            out[name] = np.array([value]) if name in self._scalars else value.copy()
+        return out
+
+    def set_param_arrays(self, params: dict[str, np.ndarray]) -> None:
+        for name in self._params:
+            value = np.asarray(params[name], dtype=np.float64)
+            setattr(self, f"{name}_", float(value.reshape(())) if name in self._scalars else value.copy())
+
+    def _descend(self, grads: dict[str, np.ndarray], scale: float) -> None:
+        """One gradient step, ``param -= scale * grad``; arrays are updated in place."""
+        for name in self._params:
+            param = getattr(self, f"{name}_")
+            if name in self._scalars:
+                setattr(self, f"{name}_", param - scale * float(grads[name][0]))
+            else:
+                param -= scale * grads[name]
 
 
 def check_matrix(X, name: str = "X") -> np.ndarray:

@@ -25,9 +25,10 @@ from .svm import SvmClassifier
 MAGIC = b"WMDL"
 VERSION = 1
 
-_KIND_CODES = {"svm": 0, "mlp": 1, "rnn": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-_KIND_CLASSES = {"svm": SvmClassifier, "mlp": MlpClassifier, "rnn": RnnClassifier}
+# the kind byte is the class's index here: svm 0, mlp 1, rnn 2
+_KIND_CLASSES = {cls.kind: cls for cls in (SvmClassifier, MlpClassifier, RnnClassifier)}
+_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_CLASSES)}
+_KIND_NAMES = dict(enumerate(_KIND_CLASSES))
 
 
 class VersionMismatch(ValueError):
@@ -44,6 +45,7 @@ class ModelBundle:
 
     ``scaler`` is None for the RNN (it consumes token sequences, not windowed
     features). ``model_id`` is the content digest, assigned on save/load.
+    ``score`` is the one place a bundle's scaler is applied.
     """
 
     kind: str
@@ -51,6 +53,12 @@ class ModelBundle:
     feature_config: FeatureConfig
     scaler: Scaler | None = None
     model_id: str = ""
+
+    def score(self, inputs) -> np.ndarray:
+        """P(malicious) per input: feature rows (scaled here) or, for the RNN, token sequences."""
+        if self.scaler is not None:
+            inputs = self.scaler.transform(inputs)
+        return self.model.proba(inputs)
 
 
 def _content_bytes(bundle: ModelBundle) -> bytes:
@@ -80,6 +88,8 @@ def save_model(bundle: ModelBundle, path) -> str:
     """Write the bundle; returns the assigned model_id."""
     if bundle.kind not in _KIND_CODES:
         raise ValueError(f"unknown model kind {bundle.kind!r}")
+    if bundle.kind != bundle.model.kind:
+        raise ValueError(f"bundle kind {bundle.kind!r} does not match its {bundle.model.kind} model")
     content = _content_bytes(bundle)
     bundle.model_id = f"{fnv1a64(content):016x}"
     with open(path, "wb") as fh:
@@ -115,7 +125,10 @@ def load_model(path) -> ModelBundle:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"{path}: bad header: {exc}") from None
 
-    model = _KIND_CLASSES[kind](**header["hyperparams"])
+    try:
+        model = _KIND_CLASSES[kind](**header["hyperparams"])
+    except TypeError as exc:
+        raise CorruptFile(f"{path}: hyperparameters do not fit a {kind} model: {exc}") from None
     feature_config = FeatureConfig.from_dict(header["feature_config"])
 
     offset = header_start + header_len

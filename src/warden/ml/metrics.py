@@ -103,14 +103,6 @@ def evaluate_scores(scores, labels) -> Metrics:
     return confusion_metrics(scores, labels, auc_score(scores, labels))
 
 
-def evaluate(model, dataset) -> Metrics:
-    """Score a Dataset or SequenceDataset with the model and compute metrics."""
-    inputs = dataset.X if hasattr(dataset, "X") else dataset.sequences
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot evaluate an empty dataset")
-    return evaluate_scores(model.proba(inputs), dataset.y)
-
-
 def group_mean_scores(scores, labels, groups) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Aggregate window scores per job: mean score, one label per group.
 

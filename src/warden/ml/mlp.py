@@ -12,7 +12,6 @@ from .base import (
     check_labels,
     check_matrix,
     glorot_uniform,
-    probability,
     require_both_classes,
     sigmoid,
 )
@@ -28,20 +27,16 @@ class MlpClassifier(BaseEstimator):
     freshly initialized model.
     """
 
+    kind = "mlp"
+    _params = ("W1", "b1", "W2", "b2")
+    _scalars = ("b2",)
+
     def __init__(self, hidden: int = 32, lr: float = 0.05, epochs: int = 50, batch: int = 16, seed: int = 0):
         self.hidden = hidden
         self.lr = lr
         self.epochs = epochs
         self.batch = batch
         self.seed = seed
-        self.W1_: np.ndarray | None = None
-        self.b1_: np.ndarray | None = None
-        self.W2_: np.ndarray | None = None
-        self.b2_: float | None = None
-
-    @property
-    def kind(self) -> str:
-        return "mlp"
 
     def _init_params(self, dim: int) -> None:
         if self.hidden < 1:
@@ -65,15 +60,8 @@ class MlpClassifier(BaseEstimator):
             rng.shuffle(order)
             for start in range(0, n, self.batch):
                 idx = order[start : start + self.batch]
-                self._step(X[idx], yf[idx])
+                self._descend(self._grads(X[idx], yf[idx]), self.lr)
         return self
-
-    def _step(self, Xb: np.ndarray, yb: np.ndarray) -> None:
-        grads = self._grads(Xb, yb)
-        self.W1_ -= self.lr * grads["W1"]
-        self.b1_ -= self.lr * grads["b1"]
-        self.W2_ -= self.lr * grads["W2"]
-        self.b2_ -= self.lr * float(grads["b2"][0])
 
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = np.tanh(X @ self.W1_.T + self.b1_)
@@ -93,22 +81,11 @@ class MlpClassifier(BaseEstimator):
         db1 = dz1.sum(axis=0)
         return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
 
-    def _require_fitted(self) -> None:
-        if self.W1_ is None:
-            raise ValueError("model is not fitted")
-
     def decision_function(self, X) -> np.ndarray:
         self._require_fitted()
         X = check_matrix(X)
         check_dim(X, self.W1_.shape[1])
         return self._forward(X)[1]
-
-    def proba(self, X) -> np.ndarray:
-        """P(malicious) per row, strictly inside (0, 1)."""
-        return probability(self.decision_function(X))
-
-    def predict(self, X) -> np.ndarray:
-        return (self.proba(X) >= 0.5).astype(np.int64)
 
     def loss(self, X, y) -> float:
         """Mean binary cross-entropy on (X, y)."""
@@ -120,19 +97,3 @@ class MlpClassifier(BaseEstimator):
     def example_grads(self, x, y) -> dict[str, np.ndarray]:
         self._require_fitted()
         return self._grads(np.asarray(x, dtype=np.float64)[None, :], np.array([float(y)]))
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        """Snapshot of all trainable parameters, keyed by name."""
-        self._require_fitted()
-        return {
-            "W1": self.W1_.copy(),
-            "b1": self.b1_.copy(),
-            "W2": self.W2_.copy(),
-            "b2": np.array([self.b2_]),
-        }
-
-    def set_param_arrays(self, params: dict[str, np.ndarray]) -> None:
-        self.W1_ = np.asarray(params["W1"], dtype=np.float64).copy()
-        self.b1_ = np.asarray(params["b1"], dtype=np.float64).copy()
-        self.W2_ = np.asarray(params["W2"], dtype=np.float64).copy()
-        self.b2_ = float(np.asarray(params["b2"]).reshape(()))

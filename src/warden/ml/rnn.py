@@ -10,7 +10,6 @@ from .base import (
     bce_from_logits,
     check_labels,
     glorot_uniform,
-    probability,
     require_both_classes,
     sigmoid,
 )
@@ -40,6 +39,10 @@ class RnnClassifier(BaseEstimator):
     ``epochs=0`` returns the freshly initialized model.
     """
 
+    kind = "rnn"
+    _params = ("emb", "Wxh", "Whh", "bh", "wo", "bo")
+    _scalars = ("bo",)
+
     def __init__(
         self,
         hidden: int = 32,
@@ -59,16 +62,6 @@ class RnnClassifier(BaseEstimator):
         self.clip = clip
         self.seed = seed
         self.vocab = vocab
-        self.emb_: np.ndarray | None = None
-        self.Wxh_: np.ndarray | None = None
-        self.Whh_: np.ndarray | None = None
-        self.bh_: np.ndarray | None = None
-        self.wo_: np.ndarray | None = None
-        self.bo_: float | None = None
-
-    @property
-    def kind(self) -> str:
-        return "rnn"
 
     def _init_params(self) -> None:
         if self.hidden < 1 or self.embed < 1 or self.vocab < 1:
@@ -111,13 +104,7 @@ class RnnClassifier(BaseEstimator):
         for g in grads.values():
             sq += float(np.sum(g * g))
         norm = np.sqrt(sq)
-        scale = self.lr if norm <= self.clip else self.lr * (self.clip / norm)
-        self.emb_ -= scale * grads["emb"]
-        self.Wxh_ -= scale * grads["Wxh"]
-        self.Whh_ -= scale * grads["Whh"]
-        self.bh_ -= scale * grads["bh"]
-        self.wo_ -= scale * grads["wo"]
-        self.bo_ -= scale * float(grads["bo"][0])
+        self._descend(grads, self.lr if norm <= self.clip else self.lr * (self.clip / norm))
 
     def _forward(self, seq: np.ndarray) -> tuple[np.ndarray, float]:
         """Hidden states for one sequence; returns (hs with h_0 at row 0, logit).
@@ -163,21 +150,10 @@ class RnnClassifier(BaseEstimator):
         d_bh = D.sum(axis=0)
         return {"emb": d_emb, "Wxh": d_Wxh, "Whh": d_Whh, "bh": d_bh, "wo": d_wo, "bo": d_bo}
 
-    def _require_fitted(self) -> None:
-        if self.emb_ is None:
-            raise ValueError("model is not fitted")
-
     def decision_function(self, sequences) -> np.ndarray:
         self._require_fitted()
         seqs = self._check_sequences(sequences)
         return np.array([self._forward(seq)[1] for seq in seqs], dtype=np.float64)
-
-    def proba(self, sequences) -> np.ndarray:
-        """P(malicious) per sequence, strictly inside (0, 1)."""
-        return probability(self.decision_function(sequences))
-
-    def predict(self, sequences) -> np.ndarray:
-        return (self.proba(sequences) >= 0.5).astype(np.int64)
 
     def loss(self, sequences, y) -> float:
         return bce_from_logits(self.decision_function(sequences), np.asarray(y, dtype=np.float64))
@@ -192,23 +168,3 @@ class RnnClassifier(BaseEstimator):
         self._require_fitted()
         seq = self._check_sequences([seq])[0]
         return self._example_grads_seq(seq, float(y))
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        """Snapshot of all trainable parameters, keyed by name."""
-        self._require_fitted()
-        return {
-            "emb": self.emb_.copy(),
-            "Wxh": self.Wxh_.copy(),
-            "Whh": self.Whh_.copy(),
-            "bh": self.bh_.copy(),
-            "wo": self.wo_.copy(),
-            "bo": np.array([self.bo_]),
-        }
-
-    def set_param_arrays(self, params: dict[str, np.ndarray]) -> None:
-        self.emb_ = np.asarray(params["emb"], dtype=np.float64).copy()
-        self.Wxh_ = np.asarray(params["Wxh"], dtype=np.float64).copy()
-        self.Whh_ = np.asarray(params["Whh"], dtype=np.float64).copy()
-        self.bh_ = np.asarray(params["bh"], dtype=np.float64).copy()
-        self.wo_ = np.asarray(params["wo"], dtype=np.float64).copy()
-        self.bo_ = float(np.asarray(params["bo"]).reshape(()))

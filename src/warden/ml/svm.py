@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..hashing import SplitMix64
-from .base import BaseEstimator, check_dim, check_labels, check_matrix, probability, require_both_classes
+from .base import BaseEstimator, check_dim, check_labels, check_matrix, require_both_classes
 
 
 class SvmClassifier(BaseEstimator):
@@ -20,16 +20,14 @@ class SvmClassifier(BaseEstimator):
     Probabilities are sigmoid(margin); no extra calibration.
     """
 
+    kind = "svm"
+    _params = ("w", "b")
+    _scalars = ("b",)
+
     def __init__(self, lambda_: float = 1e-4, epochs: int = 20, seed: int = 0):
         self.lambda_ = lambda_
         self.epochs = epochs
         self.seed = seed
-        self.w_: np.ndarray | None = None
-        self.b_: float | None = None
-
-    @property
-    def kind(self) -> str:
-        return "svm"
 
     def fit(self, X, y) -> "SvmClassifier":
         X = check_matrix(X)
@@ -57,22 +55,11 @@ class SvmClassifier(BaseEstimator):
         self.b_ = b
         return self
 
-    def _require_fitted(self) -> None:
-        if self.w_ is None:
-            raise ValueError("model is not fitted")
-
     def decision_function(self, X) -> np.ndarray:
         self._require_fitted()
         X = check_matrix(X)
         check_dim(X, self.w_.shape[0])
         return X @ self.w_ + self.b_
-
-    def proba(self, X) -> np.ndarray:
-        """P(malicious) per row, strictly inside (0, 1)."""
-        return probability(self.decision_function(X))
-
-    def predict(self, X) -> np.ndarray:
-        return (self.proba(X) >= 0.5).astype(np.int64)
 
     # --- training objective and per-example gradient (for checks) -----------
 
@@ -103,12 +90,3 @@ class SvmClassifier(BaseEstimator):
             dw -= ys * x
             db -= ys
         return {"w": dw, "b": np.array([db])}
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        """Snapshot of all trainable parameters, keyed by name."""
-        self._require_fitted()
-        return {"w": self.w_.copy(), "b": np.array([self.b_])}
-
-    def set_param_arrays(self, params: dict[str, np.ndarray]) -> None:
-        self.w_ = np.asarray(params["w"], dtype=np.float64).copy()
-        self.b_ = float(np.asarray(params["b"]).reshape(()))

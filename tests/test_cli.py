@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -262,6 +263,53 @@ def test_detect_spool_is_written_in_argument_order(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_detect_runs_at_most_detect_workers_pipelines_at_once(workspace, monkeypatch, capsys):
+    from warden import cli
+
+    lock = threading.Lock()
+    in_flight = [0, 0]  # now, most seen
+    real = cli.run_pipeline
+
+    def counted(*args, **kwargs):
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight)
+        try:
+            time.sleep(0.05)  # give the other workers time to start
+            return real(*args, **kwargs)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(cli, "DETECT_WORKERS", 2, raising=False)  # the pool reads it at call time
+    monkeypatch.setattr(cli, "run_pipeline", counted)
+    traces = [str(workspace["corpus"] / e["file"]) for e in workspace["entries"]][:6]
+    assert run_cli("detect", *traces, "--model", workspace["mlp"]) == 10
+    capsys.readouterr()
+    assert in_flight == [0, 2]
+
+
+def test_detect_reports_each_unreadable_trace_on_one_line(workspace, tmp_path, capsys):
+    good = trace_path(workspace, lambda e: e["profile"] == "cryptominer")
+    bad = tmp_path / "bad.trc"
+    with open(good) as src:
+        lines = src.readlines()[:3]
+    bad.write_text("".join(lines) + "not json\n")
+    nope = tmp_path / "nope.trc"
+    run_cli("detect", good, "--model", workspace["mlp"])
+    good_out = capsys.readouterr().out
+    assert good_out
+    code = run_cli("detect", good, str(bad), str(nope), "--model", workspace["mlp"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in err
+    problems = [line for line in err.splitlines() if not line.startswith("warden ")]
+    assert len(problems) == 2
+    assert problems[0].startswith(f"detect: malformed input: {bad}:4: ")
+    assert problems[1] == f"detect: no trace at {nope}"
+    assert out == good_out
+
+
 def test_detect_rnn_model_rejected(workspace, tmp_path):
     rnn_path = tmp_path / "rnn.wmdl"
     assert run_cli("train", "--kind", "rnn", "--manifest", workspace["manifest"],
@@ -378,6 +426,26 @@ def test_run_rejected_registration_starts_no_process(workspace, tmp_path, coordi
     assert code == 2
     assert "run: coordinator rejected: 400" in err
     assert not marker.exists()
+
+
+def test_run_bad_detector_flag_exits_2(workspace, tmp_path, capsys):
+    marker = tmp_path / "started"
+    job = write_job(tmp_path, "marker", ["/bin/sh", "-c", f"touch {marker}"])
+    code = run_cli("run", "--job", job, "--model", workspace["mlp"], "--tau", "2")
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "run: tau must be in (0, 1)" in err
+    assert "Traceback" not in err
+    assert not marker.exists()
+
+
+def test_policy_from_dict_keeps_defaults_for_absent_fields():
+    from warden.cli import _policy_from_dict
+    from warden.sandbox import SandboxPolicy
+
+    policy = _policy_from_dict({"max_pids": 8, "fs_hidden_paths": ["/secret"], "unknown": 1})
+    assert policy == SandboxPolicy(max_pids=8, fs_hidden_paths=("/secret",))
+    assert _policy_from_dict({}) == SandboxPolicy()
 
 
 # --- report -------------------------------------------------------------------------

@@ -290,12 +290,6 @@ def test_scaler_errors():
         feature_matrix([np.ones(3), np.ones(4)])
 
 
-def test_scaler_estimator_api():
-    scaler = Scaler()
-    assert scaler.get_params() == {}
-    assert scaler.set_params() is scaler
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         FeatureConfig(hop_s=20.0)  # hop > window

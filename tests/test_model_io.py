@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -106,3 +108,62 @@ def test_bad_magic_is_corrupt(trained_bundles, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptFile):
         load_model(path)
+
+
+def read_header(path):
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 7)
+    return blob[6], json.loads(blob[11 : 11 + header_len])
+
+
+@pytest.mark.parametrize(
+    "kind,code,table",
+    [
+        ("svm", 0, [["w", [28]], ["b", [1]], ["scaler.mean", [28]], ["scaler.std", [28]]]),
+        (
+            "mlp",
+            1,
+            [["W1", [6, 28]], ["b1", [6]], ["W2", [1, 6]], ["b2", [1]], ["scaler.mean", [28]], ["scaler.std", [28]]],
+        ),
+        (
+            "rnn",
+            2,
+            [["emb", [16, 16]], ["Wxh", [32, 16]], ["Whh", [32, 32]], ["bh", [32]], ["wo", [32]], ["bo", [1]]],
+        ),
+    ],
+)
+def test_kind_byte_and_parameter_table_are_pinned(kind, code, table, trained_bundles, tmp_path):
+    path = tmp_path / f"{kind}.wmdl"
+    save_model(trained_bundles[kind], path)
+    kind_byte, header = read_header(path)
+    assert kind_byte == code
+    assert header["params"] == table
+
+
+def test_save_rejects_a_kind_that_differs_from_the_model(trained_bundles, tmp_path):
+    svm = trained_bundles["svm"]
+    path = tmp_path / "m.wmdl"
+    with pytest.raises(ValueError, match="does not match"):
+        save_model(ModelBundle(kind="mlp", model=svm.model, feature_config=svm.feature_config, scaler=svm.scaler), path)
+    assert not path.exists()
+
+
+def test_hyperparameters_that_do_not_fit_the_kind_are_corrupt(trained_bundles, tmp_path):
+    path = tmp_path / "m.wmdl"
+    save_model(trained_bundles["svm"], path)
+    content = bytearray(path.read_bytes()[:-4])
+    content[6] = 1  # the mlp kind byte over an svm header
+    path.write_bytes(bytes(content) + struct.pack("<I", zlib.crc32(content)))
+    with pytest.raises(CorruptFile, match="do not fit a mlp model"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["svm", "mlp", "rnn"])
+def test_bundle_score_scales_then_calls_proba(kind, trained_bundles):
+    bundle = trained_bundles[kind]
+    if kind == "rnn":
+        seqs, _ = ab_language(8, n=10)
+        assert np.array_equal(bundle.score(seqs), bundle.model.proba(seqs))
+    else:
+        X = np.random.default_rng(0).normal(size=(50, 28))
+        assert np.array_equal(bundle.score(X), bundle.model.proba(bundle.scaler.transform(X)))
