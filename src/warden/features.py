@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hashing import fnv1a64
-from .records import ENTER, LabeledTrace, ResourceSample, SyscallEvent, UnsortedInput
+from .records import ENTER, RES_ROW, SYS_ROW, Interner, ResourceSample, SyscallEvent, TraceColumns, UnsortedInput
 
 RESOURCE_DIM = 12
 
@@ -110,7 +110,10 @@ class Window:
     """One time slice of a trace.
 
     ``samples`` includes the last resource sample before the window start so
-    rate deltas are defined for the first in-window sample.
+    rate deltas are defined for the first in-window sample. ``ngrams`` is the
+    window's L1-normalized n-gram block. ``events`` holds the window's
+    SyscallEvent records when its Windower was fed records, and is empty when
+    it was fed TraceColumns.
     """
 
     job_id: str
@@ -119,6 +122,7 @@ class Window:
     t_end_ns: int
     events: tuple[SyscallEvent, ...]
     samples: tuple[ResourceSample, ...]
+    ngrams: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,38 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
 
 
+# An n-gram's code is its name ids as digits in base max(_MIN_BASE, number of
+# names): an int64 up to order 3 for any vocabulary below 2**21 names, so the
+# tables outlive new names; a Python integer past that.
+_MIN_BASE = 2**21
+
+
+def _event_code(name_id, thread_id, enter):
+    """A syscall event's buffered code: name id << 32 | thread id << 1 | enter flag (ints or int arrays)."""
+    return name_id << 32 | thread_id << 1 | enter
+
+
+class _GramBuckets(dict):
+    """Feature-hashing bucket of each n-gram of order ``n``, keyed by its code."""
+
+    def __init__(self, names: list[str], base: int, n: int, buckets: int):
+        super().__init__()
+        self.names = names
+        self.base = base
+        self.n = n
+        self.buckets = buckets
+
+    def __missing__(self, code: int) -> int:
+        grams, rest = [], code
+        for _ in range(self.n):
+            rest, name_id = divmod(rest, self.base)
+            grams.append(self.names[name_id])
+        self[code] = bucket = hash_bucket("|".join(reversed(grams)), self.buckets)
+        return bucket
+
+
 class Windower:
-    """Cuts one job's record stream into hop-spaced windows, one record at a time.
+    """Cuts one job's record stream into hop-spaced windows.
 
     Window k covers [t0 + k*hop, t0 + k*hop + window), where ``t0`` is the
     first record's timestamp. A window closes when a record at or past its end
@@ -149,6 +183,10 @@ class Windower:
     holding at least one syscall event are emitted. A record older than the
     newest buffered record of its kind (a wall clock stepping back) is inserted
     at its timestamp, so every window's records stay time-ordered.
+
+    Records arrive one at a time through ``push``, or as a whole trace through
+    ``push_columns``. A syscall event is buffered as its timestamp and one
+    integer code (see ``_event_code``), a resource sample as its record.
     """
 
     def __init__(self, config: FeatureConfig, job_id: str):
@@ -158,15 +196,57 @@ class Windower:
         self._t_max = 0
         self._k = 0
         self._next_end = 0
-        # buffered records per kind, each with a parallel list of timestamps
-        self._events: list[SyscallEvent] = []
         self._event_ts: list[int] = []
+        self._event_code: list[int] = []
+        self._events: list[SyscallEvent] | None = []  # None once fed columns
         self._samples: list[ResourceSample] = []
         self._sample_ts: list[int] = []
+        self._names = Interner()
+        self._threads = Interner()
+        self._unigrams = np.zeros(0, dtype=np.int64)  # bucket of each name id
+        self._base = 0
+        self._grams: dict[int, _GramBuckets] = {}  # order -> buckets by code
 
     def push(self, record) -> list[Window]:
         """Buffer one record; return the windows it closes, in window order."""
-        t = record.t_ns
+        if isinstance(record, SyscallEvent):
+            thread = self._threads[record.pid, record.tid]
+            code = _event_code(self._names[record.name], thread, record.direction == ENTER)
+            return self._push(record.t_ns, code, record)
+        return self._push(record.t_ns, None, record if isinstance(record, ResourceSample) else None)
+
+    def push_columns(self, trace: TraceColumns) -> list[Window]:
+        """Buffer a whole trace; return the windows it closes, in window order.
+
+        Needs a fresh windower. A time-sorted trace is buffered at once; any
+        other is pushed row by row, so that late rows land where ``push``
+        puts them. The windower keeps no event records from here on.
+        """
+        if self.t0 is not None:
+            raise ValueError("push_columns needs a fresh Windower")
+        self._events = None
+        self._names, self._threads = Interner(trace.names), Interner(trace.threads)
+        t = trace.t_ns
+        codes = _event_code(trace.name_id, trace.thread_id, trace.enter)
+        if len(t) and np.all(t[1:] >= t[:-1]):
+            events = trace.kind == SYS_ROW
+            self._event_ts = t[events].tolist()
+            self._event_code = codes[events].tolist()
+            self._samples = list(trace.samples)
+            self._sample_ts = [s.t_ns for s in trace.samples]
+            self._push(int(t[0]), None, None)  # sets t0
+            return self._push(int(t[-1]), None, None)  # the newest record closes what it would have in push
+        closed: list[Window] = []
+        samples = iter(trace.samples)
+        for t_ns, kind, code in zip(t.tolist(), trace.kind.tolist(), codes.tolist()):
+            if kind == SYS_ROW:
+                closed += self._push(t_ns, code, None)
+            else:
+                closed += self._push(t_ns, None, next(samples) if kind == RES_ROW else None)
+        return closed
+
+    def _push(self, t: int, code: int | None, record) -> list[Window]:
+        """Advance the watermark to ``t`` and buffer a syscall event or a resource sample, if given."""
         if self.t0 is None:
             self.t0 = self._t_max = t
             self._next_end = t + self.config.window_ns
@@ -177,19 +257,24 @@ class Windower:
             while t >= self._next_end:
                 self._close(closed)
             self._drop_consumed()
-        if isinstance(record, SyscallEvent):
-            records, ts = self._events, self._event_ts
-        elif isinstance(record, ResourceSample):
-            records, ts = self._samples, self._sample_ts
-        else:
-            return closed
-        if ts and t < ts[-1]:
-            i = bisect.bisect_right(ts, t)
+        if code is not None:
+            ts, codes, records = self._event_ts, self._event_code, self._events
+            if ts and t < ts[-1]:
+                i = bisect.bisect_right(ts, t)
+                ts.insert(i, t)
+                codes.insert(i, code)
+                if records is not None:
+                    records.insert(i, record)
+            else:  # the common case, and append is much cheaper than insert
+                ts.append(t)
+                codes.append(code)
+                if records is not None:
+                    records.append(record)
+        elif record is not None:
+            ts = self._sample_ts
+            i = bisect.bisect_right(ts, t) if ts and t < ts[-1] else len(ts)
             ts.insert(i, t)
-            records.insert(i, record)
-        else:
-            ts.append(t)
-            records.append(record)
+            self._samples.insert(i, record)
         return closed
 
     def finish(self) -> list[Window]:
@@ -216,28 +301,79 @@ class Windower:
                     index=self._k,
                     t_start_ns=start,
                     t_end_ns=end,
-                    events=tuple(self._events[lo:hi]),
+                    events=() if self._events is None else tuple(self._events[lo:hi]),
                     samples=tuple(self._samples[s_lo:s_hi]),
+                    ngrams=self._ngrams(lo, hi),
                 )
             )
         self._k += 1
         self._next_end = end + self.config.hop_ns
 
+    def _ngrams(self, lo: int, hi: int) -> np.ndarray:
+        """L1-normalized hashed n-gram frequencies over the enter events of buffer rows [lo, hi).
+
+        An n-gram is n consecutive enter events of one (pid, tid) thread, so
+        n-grams never cross threads. Counts are exact integers before the
+        single normalizing division, so the result is bit-deterministic.
+        """
+        codes = np.array(self._event_code[lo:hi], dtype=np.int64)
+        codes = codes[(codes & 1).astype(bool)]  # enter events
+        names, threads = codes >> 32, (codes >> 1) & 0x7FFFFFFF
+        order = np.argsort(threads, kind="stable")  # each thread's events together, still in time order
+        names, threads = names[order], threads[order]
+        if len(self._unigrams) != len(self._names):
+            self._build_tables()
+        dim = self.config.hash_dim
+        counts = np.zeros(dim, dtype=np.int64)
+        total = 0
+        for n in self.config.ngram_orders:
+            if n == 1:
+                buckets = self._unigrams[names]
+            else:
+                m = max(len(names) - n + 1, 0)
+                starts = np.flatnonzero(threads[:m] == threads[n - 1 : n - 1 + m])
+                code = names[starts] if self._base**n <= 2**63 else names[starts].astype(object)
+                for j in range(1, n):
+                    code = code * self._base + names[starts + j]
+                codes, inverse = np.unique(code, return_inverse=True)
+                table = self._grams[n]
+                buckets = np.array([table[c] for c in codes.tolist()], dtype=np.int64)[inverse]
+            counts += np.bincount(buckets, minlength=dim)
+            total += len(buckets)
+        vec = counts.astype(np.float64)
+        if total:
+            vec /= float(total)
+        return vec
+
+    def _build_tables(self) -> None:
+        """The unigram bucket of each name id; per longer order, a new code table if the base grew."""
+        names, dim = self._names.ordered, self.config.hash_dim
+        self._unigrams = np.array([hash_bucket(name, dim) for name in names], dtype=np.int64)
+        base = max(_MIN_BASE, len(names))
+        if base != self._base:
+            self._base = base
+            self._grams = {n: _GramBuckets(names, base, n, dim) for n in self.config.ngram_orders if n > 1}
+
     def _drop_consumed(self) -> None:
         """Forget records no later window holds, keeping the carry-in sample."""
         start = self.t0 + self._k * self.config.hop_ns
         n = bisect.bisect_left(self._event_ts, start)
-        del self._events[:n], self._event_ts[:n]
+        del self._event_ts[:n], self._event_code[:n]
+        if self._events is not None:
+            del self._events[:n]
         n = max(bisect.bisect_left(self._sample_ts, start) - 1, 0)
         del self._samples[:n], self._sample_ts[:n]
 
 
-def make_windows(trace: LabeledTrace, config: FeatureConfig) -> list[Window]:
-    """Cut a whole trace into windows with one Windower; see Windower for the rules."""
-    if not trace.records:
-        raise EmptyTrace(f"trace {trace.job_id!r} has no records")
+def make_windows(trace, config: FeatureConfig) -> list[Window]:
+    """Cut a whole LabeledTrace or TraceColumns into windows with one Windower; see Windower for the rules."""
     windower = Windower(config, trace.job_id)
-    windows = [w for record in trace.records for w in windower.push(record)]
+    if isinstance(trace, TraceColumns):
+        windows = windower.push_columns(trace)
+    else:
+        windows = [w for record in trace.records for w in windower.push(record)]
+    if windower.t0 is None:
+        raise EmptyTrace(f"trace {trace.job_id!r} has no records")
     return windows + windower.finish()
 
 
@@ -245,31 +381,6 @@ def make_windows(trace: LabeledTrace, config: FeatureConfig) -> list[Window]:
 def hash_bucket(text: str, buckets: int) -> int:
     """Feature-hashing bucket of a syscall name or n-gram (n-gram features and RNN token ids)."""
     return fnv1a64(text) % buckets
-
-
-def ngram_features(events, config: FeatureConfig) -> np.ndarray:
-    """L1-normalized hashed n-gram frequencies over enter-event syscall names.
-
-    Tokens are grouped per (pid, tid) in first-appearance order; n-grams never
-    cross thread boundaries. Counts are accumulated as exact integers before
-    the single normalizing division, so the result is bit-deterministic.
-    """
-    threads: dict[tuple[int, int], list[str]] = {}
-    for ev in events:
-        if ev.direction == ENTER:
-            threads.setdefault((ev.pid, ev.tid), []).append(ev.name)
-    counts = [0] * config.hash_dim
-    total = 0
-    for seq in threads.values():
-        for n in config.ngram_orders:
-            for i in range(len(seq) - n + 1):
-                gram = seq[i] if n == 1 else "|".join(seq[i : i + n])
-                counts[hash_bucket(gram, config.hash_dim)] += 1
-                total += 1
-    vec = np.array(counts, dtype=np.float64)
-    if total:
-        vec /= float(total)
-    return vec
 
 
 def resource_features(samples, window: Window) -> np.ndarray:
@@ -321,7 +432,7 @@ def resource_features(samples, window: Window) -> np.ndarray:
 
 
 def window_vector(window: Window, config: FeatureConfig) -> FeatureVector:
-    values = np.concatenate([ngram_features(window.events, config), resource_features(window.samples, window)])
+    values = np.concatenate([window.ngrams, resource_features(window.samples, window)])
     return FeatureVector(
         job_id=window.job_id,
         window_index=window.index,
@@ -330,7 +441,7 @@ def window_vector(window: Window, config: FeatureConfig) -> FeatureVector:
     )
 
 
-def extract(trace: LabeledTrace, config: FeatureConfig) -> list[FeatureVector]:
+def extract(trace, config: FeatureConfig) -> list[FeatureVector]:
     """One FeatureVector per emitted window, in window order."""
     return [window_vector(w, config) for w in make_windows(trace, config)]
 

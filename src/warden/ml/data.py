@@ -10,7 +10,7 @@ import numpy as np
 
 from ..features import FeatureConfig, extract, feature_matrix, hash_bucket
 from ..hashing import SplitMix64, derive_tagged_seed
-from ..records import ENTER, SyscallEvent, load_labeled_trace
+from ..records import TraceColumns, read_trace_columns
 from .base import check_labels, check_matrix
 
 
@@ -134,18 +134,12 @@ def load_manifest(path) -> dict:
     return manifest
 
 
-def iter_manifest_traces(manifest_path):
-    """Yield (entry, LabeledTrace) for every manifest entry, in manifest order."""
+def _manifest_traces(manifest_path):
+    """Yield (entry, TraceColumns) for every manifest entry, in manifest order."""
     manifest = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     for entry in manifest["entries"]:
-        trace = load_labeled_trace(
-            os.path.join(base, entry["file"]),
-            job_id=entry["job_id"],
-            label=entry["label"],
-            profile_name=entry.get("profile", ""),
-        )
-        yield entry, trace
+        yield entry, read_trace_columns(os.path.join(base, entry["file"]), entry["job_id"])
 
 
 def build_feature_dataset(manifest_path, config: FeatureConfig):
@@ -157,7 +151,7 @@ def build_feature_dataset(manifest_path, config: FeatureConfig):
     vectors = []
     labels = []
     groups = []
-    for entry, trace in iter_manifest_traces(manifest_path):
+    for entry, trace in _manifest_traces(manifest_path):
         for vec in extract(trace, config):
             vectors.append(vec)
             labels.append(1 if entry["label"] == "malicious" else 0)
@@ -167,15 +161,10 @@ def build_feature_dataset(manifest_path, config: FeatureConfig):
     return Dataset(feature_matrix(vectors), np.array(labels), tuple(groups)), vectors
 
 
-def trace_token_ids(trace, vocab: int, t_max: int) -> np.ndarray:
-    """Whole-trace token-id sequence: enter events only, truncated to t_max."""
-    ids = []
-    for rec in trace.records:
-        if isinstance(rec, SyscallEvent) and rec.direction == ENTER:
-            ids.append(hash_bucket(rec.name, vocab))
-            if len(ids) >= t_max:
-                break
-    return np.array(ids, dtype=np.int64)
+def trace_token_ids(trace: TraceColumns, vocab: int, t_max: int) -> np.ndarray:
+    """Whole-trace token-id sequence: the name buckets of the first t_max enter events."""
+    buckets = np.array([hash_bucket(name, vocab) for name in trace.names], dtype=np.int64)
+    return buckets[trace.name_id[trace.enter][:t_max]]
 
 
 def build_sequence_dataset(manifest_path, config: FeatureConfig, t_max: int = 512) -> SequenceDataset:
@@ -183,7 +172,7 @@ def build_sequence_dataset(manifest_path, config: FeatureConfig, t_max: int = 51
     sequences = []
     labels = []
     groups = []
-    for entry, trace in iter_manifest_traces(manifest_path):
+    for entry, trace in _manifest_traces(manifest_path):
         ids = trace_token_ids(trace, config.hash_dim, t_max)
         if ids.shape[0] == 0:
             raise ValueError(f"trace {entry['job_id']} has no syscall enter events")

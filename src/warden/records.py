@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from sys import intern
 from typing import Iterable, Union
+
+import numpy as np
 
 ENTER = "enter"
 EXIT = "exit"
@@ -465,66 +468,210 @@ def write_trace_file(path, records: Iterable[TelemetryRecord]) -> None:
             fh.write("\n")
 
 
-# Canonical `sys` lines as serialize_line writes them. Each pattern admits
-# exactly the values SyscallEvent's invariants allow and strict json.loads
-# reads back unchanged: JSON integers of at most 20 digits, pid and tid >= 1,
-# strings without quote, backslash or control character, and the length
-# limits. A match therefore builds its record without re-running the checks;
-# any other line goes through parse_line.
+# Canonical `sys` lines as serialize_line writes them. The sys alternative
+# admits exactly the values SyscallEvent's invariants allow and strict
+# json.loads reads back unchanged: JSON integers of at most 20 digits, pid and
+# tid >= 1, strings without quote, backslash or control character, and the
+# length limits. A line it matches becomes a record or a column row without
+# re-running the checks; any other line is caught whole by the last group and
+# goes through parse_line. Groups: 1 t_ns, 2 job_id, 3 pid, 4 tid, 5 name,
+# 6 "exit" (empty on enter), 7 args, 8 ret (present iff exit), 9 other line.
 _STR = r'[^"\\\x00-\x1f]'
 _INT = r"-?(?:0|[1-9][0-9]{0,19})"
 _POS_INT = r"[1-9][0-9]{0,19}"
-_SYS_HEAD = (
+_LINE = re.compile(
     rf'\{{"kind":"sys","t_ns":({_INT}),"job_id":"({_STR}{{1,{MAX_JOB_ID}}})",'
     rf'"pid":({_POS_INT}),"tid":({_POS_INT}),"name":"([a-z0-9_]{{1,{MAX_NAME}}})",'
+    rf'"dir":"(?:enter|(exit))","args":"({_STR}{{0,{MAX_ARGS}}})"(?(6),"ret":({_INT}))\}}\n'
+    r"|(.*)\n"
 )
-_ENTER_LINE = re.compile(_SYS_HEAD + rf'"dir":"enter","args":"({_STR}{{0,{MAX_ARGS}}})"\}}\n?')
-_EXIT_LINE = re.compile(_SYS_HEAD + rf'"dir":"exit","args":"({_STR}{{0,{MAX_ARGS}}})","ret":({_INT})\}}\n?')
+
+_BLOCK_BYTES = 1 << 16
 
 
-def _parse_canonical_sys(line: str) -> SyscallEvent | None:
-    """The record of a canonical syscall line, or None for any other line."""
-    m = _ENTER_LINE.fullmatch(line)
-    if m is not None:
-        t_ns, job_id, pid, tid, name, args = m.groups()
-        direction, retval = ENTER, None
-    else:
-        m = _EXIT_LINE.fullmatch(line)
-        if m is None:
-            return None
-        t_ns, job_id, pid, tid, name, args, ret = m.groups()
-        direction, retval = EXIT, int(ret)
-    rec = object.__new__(SyscallEvent)
-    # the pattern has proven every invariant, so __post_init__ is skipped
-    object.__setattr__(rec, "__dict__", {
-        "t_ns": int(t_ns), "job_id": job_id, "pid": int(pid), "tid": int(tid),
-        "name": name, "direction": direction, "args_digest": args, "retval": retval,
-    })
-    return rec
+def _blocks(fh):
+    """A binary file's bytes in blocks of about _BLOCK_BYTES, each ending at a newline (the last may not)."""
+    pending = bytearray()
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield pending + chunk[:cut]
+            pending = bytearray()
+        pending += chunk[cut:]
+    if pending:
+        yield pending
+
+
+def _rows(text: str) -> list[tuple[str, ...]]:
+    """One _LINE group tuple per line; lines end at "\\n", "\\r\\n" or "\\r", as in text mode."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    return _LINE.findall(text)
+
+
+def _located(path, lineno: int, exc: MalformedLine) -> MalformedLine:
+    err = MalformedLine(f"{path}:{lineno}: {exc}", offset=exc.offset)
+    err.lineno = lineno
+    return err
+
+
+def _scan(path):
+    """Yield ``(lineno, rows)`` per block of a `.trc` file: _LINE group tuples, one per line, from line ``lineno`` on.
+
+    Bytes that are not UTF-8 raise MalformedLine with their path:lineno and
+    their offset in the line, after the rows of the lines before them.
+    """
+    lineno = 1
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            try:
+                rows = _rows(block.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                head = block[: exc.start]
+                cut = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+                if cut:
+                    rows = _rows(head[:cut].decode("utf-8"))
+                    yield lineno, rows
+                    lineno += len(rows)
+                bad = MalformedLine(f"invalid UTF-8: {exc.reason}", offset=exc.start - cut)
+                raise _located(path, lineno, bad) from None
+            yield lineno, rows
+            lineno += len(rows)
+
+
+def _parse_other(path, lineno: int, line: str) -> TelemetryRecord:
+    """parse_line for a line the sys pattern did not match; errors carry path:lineno."""
+    try:
+        return parse_line(line)
+    except MalformedLine as exc:
+        raise _located(path, lineno, exc) from None
 
 
 def read_trace_file(path) -> list[TelemetryRecord]:
     """Parse a `.trc` file; MalformedLine is re-raised with the line number attached.
 
-    Canonical syscall lines take a regex fast path; every other line goes
-    through parse_line, so records and errors are those of parse_line.
+    Canonical syscall lines become records without re-running the checks the
+    pattern has proven; every other non-blank line goes through parse_line, so
+    records and errors are those of parse_line.
     """
     out: list[TelemetryRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            rec = _parse_canonical_sys(line)
-            if rec is not None:
+    new, setattr_ = object.__new__, object.__setattr__
+    for first, rows in _scan(path):
+        for lineno, (t_ns, job_id, pid, tid, name, exit_, args, ret, line) in enumerate(rows, first):
+            if t_ns:
+                rec = new(SyscallEvent)
+                setattr_(rec, "__dict__", {  # one string object per distinct job_id and name
+                    "t_ns": int(t_ns), "job_id": intern(job_id), "pid": int(pid), "tid": int(tid), "name": intern(name),
+                    "direction": EXIT if exit_ else ENTER, "args_digest": args, "retval": int(ret) if exit_ else None,
+                })
                 out.append(rec)
+            elif line.strip():
+                out.append(_parse_other(path, lineno, line))
+    return out
+
+
+class Interner(dict):
+    """Numbers keys densely in first-seen order; ``ordered`` lists the keys by number."""
+
+    def __init__(self, keys=()):
+        super().__init__()
+        self.ordered: list = []
+        for key in keys:
+            self[key]
+
+    def __missing__(self, key):
+        self[key] = number = len(self.ordered)
+        self.ordered.append(key)
+        return number
+
+
+# TraceColumns.kind codes
+SYS_ROW, RES_ROW, LOG_ROW = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class TraceColumns:
+    """One job's trace as columns, one row per record in file order.
+
+    Syscall rows (``kind`` SYS_ROW) carry ``name_id`` (an index into
+    ``names``), ``thread_id`` (an index into ``threads``, the (pid, tid)
+    pairs) and ``enter``; other rows hold 0, 0 and False there. ``t_ns`` is
+    int64, or object when a timestamp does not fit int64. Resource samples
+    stay ResourceSample objects in ``samples``, in file order; log records
+    keep only their row and timestamp. Built by :func:`read_trace_columns`.
+    """
+
+    job_id: str
+    t_ns: np.ndarray
+    kind: np.ndarray
+    name_id: np.ndarray
+    thread_id: np.ndarray
+    enter: np.ndarray
+    names: tuple[str, ...]
+    threads: tuple[tuple[int, int], ...]
+    samples: tuple[ResourceSample, ...]
+
+
+def _timestamps(values: list[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # parse_line accepts integers of any size
+        return np.array(values, dtype=object)
+
+
+def read_trace_columns(path, job_id: str) -> TraceColumns:
+    """Read a `.trc` file into TraceColumns for job ``job_id``.
+
+    The scan, the lines accepted and the errors raised are those of
+    read_trace_file, but a canonical syscall line builds no object.
+    """
+    t_ns: list[int] = []
+    kind: list[int] = []
+    name_id: list[int] = []
+    thread_id: list[int] = []
+    enter: list[bool] = []
+    samples: list[ResourceSample] = []
+    names, threads = Interner(), Interner()  # threads are keyed by decimal (pid, tid) strings
+    for first, rows in _scan(path):
+        for lineno, (t, _, pid, tid, name, exit_, _, _, line) in enumerate(rows, first):
+            if t:
+                t_ns.append(int(t))
+                kind.append(SYS_ROW)
+                name_id.append(names[name])
+                thread_id.append(threads[pid, tid])
+                enter.append(not exit_)
                 continue
             if not line.strip():
                 continue
-            try:
-                out.append(parse_line(line))
-            except MalformedLine as exc:
-                err = MalformedLine(f"{path}:{lineno}: {exc}", offset=exc.offset)
-                err.lineno = lineno
-                raise err from None
-    return out
+            rec = _parse_other(path, lineno, line)
+            t_ns.append(rec.t_ns)
+            if isinstance(rec, SyscallEvent):
+                kind.append(SYS_ROW)
+                name_id.append(names[rec.name])
+                thread_id.append(threads[str(rec.pid), str(rec.tid)])
+                enter.append(rec.direction == ENTER)
+                continue
+            if isinstance(rec, ResourceSample):
+                kind.append(RES_ROW)
+                samples.append(rec)
+            else:
+                kind.append(LOG_ROW)
+            name_id.append(0)
+            thread_id.append(0)
+            enter.append(False)
+    return TraceColumns(
+        job_id=job_id,
+        t_ns=_timestamps(t_ns),
+        kind=np.array(kind, dtype=np.int8),
+        name_id=np.array(name_id, dtype=np.int64),
+        thread_id=np.array(thread_id, dtype=np.int64),
+        enter=np.array(enter, dtype=bool),
+        names=tuple(names.ordered),
+        threads=tuple((int(pid), int(tid)) for pid, tid in threads.ordered),
+        samples=tuple(samples),
+    )
 
 
 def load_labeled_trace(path, job_id: str, label: str, profile_name: str = "") -> LabeledTrace:

@@ -85,16 +85,20 @@ class SandboxPolicy:
 def validate_policy(policy: SandboxPolicy) -> list[FieldViolation]:
     """Every invariant violation, one entry per offending field; [] iff valid."""
     out: list[FieldViolation] = []
-    if not policy.cpu_limit_pct > 0:
-        out.append(FieldViolation("cpu_limit_pct", "must be > 0"))
-    if not policy.mem_limit_bytes > 0:
-        out.append(FieldViolation("mem_limit_bytes", "must be > 0"))
+    # counts are integers, limits any real number; each must be positive
+    for name, kinds, detail in (
+        ("cpu_limit_pct", (int, float), "must be > 0"),
+        ("mem_limit_bytes", int, "must be > 0"),
+        ("max_pids", int, "must be >= 1"),
+        ("wallclock_limit_s", (int, float), "must be > 0"),
+    ):
+        value = getattr(policy, name)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            out.append(FieldViolation(name, f"must be {'an integer' if kinds is int else 'a number'}, got {value!r}"))
+        elif not value > 0:
+            out.append(FieldViolation(name, detail))
     if not isinstance(policy.net_allowed, bool):
         out.append(FieldViolation("net_allowed", "must be a boolean"))
-    if not policy.max_pids >= 1:
-        out.append(FieldViolation("max_pids", "must be >= 1"))
-    if not policy.wallclock_limit_s > 0:
-        out.append(FieldViolation("wallclock_limit_s", "must be > 0"))
     for i, path in enumerate(policy.fs_hidden_paths):
         if not isinstance(path, str) or not path.startswith("/"):
             out.append(FieldViolation(f"fs_hidden_paths[{i}]", "must be an absolute path"))

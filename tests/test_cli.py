@@ -65,9 +65,11 @@ def test_extract_row_count_matches_window_recount(workspace, tmp_path):
     assert header.startswith("f0,") and header.endswith("job_id,window_index,label")
     # oracle: recount windows with an independent pass over the traces
     from warden.features import FeatureConfig, make_windows
-    from warden.ml.data import iter_manifest_traces
+    from warden.records import load_labeled_trace
 
-    expected = sum(len(make_windows(t, FeatureConfig())) for _, t in iter_manifest_traces(workspace["manifest"]))
+    entries = workspace["entries"]
+    traces = [load_labeled_trace(workspace["corpus"] / e["file"], e["job_id"], e["label"]) for e in entries]
+    expected = sum(len(make_windows(t, FeatureConfig())) for t in traces)
     assert len(data) == expected
 
 
@@ -310,6 +312,29 @@ def test_detect_reports_each_unreadable_trace_on_one_line(workspace, tmp_path, c
     assert out == good_out
 
 
+def test_detect_reports_bytes_that_are_not_utf8_with_path_and_line(workspace, tmp_path, capsys):
+    binary = tmp_path / "bin.trc"
+    binary.write_bytes(b"\xff\xfe" + "binary\n".encode("utf-16-le"))
+    code = run_cli("detect", str(binary), "--model", workspace["mlp"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert f"detect: malformed input: {binary}:1: invalid UTF-8: invalid start byte" in err.splitlines()
+    assert out == ""
+
+
+def test_extract_reports_bytes_that_are_not_utf8_with_path_and_line(workspace, tmp_path, capsys):
+    good = trace_path(workspace, lambda e: e["label"] == "normal")
+    binary = tmp_path / "bin.trc"
+    with open(good, "rb") as src:
+        binary.write_bytes(b"".join(src.readlines()[:5]) + b"\xff\xfe\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [{"job_id": "bin", "label": "normal", "file": "bin.trc"}]}))
+    code = run_cli("extract", "--manifest", str(manifest), "--out", str(tmp_path / "features.csv"))
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert f"extract: malformed input: {binary}:6: invalid UTF-8: invalid start byte" in err.splitlines()
+
+
 def test_detect_rnn_model_rejected(workspace, tmp_path):
     rnn_path = tmp_path / "rnn.wmdl"
     assert run_cli("train", "--kind", "rnn", "--manifest", workspace["manifest"],
@@ -435,6 +460,23 @@ def test_run_bad_detector_flag_exits_2(workspace, tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert "run: tau must be in (0, 1)" in err
+    assert "Traceback" not in err
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [{"max_pids": "x"}, {"cpu_limit_pct": None}, {"mem_limit_bytes": 1.5}, {"wallclock_limit_s": True}],
+    ids=["max_pids", "cpu_limit_pct", "mem_limit_bytes", "wallclock_limit_s"],
+)
+def test_run_policy_field_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, policy):
+    marker = tmp_path / "started"
+    job = write_job(tmp_path, "typed", ["/bin/sh", "-c", f"touch {marker}"], policy=policy)
+    code = run_cli("run", "--job", job, "--model", workspace["mlp"])
+    _, err = capsys.readouterr()
+    assert code == 2
+    (field,) = policy
+    assert err.startswith("run: invalid policy: ") and field in err
     assert "Traceback" not in err
     assert not marker.exists()
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from warden.datagen import builtin_profiles, gen_trace
+from warden.datagen import builtin_profiles, gen_trace, profiles_by_name
 from warden.features import (
     EmptyDataset,
     EmptyTrace,
@@ -13,14 +15,24 @@ from warden.features import (
     FeatureVector,
     Scaler,
     Window,
+    Windower,
     extract,
     feature_matrix,
     make_windows,
-    ngram_features,
     resource_features,
+    window_vector,
 )
 from warden.hashing import MASK64
-from warden.records import ENTER, EXIT, LabeledTrace, ResourceSample, SyscallEvent
+from warden.records import (
+    ENTER,
+    EXIT,
+    LabeledTrace,
+    LogRecord,
+    ResourceSample,
+    SyscallEvent,
+    read_trace_columns,
+    write_trace_file,
+)
 
 
 def fnv_oracle(text: str) -> int:
@@ -102,10 +114,138 @@ def test_window_index_grid_alignment():
         assert w.t_start_ns - int(3e9) == w.index * CFG.hop_ns
 
 
-# --- ngram_features ---------------------------------------------------------------
+# --- the column path against per-record push ---------------------------------------
+
+def sys_at(t_ns, name="read", pid=1, tid=1, direction=ENTER):
+    return SyscallEvent(
+        t_ns=t_ns, job_id="j1", pid=pid, tid=tid, name=name, direction=direction,
+        retval=0 if direction == EXIT else None,
+    )
+
+
+def res_at(t_ns, rx=0):
+    return ResourceSample(
+        t_ns=t_ns, job_id="j1", cpu_pct=1.5, rss_bytes=2**20,
+        net_rx_bytes=rx, net_tx_bytes=0, io_read_bytes=0, io_write_bytes=0,
+    )
+
+
+def log_at(t_ns):
+    return LogRecord(t_ns=t_ns, job_id="j1", source="s", severity="info", message="m")
+
+
+S = 10**9
+BIG = 2**64  # past int64, still a canonical 20-digit line
+
+COLUMN_CASES = {
+    # a wall clock stepping back: late samples and events land at their timestamp
+    "late records": [
+        sys_at(0), res_at(1 * S, 10), res_at(3 * S, 30), res_at(2 * S, 20), sys_at(4 * S, "open"),
+        sys_at(11 * S), sys_at(6 * S, "close"), log_at(30 * S), sys_at(1 * S, "stat"), sys_at(31 * S),
+    ],
+    # records exactly on window starts and ends, several sharing one timestamp
+    "equal timestamps on window edges": [
+        sys_at(0), res_at(0), sys_at(5 * S, "open"), sys_at(5 * S, "write"), res_at(5 * S, 5),
+        sys_at(10 * S), sys_at(10 * S, "close"), res_at(10 * S, 9), log_at(15 * S), sys_at(15 * S, "stat"),
+    ],
+    "interleaved threads": [
+        sys_at(i * S // 4, name, pid=1 + i % 2, tid=1 + i % 3, direction=EXIT if i % 5 == 4 else ENTER)
+        for i, name in enumerate(["read", "open", "write", "close", "stat", "mmap", "read"] * 12)
+    ],
+    "t_ns past int64": [sys_at(BIG + i * S, "read" if i % 2 else "write") for i in range(25)] + [res_at(BIG + 26 * S)],
+    "pid past int64": [sys_at(i * S, pid=2**70 + i % 2) for i in range(25)],
+    "t_ns near the int64 limit": [sys_at(2**63 - 1 - (12 - i) * S, "open" if i % 3 else "read") for i in range(13)],
+    "log record first": [log_at(-3 * S), sys_at(0), sys_at(9 * S, "open")],
+}
+
+
+# sha256 of each window's index, bounds and vector, as per-record push with the
+# per-event n-gram loop produced them
+PUSHED_SHA256 = {
+    ("equal timestamps on window edges", "default"): "593fd7da6ed4b0bca7bbb58ac6130d44bb7a7f5e1adbf9a7513974c9a38ad14a",
+    ("interleaved threads", "default"): "545f8f2d063b15f4e08e7b39fd5774b3f5989d42fbf5537b52cb64a4f4a06890",
+    ("late records", "default"): "5b1e2d765780a04218f4f4584fcca3a2597b8951e2955f84d6e66c00c6267859",
+    ("log record first", "default"): "aa8984ab13030bd8eb016a569e3f3884f75d10b0f47666acaf3892eb393f375b",
+    ("pid past int64", "default"): "804e332474a1f7df357a39ae9f374a800470ce4487ed8d2a288560911d72ddff",
+    ("t_ns near the int64 limit", "default"): "b18bc938845e2925b20f206c7519069476220a9db87c3467f8878a8181c42272",
+    ("t_ns past int64", "default"): "f6b65343ec59b1ba58fc60f59390893e5e04458317813ca682a76aeec362e5d4",
+    ("equal timestamps on window edges", "trigrams"): "45b385336b0cfe0439a0ddd88db832d6f434ebb2e717ffd8c754ba1e6ba0b27b",
+    ("interleaved threads", "trigrams"): "583b805343b87b89f7f3a8d0fb7d9ccf69a916481562f76b2c38b050c88824aa",
+    ("late records", "trigrams"): "dc6a319dda81f722ca2bd489e9bdcfed46e0a2c4abfefe47d71970c8956a4d3a",
+    ("log record first", "trigrams"): "2a138a90d312323822fc72e81becf03c110985c36d2f393a94f95c7859876425",
+    ("pid past int64", "trigrams"): "ec8f7874bf22cfb9d2e6257fcb406cc63798bcabfdc3d1c612ce1107c7eee58f",
+    ("t_ns near the int64 limit", "trigrams"): "e4b62622bf5217ab9f75a9bba2a5be40c56838262272bcc5fc5cca515eebaf46",
+    ("t_ns past int64", "trigrams"): "c3f10e8048d0c8eac08580082249a91b35d8b95c3bf41474354af029bc455a6e",
+}
+
+
+def digest(windows, config):
+    h = hashlib.sha256()
+    for w in windows:
+        h.update(f"{w.index}:{w.t_start_ns}:{w.t_end_ns}:".encode())
+        h.update(window_vector(w, config).values.tobytes())
+    return h.hexdigest()
+
+
+def pushed_windows(records, config):
+    windower = Windower(config, "j1")
+    return [w for record in records for w in windower.push(record)] + windower.finish()
+
+
+def comparable(windows, config):
+    return [
+        (w.index, w.t_start_ns, w.t_end_ns, w.samples, w.ngrams.tobytes(), window_vector(w, config).values.tobytes())
+        for w in windows
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+@pytest.mark.parametrize(
+    "config_id, config",
+    [("default", CFG), ("trigrams", FeatureConfig(ngram_orders=(1, 2, 3), hash_dim=64, hop_s=3.0))],
+    ids=["default", "trigrams"],
+)
+def test_column_windows_equal_per_record_push(tmp_path, case, config_id, config):
+    records = COLUMN_CASES[case]
+    path = tmp_path / "case.trc"
+    write_trace_file(path, records)
+    columns = make_windows(read_trace_columns(path, "j1"), config)
+    pushed = pushed_windows(records, config)
+    assert pushed
+    assert digest(pushed, config) == PUSHED_SHA256[case, config_id]
+    assert comparable(columns, config) == comparable(pushed, config)
+    assert all(w.events == () for w in columns)
+
+
+@pytest.mark.parametrize("profile_name", ["batch-compute", "cryptominer", "ddos-flood"])
+def test_column_windows_equal_per_record_push_on_generated_traces(tmp_path, profile_name):
+    trace = gen_trace(profiles_by_name()[profile_name], 33.0, "j1", seed=9)
+    path = tmp_path / "gen.trc"
+    write_trace_file(path, trace.records)
+    columns = make_windows(read_trace_columns(path, "j1"), CFG)
+    assert len(columns) >= 5
+    assert comparable(columns, CFG) == comparable(pushed_windows(trace.records, CFG), CFG)
+
+
+def test_ngram_codes_past_int64_give_the_same_blocks(monkeypatch):
+    # a base this large makes bigram and trigram codes Python integers
+    trace = gen_trace(profiles_by_name()["cryptominer"], 20.0, "j1", seed=4)
+    config = FeatureConfig(ngram_orders=(1, 2, 3))
+    expected = [w.ngrams.tobytes() for w in make_windows(trace, config)]
+    monkeypatch.setattr("warden.features._MIN_BASE", 2**40)
+    assert [w.ngrams.tobytes() for w in make_windows(trace, config)] == expected
+    assert len(expected) >= 3
+
+
+# --- n-gram block ------------------------------------------------------------------
+
+def ngram_features(events, config):
+    """The n-gram block of the first window of a trace holding these events."""
+    return make_windows(trace_of(events), config)[0].ngrams
+
 
 def test_ngram_empty_is_zero_vector():
-    vec = ngram_features([], CFG)
+    vec = ngram_features([ev(0.0, direction=EXIT)], CFG)  # a window without enter events
     assert vec.shape == (256,)
     assert not vec.any()
 
@@ -173,7 +313,10 @@ def test_exit_events_are_not_tokens():
 # --- resource_features --------------------------------------------------------------
 
 def win(start_s, end_s):
-    return Window(job_id="j1", index=0, t_start_ns=int(start_s * 1e9), t_end_ns=int(end_s * 1e9), events=(), samples=())
+    return Window(
+        job_id="j1", index=0, t_start_ns=int(start_s * 1e9), t_end_ns=int(end_s * 1e9),
+        events=(), samples=(), ngrams=np.zeros(CFG.hash_dim),
+    )
 
 
 def test_resource_no_samples():
@@ -222,14 +365,16 @@ def test_resource_layout_statistics():
 # --- extract -----------------------------------------------------------------------
 
 def test_extract_dimension_contract(small_corpus):
-    from warden.ml.data import iter_manifest_traces
+    import os
 
-    for _, trace in iter_manifest_traces(small_corpus["manifest_path"]):
-        for vec in extract(trace, CFG):
-            assert vec.values.shape == (CFG.dim,)
-            block = vec.values[: CFG.hash_dim]
-            assert block.sum() == pytest.approx(1.0, abs=1e-9) or not block.any()
-        break
+    from warden.records import read_trace_columns
+
+    entry = small_corpus["manifest"]["entries"][0]
+    trace = read_trace_columns(os.path.join(small_corpus["dir"], entry["file"]), entry["job_id"])
+    for vec in extract(trace, CFG):
+        assert vec.values.shape == (CFG.dim,)
+        block = vec.values[: CFG.hash_dim]
+        assert block.sum() == pytest.approx(1.0, abs=1e-9) or not block.any()
 
 
 def test_extract_deterministic():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,16 @@ from warden.datagen import builtin_profiles, gen_trace
 from warden.records import (
     ENTER,
     EXIT,
+    RES_ROW,
+    SYS_ROW,
     InvalidRecord,
     LabeledTrace,
     LogRecord,
     MalformedLine,
     ResourceSample,
     SyscallEvent,
-    _parse_canonical_sys,
     parse_line,
+    read_trace_columns,
     read_trace_file,
     serialize_line,
     validate_trace,
@@ -294,7 +297,7 @@ def test_validate_agrees_with_brute_force_on_random_traces():
         assert (validate_trace(trace) == []) == brute_force_valid(trace)
 
 
-# --- read_trace_file's fast path for canonical syscall lines ------------------------
+# --- the scan: canonical syscall lines without parse_line ---------------------------
 
 def per_line_reference(path):
     """read_trace_file without the fast path: parse_line on every non-blank line."""
@@ -310,6 +313,43 @@ def per_line_reference(path):
                 err.lineno = lineno
                 raise err from None
     return out
+
+
+def column_view(trace):
+    """Each row of TraceColumns as (t_ns, kind, name, (pid, tid), enter), (t_ns, kind, sample) or (t_ns, kind)."""
+    samples = iter(trace.samples)
+    rows = []
+    cols = (trace.t_ns, trace.kind, trace.name_id, trace.thread_id, trace.enter)
+    for t_ns, kind, name, thread, enter in zip(*(c.tolist() for c in cols)):
+        if kind == SYS_ROW:
+            rows.append((t_ns, "sys", trace.names[name], trace.threads[thread], enter))
+        elif kind == RES_ROW:
+            rows.append((t_ns, "res", next(samples)))
+        else:
+            rows.append((t_ns, "log"))
+    assert next(samples, None) is None
+    return rows
+
+
+def record_view(records):
+    """The rows column_view expects for these records."""
+    rows = []
+    for rec in records:
+        if isinstance(rec, SyscallEvent):
+            rows.append((rec.t_ns, "sys", rec.name, (rec.pid, rec.tid), rec.direction == ENTER))
+        elif isinstance(rec, ResourceSample):
+            rows.append((rec.t_ns, "res", rec))
+        else:
+            rows.append((rec.t_ns, "log"))
+    return rows
+
+
+def read_columns(path):
+    return column_view(read_trace_columns(path, "j1"))
+
+
+def reference_columns(path):
+    return record_view(per_line_reference(path))
 
 
 def outcome(read, path):
@@ -335,18 +375,23 @@ def plain(s: str) -> bool:
     retval=st.one_of(st.none(), st.integers(-(2**63), 2**63)),
 )
 @settings(max_examples=500, deadline=None)
-def test_fast_path_equals_parse_line_property(t_ns, job_id, pid, tid, name, args, retval):
+def test_fast_path_equals_parse_line_property(tmp_path_factory, t_ns, job_id, pid, tid, name, args, retval):
+    """The scan reads a canonical syscall line without parse_line, and to the same record and columns."""
     rec = SyscallEvent(
         t_ns=t_ns, job_id=job_id, pid=pid, tid=tid, name=name,
         direction=ENTER if retval is None else EXIT, args_digest=args, retval=retval,
     )
     line = serialize_line(rec) + "\n"
-    fast = _parse_canonical_sys(line)
-    if plain(job_id) and plain(args) and len(str(abs(t_ns))) <= 20:
-        assert fast == parse_line(line) == rec
-        assert type(fast) is SyscallEvent and hash(fast) == hash(rec)
-    else:
-        assert fast is None
+    path = tmp_path_factory.getbasetemp() / "property.trc"
+    path.write_bytes(line.encode("utf-8"))
+    with mock.patch("warden.records.parse_line", wraps=parse_line) as spy:
+        records = read_trace_file(path)
+        columns = read_columns(path)
+    fast = spy.call_count == 0
+    assert records == [parse_line(line)] == [rec]
+    assert type(records[0]) is SyscallEvent and hash(records[0]) == hash(rec)
+    assert columns == record_view([rec])
+    assert fast == (plain(job_id) and plain(args) and len(str(abs(t_ns))) <= 20)
 
 
 ENTER_LINE = '{"kind":"sys","t_ns":100,"job_id":"j1","pid":7,"tid":8,"name":"read","dir":"enter","args":"ab"}'
@@ -403,6 +448,7 @@ def test_read_trace_file_matches_per_line_parse_on_mutated_lines(tmp_path, mutat
     lines = [ENTER_LINE, EXIT_LINE, MUTATED_LINES[mutation], ENTER_LINE]
     path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
     assert outcome(read_trace_file, path) == outcome(per_line_reference, path)
+    assert outcome(read_columns, path) == outcome(reference_columns, path)
 
 
 def test_integer_past_the_digit_limit_is_a_malformed_line(tmp_path):
@@ -427,3 +473,53 @@ def test_seed7_corpus_parses_to_equal_records_both_ways(small_corpus, monkeypatc
     assert syscalls > 10000
     # every syscall line took the fast path; only res and log lines reached parse_line
     assert len(slow_lines) == sum(map(len, expected)) - syscalls
+
+
+@pytest.mark.parametrize("block_bytes", [7, 64, 1 << 16])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_scan_blocks_match_per_line_parse(tmp_path, monkeypatch, block_bytes, newline):
+    # blocks smaller than a line, a blank line, a log line and no newline at the end
+    monkeypatch.setattr("warden.records._BLOCK_BYTES", block_bytes)
+    log = '{"kind":"log","t_ns":102,"job_id":"j1","source":"s","severity":"info","message":"m"}'
+    lines = [ENTER_LINE, EXIT_LINE, "", log, serialize_line(res_sample(t_ns=103)), MUTATED_LINES["reordered keys"]]
+    path = tmp_path / "blocks.trc"
+    path.write_bytes(newline.join(lines * 20).encode("utf-8"))
+    assert read_trace_file(path) == per_line_reference(path)
+    assert read_columns(path) == reference_columns(path)
+
+
+@pytest.mark.parametrize("block_bytes", [7, 1 << 16])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("read", [read_trace_file, read_columns], ids=["records", "columns"])
+def test_bytes_that_are_not_utf8_are_a_malformed_line(tmp_path, monkeypatch, block_bytes, newline, read):
+    monkeypatch.setattr("warden.records._BLOCK_BYTES", block_bytes)
+    path = tmp_path / "binary.trc"
+    bad = ENTER_LINE.encode().replace(b'"ab"', b'"a\xffb"')
+    path.write_bytes(newline.encode().join([ENTER_LINE.encode(), b"", EXIT_LINE.encode(), bad, ENTER_LINE.encode()]))
+    with pytest.raises(MalformedLine) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:4: invalid UTF-8: invalid start byte"
+    assert exc.value.lineno == 4
+    assert exc.value.offset == bad.index(b"\xff")
+
+
+def test_a_malformed_line_before_bad_bytes_is_reported_first(tmp_path):
+    path = tmp_path / "binary.trc"
+    path.write_bytes(b"\n".join([ENTER_LINE.encode(), b"{nope}", b"\xff\xfe"]))
+    with pytest.raises(MalformedLine) as exc:
+        read_trace_file(path)
+    assert exc.value.lineno == 2 and "invalid object syntax" in str(exc.value)
+
+
+def test_columns_keep_integers_beyond_int64(tmp_path):
+    big = 2**64 + 5
+    records = [
+        sys_event(t_ns=big, pid=2**70, tid=1),
+        sys_event(t_ns=big + 1, pid=2**70, tid=1, name="write"),
+        res_sample(t_ns=big + 2),
+    ]
+    path = tmp_path / "big.trc"
+    path.write_text("".join(serialize_line(r) + "\n" for r in records), encoding="utf-8")
+    trace = read_trace_columns(path, "j1")
+    assert trace.t_ns.dtype == object
+    assert column_view(trace) == record_view(records)
