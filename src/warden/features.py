@@ -143,33 +143,21 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
 
 
-# An n-gram's code is its name ids as digits in base max(_MIN_BASE, number of
-# names): an int64 up to order 3 for any vocabulary below 2**21 names, so the
-# tables outlive new names; a Python integer past that.
-_MIN_BASE = 2**21
-
-
 def _event_code(name_id, thread_id, enter):
     """A syscall event's buffered code: name id << 32 | thread id << 1 | enter flag (ints or int arrays)."""
     return name_id << 32 | thread_id << 1 | enter
 
 
 class _GramBuckets(dict):
-    """Feature-hashing bucket of each n-gram of order ``n``, keyed by its code."""
+    """Feature-hashing bucket of each n-gram, keyed by its tuple of name ids."""
 
-    def __init__(self, names: list[str], base: int, n: int, buckets: int):
+    def __init__(self, names: list[str], buckets: int):
         super().__init__()
-        self.names = names
-        self.base = base
-        self.n = n
+        self.names = names  # grows with the windower's name interner
         self.buckets = buckets
 
-    def __missing__(self, code: int) -> int:
-        grams, rest = [], code
-        for _ in range(self.n):
-            rest, name_id = divmod(rest, self.base)
-            grams.append(self.names[name_id])
-        self[code] = bucket = hash_bucket("|".join(reversed(grams)), self.buckets)
+    def __missing__(self, ids: tuple[int, ...]) -> int:
+        self[ids] = bucket = hash_bucket("|".join(self.names[i] for i in ids), self.buckets)
         return bucket
 
 
@@ -204,8 +192,7 @@ class Windower:
         self._names = Interner()
         self._threads = Interner()
         self._unigrams = np.zeros(0, dtype=np.int64)  # bucket of each name id
-        self._base = 0
-        self._grams: dict[int, _GramBuckets] = {}  # order -> buckets by code
+        self._grams = _GramBuckets(self._names.ordered, config.hash_dim)  # longer orders
 
     def push(self, record) -> list[Window]:
         """Buffer one record; return the windows it closes, in window order."""
@@ -226,6 +213,7 @@ class Windower:
             raise ValueError("push_columns needs a fresh Windower")
         self._events = None
         self._names, self._threads = Interner(trace.names), Interner(trace.threads)
+        self._grams = _GramBuckets(self._names.ordered, self.config.hash_dim)
         t = trace.t_ns
         codes = _event_code(trace.name_id, trace.thread_id, trace.enter)
         if len(t) and np.all(t[1:] >= t[:-1]):
@@ -321,9 +309,9 @@ class Windower:
         names, threads = codes >> 32, (codes >> 1) & 0x7FFFFFFF
         order = np.argsort(threads, kind="stable")  # each thread's events together, still in time order
         names, threads = names[order], threads[order]
-        if len(self._unigrams) != len(self._names):
-            self._build_tables()
         dim = self.config.hash_dim
+        if len(self._unigrams) != len(self._names):  # new names since the last window
+            self._unigrams = np.array([hash_bucket(name, dim) for name in self._names.ordered], dtype=np.int64)
         counts = np.zeros(dim, dtype=np.int64)
         total = 0
         for n in self.config.ngram_orders:
@@ -332,27 +320,14 @@ class Windower:
             else:
                 m = max(len(names) - n + 1, 0)
                 starts = np.flatnonzero(threads[:m] == threads[n - 1 : n - 1 + m])
-                code = names[starts] if self._base**n <= 2**63 else names[starts].astype(object)
-                for j in range(1, n):
-                    code = code * self._base + names[starts + j]
-                codes, inverse = np.unique(code, return_inverse=True)
-                table = self._grams[n]
-                buckets = np.array([table[c] for c in codes.tolist()], dtype=np.int64)[inverse]
+                grams = zip(*(names[starts + j].tolist() for j in range(n)))
+                buckets = np.fromiter(map(self._grams.__getitem__, grams), dtype=np.int64, count=len(starts))
             counts += np.bincount(buckets, minlength=dim)
             total += len(buckets)
         vec = counts.astype(np.float64)
         if total:
             vec /= float(total)
         return vec
-
-    def _build_tables(self) -> None:
-        """The unigram bucket of each name id; per longer order, a new code table if the base grew."""
-        names, dim = self._names.ordered, self.config.hash_dim
-        self._unigrams = np.array([hash_bucket(name, dim) for name in names], dtype=np.int64)
-        base = max(_MIN_BASE, len(names))
-        if base != self._base:
-            self._base = base
-            self._grams = {n: _GramBuckets(names, base, n, dim) for n in self.config.ngram_orders if n > 1}
 
     def _drop_consumed(self) -> None:
         """Forget records no later window holds, keeping the carry-in sample."""

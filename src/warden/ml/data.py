@@ -10,7 +10,7 @@ import numpy as np
 
 from ..features import FeatureConfig, extract, feature_matrix, hash_bucket
 from ..hashing import SplitMix64, derive_tagged_seed
-from ..records import TraceColumns, read_trace_columns
+from ..records import LabeledTrace, TraceColumns, read_trace_columns
 from .base import check_labels, check_matrix
 
 
@@ -135,10 +135,15 @@ def load_manifest(path) -> dict:
 
 
 def _manifest_traces(manifest_path):
-    """Yield (entry, TraceColumns) for every manifest entry, in manifest order."""
+    """Yield (entry, TraceColumns) for every manifest entry, in manifest order.
+
+    Each entry's job_id, label and profile are checked as a LabeledTrace
+    header before its file is read, so a bad entry raises InvalidRecord.
+    """
     manifest = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     for entry in manifest["entries"]:
+        LabeledTrace(entry["job_id"], entry["label"], entry.get("profile", ""), records=())
         yield entry, read_trace_columns(os.path.join(base, entry["file"]), entry["job_id"])
 
 

@@ -109,6 +109,29 @@ def test_extract_corrupt_trace_exits_2(workspace, tmp_path, capsys):
     assert "bad.trc" in captured.err and ":5" in captured.err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("label", "benign", "label must be one of"),
+    ("label", "Malicious", "label must be one of"),
+    ("job_id", 7, "job_id must be a non-empty string"),
+])
+@pytest.mark.parametrize("command, output", [
+    (("extract",), "--out"),
+    (("train", "--kind", "svm"), "--out"),
+    (("train", "--kind", "rnn"), "--out"),
+    (("eval", "--model", "MODEL"), "--metrics-out"),
+])
+def test_bad_manifest_entry_exits_2(workspace, tmp_path, capsys, command, output, field, value, message):
+    entries = [dict(e, file=str(workspace["corpus"] / e["file"])) for e in workspace["entries"]]
+    entries[-1][field] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"seed": 0, "duration_s": 40.0, "entries": entries}))
+    argv = [workspace["svm"] if arg == "MODEL" else arg for arg in command]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--manifest", str(manifest), output, str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- train / eval ------------------------------------------------------------------
 
 def test_train_deterministic_artifacts(workspace, tmp_path):

@@ -227,16 +227,6 @@ def test_column_windows_equal_per_record_push_on_generated_traces(tmp_path, prof
     assert comparable(columns, CFG) == comparable(pushed_windows(trace.records, CFG), CFG)
 
 
-def test_ngram_codes_past_int64_give_the_same_blocks(monkeypatch):
-    # a base this large makes bigram and trigram codes Python integers
-    trace = gen_trace(profiles_by_name()["cryptominer"], 20.0, "j1", seed=4)
-    config = FeatureConfig(ngram_orders=(1, 2, 3))
-    expected = [w.ngrams.tobytes() for w in make_windows(trace, config)]
-    monkeypatch.setattr("warden.features._MIN_BASE", 2**40)
-    assert [w.ngrams.tobytes() for w in make_windows(trace, config)] == expected
-    assert len(expected) >= 3
-
-
 # --- n-gram block ------------------------------------------------------------------
 
 def ngram_features(events, config):
