@@ -476,11 +476,20 @@ def _detect_traces(args, bundle, detector_config, client) -> int:
     return EXIT_TERMINATED if terminated else EXIT_OK
 
 
+def _json_field(data: dict, key: str, kind: type, default, of_strings: bool = False):
+    """``data[key]``, or ``default`` if absent; ValueError unless it is a ``kind`` (list or dict) of strings, if asked."""
+    value = data.get(key, default)
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or of_strings and not all(isinstance(item, str) for item in items):
+        raise ValueError(f"{key} must be a JSON {'array' if kind is list else 'object'}{' of strings' * of_strings}, got {value!r}")
+    return value
+
+
 def _policy_from_dict(data: dict) -> SandboxPolicy:
     """The fields present in ``data``; the rest keep SandboxPolicy's defaults, unknown keys are ignored."""
     params = {f.name: data[f.name] for f in fields(SandboxPolicy) if f.name in data}
     if "fs_hidden_paths" in params:
-        params["fs_hidden_paths"] = tuple(params["fs_hidden_paths"])
+        params["fs_hidden_paths"] = tuple(_json_field(params, "fs_hidden_paths", list, ()))
     return SandboxPolicy(**params)
 
 
@@ -488,13 +497,15 @@ def cmd_run(args) -> int:
     try:
         with open(args.job, "r", encoding="utf-8") as fh:
             job_spec = json.load(fh)
-        policy = _policy_from_dict(job_spec.get("policy", {}))
+        if not isinstance(job_spec, dict):
+            raise ValueError("a job file holds one JSON object")
+        policy = _policy_from_dict(_json_field(job_spec, "policy", dict, {}))
         if args.wallclock_limit_s is not None:
             policy = replace(policy, wallclock_limit_s=args.wallclock_limit_s)
         descriptor = JobDescriptor(
             job_id=job_spec["job_id"],
-            command=tuple(job_spec["command"]),
-            env=dict(job_spec.get("env", {})),
+            command=tuple(_json_field(job_spec, "command", list, None, of_strings=True)),
+            env=dict(_json_field(job_spec, "env", dict, {}, of_strings=True)),
             policy=policy,
         )
         problems = validate_policy(policy)

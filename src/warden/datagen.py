@@ -261,7 +261,7 @@ _LOG_TEMPLATES = {
 
 
 def gen_trace(profile: BehaviorProfile, duration_s: float, job_id: str, seed: int) -> LabeledTrace:
-    """Generate one labeled trace; passes validate_trace with zero violations."""
+    """Generate one labeled trace: time-ordered, one job_id, cumulative counters that never go down."""
     if duration_s <= 0:
         raise InvalidProfile("duration_s must be positive")
     rng = SplitMix64(seed)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .coordinator import Rejected
 from .features import FeatureConfig, FeatureVector, Window, Windower, window_vector
 from .ml.io import ModelBundle
-from .records import ResourceSample, format_real
+from .records import format_real
 from .sandbox import JobHandle, KillReason, LimitTracker, SandboxPolicy
 
 
@@ -252,6 +252,7 @@ class PipelineResult:
     terminated: bool = False
     delivery_failures: int = 0  # alerts not delivered for a transport failure (spooled, if there is a spool)
     rejected: int = 0  # alerts the coordinator refused (Rejected); never spooled
+    records_in: int = 0  # telemetry rows read from the stream, including those read after a terminate
 
 
 def run_pipeline(
@@ -264,9 +265,9 @@ def run_pipeline(
     spool: AlertSpool | list[Alert] | None = None,
     policy: SandboxPolicy | None = None,
 ) -> PipelineResult:
-    """Consume one job's telemetry stream to completion.
+    """Consume one job's telemetry stream of TraceColumns chunks to completion.
 
-    Per emitted window: extract, scale, score, smooth, act. A Terminate
+    Per window, as soon as it closes: extract, scale, score, smooth, act. A Terminate
     decision stops the job via the sandbox exactly once; the pipeline then
     scores no further window and raises no further alert, but still reads
     the stream to its end. When ``policy`` is given, CPU/memory/network
@@ -324,25 +325,30 @@ def run_pipeline(
             result.terminated = True
             handle.terminate(KillReason.DETECTOR_ACTION)
 
-    def handle_windows(windows: list[Window]) -> bool:
-        """Score windows in order until the job is terminated; True if it was."""
-        for window in windows:
-            handle_window(window)
-            if result.terminated:
-                return True
-        return False
+    def parts(chunk):
+        """(rows, sample): the chunk cut after each resource row when a policy is checked, with that row's sample."""
+        start = 0
+        if policy is not None:
+            for row, sample in zip(chunk.record_rows[0].tolist(), chunk.samples):
+                yield chunk[start : row + 1], sample
+                start = row + 1
+        yield chunk[start:] if start else chunk, None
 
     telemetry = iter(handle.telemetry)
-    for record in telemetry:
-        closed = windower.push(record)
-        if closed and handle_windows(closed):
-            for _ in telemetry:  # drain, so that no producer blocks on a full stream
-                pass
-            return result
-        if policy is not None and isinstance(record, ResourceSample):
+    for chunk in telemetry:
+        result.records_in += len(chunk)
+        for rows, sample in parts(chunk):
+            for window in windower.push_columns(rows):
+                handle_window(window)
+                if result.terminated:
+                    for chunk in telemetry:  # drain, so that no producer blocks on a full stream
+                        result.records_in += len(chunk)
+                    return result
+            if sample is None:
+                continue
             if tracker is None:
                 tracker = LimitTracker(policy, windower.t0)
-            for violation in tracker.push(record):
+            for violation in tracker.push(sample):
                 pv_count += 1
                 deliver(
                     Alert(
@@ -357,5 +363,8 @@ def run_pipeline(
                         action_taken=ResponseAction.RAISE_ALERT,
                     )
                 )
-    handle_windows(windower.finish())
+    for window in windower.finish():
+        handle_window(window)
+        if result.terminated:
+            break
     return result

@@ -10,14 +10,13 @@ outputs are byte-identical across runs and platforms.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hashing import fnv1a64
-from .records import ENTER, RES_ROW, SYS_ROW, Interner, ResourceSample, SyscallEvent, TraceColumns, UnsortedInput
+from .records import SYS_ROW, Interner, ResourceSample, TraceColumns, UnsortedInput
 
 RESOURCE_DIM = 12
 
@@ -111,16 +110,13 @@ class Window:
 
     ``samples`` includes the last resource sample before the window start so
     rate deltas are defined for the first in-window sample. ``ngrams`` is the
-    window's L1-normalized n-gram block. ``events`` holds the window's
-    SyscallEvent records when its Windower was fed records, and is empty when
-    it was fed TraceColumns.
+    window's L1-normalized n-gram block.
     """
 
     job_id: str
     index: int
     t_start_ns: int
     t_end_ns: int
-    events: tuple[SyscallEvent, ...]
     samples: tuple[ResourceSample, ...]
     ngrams: np.ndarray = field(compare=False, repr=False)
 
@@ -161,20 +157,41 @@ class _GramBuckets(dict):
         return bucket
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _before(sorted_t: np.ndarray, t: int) -> int:
+    """How many of the sorted timestamps lie before ``t``; exact also for a ``t`` past int64."""
+    if t > _INT64_MAX and sorted_t.dtype != object:
+        return len(sorted_t)
+    return int(np.searchsorted(sorted_t, t))
+
+
+def _buffered(ts: np.ndarray, values: np.ndarray, new_ts: np.ndarray, new_values: np.ndarray, in_order: bool):
+    """Buffer rows in arrival order, each after the buffered rows whose timestamp is at most its own."""
+    appended = in_order and (not len(ts) or not len(new_ts) or ts[-1] <= new_ts[0])
+    ts, values = np.concatenate([ts, new_ts]), np.concatenate([values, new_values])
+    if appended:  # the common case: no sort
+        return ts, values
+    order = np.argsort(ts, kind="stable")
+    return ts[order], values[order]
+
+
 class Windower:
-    """Cuts one job's record stream into hop-spaced windows.
+    """Cuts one job's telemetry, fed as TraceColumns chunks, into hop-spaced windows.
 
     Window k covers [t0 + k*hop, t0 + k*hop + window), where ``t0`` is the
-    first record's timestamp. A window closes when a record at or past its end
-    arrives (any record kind acts as the watermark); ``finish`` closes the rest,
-    up to the last window starting at or before the newest record. Only windows
-    holding at least one syscall event are emitted. A record older than the
-    newest buffered record of its kind (a wall clock stepping back) is inserted
+    first row's timestamp. A window closes when a row at or past its end
+    arrives (any row kind acts as the watermark); ``finish`` closes the rest,
+    up to the last window starting at or before the newest row. Only windows
+    holding at least one syscall event are emitted. A row older than the
+    newest buffered row of its kind (a wall clock stepping back) is inserted
     at its timestamp, so every window's records stay time-ordered.
 
-    Records arrive one at a time through ``push``, or as a whole trace through
-    ``push_columns``. A syscall event is buffered as its timestamp and one
-    integer code (see ``_event_code``), a resource sample as its record.
+    Chunks may come from different tables of names and threads: their ids
+    are mapped through the windower's own. A syscall event is buffered as its
+    timestamp and one integer code (see ``_event_code``), a resource sample
+    as its record; log rows only move the watermark.
     """
 
     def __init__(self, config: FeatureConfig, job_id: str):
@@ -184,118 +201,93 @@ class Windower:
         self._t_max = 0
         self._k = 0
         self._next_end = 0
-        self._event_ts: list[int] = []
-        self._event_code: list[int] = []
-        self._events: list[SyscallEvent] | None = []  # None once fed columns
-        self._samples: list[ResourceSample] = []
-        self._sample_ts: list[int] = []
+        self._event_ts = self._sample_ts = np.zeros(0, dtype=np.int64)  # int64, or object past int64
+        self._event_code = np.zeros(0, dtype=np.int64)
+        self._samples = np.zeros(0, dtype=object)  # ResourceSample records
         self._names = Interner()
         self._threads = Interner()
+        self._id_maps = None  # (names, threads, name map, thread map) of the last chunk's tables
         self._unigrams = np.zeros(0, dtype=np.int64)  # bucket of each name id
         self._grams = _GramBuckets(self._names.ordered, config.hash_dim)  # longer orders
 
-    def push(self, record) -> list[Window]:
-        """Buffer one record; return the windows it closes, in window order."""
-        if isinstance(record, SyscallEvent):
-            thread = self._threads[record.pid, record.tid]
-            code = _event_code(self._names[record.name], thread, record.direction == ENTER)
-            return self._push(record.t_ns, code, record)
-        return self._push(record.t_ns, None, record if isinstance(record, ResourceSample) else None)
+    def push_columns(self, chunk: TraceColumns):
+        """Buffer a chunk of rows; yield each window it closes, in window order, as soon as it closes.
 
-    def push_columns(self, trace: TraceColumns) -> list[Window]:
-        """Buffer a whole trace; return the windows it closes, in window order.
-
-        Needs a fresh windower. A time-sorted trace is buffered at once; any
-        other is pushed row by row, so that late rows land where ``push``
-        puts them. The windower keeps no event records from here on.
+        A generator: run it to its end before the next call. The rows between
+        two closing rows are buffered as one run: appended at once if the
+        chunk is time-sorted and the run starts at or after the newest
+        buffered row of its kind, merged in by a stable sort on time otherwise.
         """
-        if self.t0 is not None:
-            raise ValueError("push_columns needs a fresh Windower")
-        self._events = None
-        self._names, self._threads = Interner(trace.names), Interner(trace.threads)
-        self._grams = _GramBuckets(self._names.ordered, self.config.hash_dim)
-        t = trace.t_ns
-        codes = _event_code(trace.name_id, trace.thread_id, trace.enter)
-        if len(t) and np.all(t[1:] >= t[:-1]):
-            events = trace.kind == SYS_ROW
-            self._event_ts = t[events].tolist()
-            self._event_code = codes[events].tolist()
-            self._samples = list(trace.samples)
-            self._sample_ts = [s.t_ns for s in trace.samples]
-            self._push(int(t[0]), None, None)  # sets t0
-            return self._push(int(t[-1]), None, None)  # the newest record closes what it would have in push
-        closed: list[Window] = []
-        samples = iter(trace.samples)
-        for t_ns, kind, code in zip(t.tolist(), trace.kind.tolist(), codes.tolist()):
-            if kind == SYS_ROW:
-                closed += self._push(t_ns, code, None)
-            else:
-                closed += self._push(t_ns, None, next(samples) if kind == RES_ROW else None)
-        return closed
-
-    def _push(self, t: int, code: int | None, record) -> list[Window]:
-        """Advance the watermark to ``t`` and buffer a syscall event or a resource sample, if given."""
+        if not len(chunk):
+            return
+        t = chunk.t_ns
+        newest = np.maximum.accumulate(t)  # the first row to reach a window's end closes it
         if self.t0 is None:
-            self.t0 = self._t_max = t
-            self._next_end = t + self.config.window_ns
-        elif t > self._t_max:
-            self._t_max = t
-        closed: list[Window] = []
-        if t >= self._next_end:
-            while t >= self._next_end:
-                self._close(closed)
+            self.t0 = self._t_max = int(t[0])
+            self._next_end = self.t0 + self.config.window_ns
+        in_order = bool(np.all(t[1:] >= t[:-1]))
+        events, codes = chunk.kind == SYS_ROW, self._codes(chunk)
+        sample_rows = chunk.record_rows[0]
+        samples = np.fromiter(chunk.samples, dtype=object, count=len(chunk.samples))
+        start = 0
+        while True:
+            stop = _before(newest, self._next_end)
+            run = events[start:stop]
+            self._event_ts, self._event_code = _buffered(
+                self._event_ts, self._event_code, t[start:stop][run], codes[start:stop][run], in_order
+            )
+            lo, hi = np.searchsorted(sample_rows, (start, stop)).tolist()
+            self._sample_ts, self._samples = _buffered(
+                self._sample_ts, self._samples, t[sample_rows[lo:hi]], samples[lo:hi], in_order
+            )
+            if stop == len(t):
+                break
+            while newest[stop] >= self._next_end:
+                window = self._close()
+                if window is not None:
+                    yield window
             self._drop_consumed()
-        if code is not None:
-            ts, codes, records = self._event_ts, self._event_code, self._events
-            if ts and t < ts[-1]:
-                i = bisect.bisect_right(ts, t)
-                ts.insert(i, t)
-                codes.insert(i, code)
-                if records is not None:
-                    records.insert(i, record)
-            else:  # the common case, and append is much cheaper than insert
-                ts.append(t)
-                codes.append(code)
-                if records is not None:
-                    records.append(record)
-        elif record is not None:
-            ts = self._sample_ts
-            i = bisect.bisect_right(ts, t) if ts and t < ts[-1] else len(ts)
-            ts.insert(i, t)
-            self._samples.insert(i, record)
-        return closed
+            start = stop
+        self._t_max = max(self._t_max, int(newest[-1]))
+
+    def _codes(self, chunk: TraceColumns) -> np.ndarray:
+        """The chunk's event codes, with name and thread ids in this windower's numbering."""
+        if self._id_maps is None or self._id_maps[0] is not chunk.names or self._id_maps[1] is not chunk.threads:
+            names = np.array([self._names[name] for name in chunk.names] or [0], dtype=np.int64)
+            threads = np.array([self._threads[thread] for thread in chunk.threads] or [0], dtype=np.int64)
+            self._id_maps = (chunk.names, chunk.threads, names, threads)
+        _, _, names, threads = self._id_maps
+        return _event_code(names[chunk.name_id], threads[chunk.thread_id], chunk.enter)
 
     def finish(self) -> list[Window]:
-        """Close every remaining window whose start is at most the newest record time."""
+        """Close every remaining window whose start is at most the newest row time."""
         closed: list[Window] = []
         if self.t0 is not None:
             while self.t0 + self._k * self.config.hop_ns <= self._t_max:
-                self._close(closed)
+                window = self._close()
+                if window is not None:
+                    closed.append(window)
         return closed
 
-    def _close(self, out: list[Window]) -> None:
-        """Close window k; append it to ``out`` if it holds a syscall event."""
-        start = self.t0 + self._k * self.config.hop_ns
+    def _close(self) -> Window | None:
+        """Close window k; return it if it holds a syscall event."""
+        k = self._k
+        start = self.t0 + k * self.config.hop_ns
         end = start + self.config.window_ns
-        lo = bisect.bisect_left(self._event_ts, start)
-        hi = bisect.bisect_left(self._event_ts, end)
-        if hi > lo:
-            # from the last sample before the window, for delta computation
-            s_lo = max(bisect.bisect_left(self._sample_ts, start) - 1, 0)
-            s_hi = bisect.bisect_left(self._sample_ts, end)
-            out.append(
-                Window(
-                    job_id=self.job_id,
-                    index=self._k,
-                    t_start_ns=start,
-                    t_end_ns=end,
-                    events=() if self._events is None else tuple(self._events[lo:hi]),
-                    samples=tuple(self._samples[s_lo:s_hi]),
-                    ngrams=self._ngrams(lo, hi),
-                )
-            )
-        self._k += 1
-        self._next_end = end + self.config.hop_ns
+        self._k, self._next_end = k + 1, end + self.config.hop_ns
+        lo, hi = _before(self._event_ts, start), _before(self._event_ts, end)
+        if hi == lo:
+            return None
+        # from the last sample before the window, for delta computation
+        s_lo, s_hi = max(_before(self._sample_ts, start) - 1, 0), _before(self._sample_ts, end)
+        return Window(
+            job_id=self.job_id,
+            index=k,
+            t_start_ns=start,
+            t_end_ns=end,
+            samples=tuple(self._samples[s_lo:s_hi]),
+            ngrams=self._ngrams(lo, hi),
+        )
 
     def _ngrams(self, lo: int, hi: int) -> np.ndarray:
         """L1-normalized hashed n-gram frequencies over the enter events of buffer rows [lo, hi).
@@ -304,7 +296,7 @@ class Windower:
         n-grams never cross threads. Counts are exact integers before the
         single normalizing division, so the result is bit-deterministic.
         """
-        codes = np.array(self._event_code[lo:hi], dtype=np.int64)
+        codes = self._event_code[lo:hi]
         codes = codes[(codes & 1).astype(bool)]  # enter events
         names, threads = codes >> 32, (codes >> 1) & 0x7FFFFFFF
         order = np.argsort(threads, kind="stable")  # each thread's events together, still in time order
@@ -332,21 +324,18 @@ class Windower:
     def _drop_consumed(self) -> None:
         """Forget records no later window holds, keeping the carry-in sample."""
         start = self.t0 + self._k * self.config.hop_ns
-        n = bisect.bisect_left(self._event_ts, start)
-        del self._event_ts[:n], self._event_code[:n]
-        if self._events is not None:
-            del self._events[:n]
-        n = max(bisect.bisect_left(self._sample_ts, start) - 1, 0)
-        del self._samples[:n], self._sample_ts[:n]
+        n = _before(self._event_ts, start)
+        self._event_ts, self._event_code = self._event_ts[n:], self._event_code[n:]
+        n = max(_before(self._sample_ts, start) - 1, 0)
+        self._sample_ts, self._samples = self._sample_ts[n:], self._samples[n:]
 
 
 def make_windows(trace, config: FeatureConfig) -> list[Window]:
     """Cut a whole LabeledTrace or TraceColumns into windows with one Windower; see Windower for the rules."""
+    if not isinstance(trace, TraceColumns):
+        trace = TraceColumns.from_records(trace.records, trace.job_id)
     windower = Windower(config, trace.job_id)
-    if isinstance(trace, TraceColumns):
-        windows = windower.push_columns(trace)
-    else:
-        windows = [w for record in trace.records for w in windower.push(record)]
+    windows = list(windower.push_columns(trace))
     if windower.t0 is None:
         raise EmptyTrace(f"trace {trace.job_id!r} has no records")
     return windows + windower.finish()

@@ -9,6 +9,7 @@ is byte-deterministic and traces can be replayed without external tooling.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -176,7 +177,7 @@ class LabeledTrace:
 
     ``profile_name`` records generator provenance and is empty for real traces.
     Cross-record invariants (ordering, job_id consistency, counter monotony)
-    are checked by :func:`validate_trace`, not at construction.
+    are not checked at construction.
     """
 
     job_id: str
@@ -191,15 +192,6 @@ class LabeledTrace:
         if not isinstance(self.profile_name, str):
             raise InvalidRecord("profile_name must be a string")
         object.__setattr__(self, "records", tuple(self.records))
-
-
-@dataclass(frozen=True)
-class TraceViolation:
-    """One cross-record invariant violation found by :func:`validate_trace`."""
-
-    kind: str  # "OrderViolation" | "JobIdMismatch" | "CounterRegression"
-    index: int
-    detail: str
 
 
 # --- wire format ------------------------------------------------------------
@@ -423,41 +415,6 @@ def _invariant_key(message: str, kind: str) -> str:
     return "kind"
 
 
-# --- trace validation ----------------------------------------------------------
-
-_COUNTERS = ("net_rx_bytes", "net_tx_bytes", "io_read_bytes", "io_write_bytes")
-
-
-def validate_trace(trace: LabeledTrace) -> list[TraceViolation]:
-    """Report every ordering, job_id and cumulative-counter violation.
-
-    Violations are data, not errors; an empty list means the trace is valid.
-    """
-    violations: list[TraceViolation] = []
-    prev_t = None
-    prev_sample: ResourceSample | None = None
-    for i, rec in enumerate(trace.records):
-        if prev_t is not None and rec.t_ns < prev_t:
-            violations.append(
-                TraceViolation("OrderViolation", i, f"t_ns {rec.t_ns} < previous {prev_t}")
-            )
-        prev_t = rec.t_ns
-        if rec.job_id != trace.job_id:
-            violations.append(
-                TraceViolation("JobIdMismatch", i, f"record job_id {rec.job_id!r} != trace {trace.job_id!r}")
-            )
-        if isinstance(rec, ResourceSample):
-            if prev_sample is not None:
-                for counter in _COUNTERS:
-                    cur, prev = getattr(rec, counter), getattr(prev_sample, counter)
-                    if cur < prev:
-                        violations.append(
-                            TraceViolation("CounterRegression", i, f"{counter} {cur} < previous {prev}")
-                        )
-            prev_sample = rec
-    return violations
-
-
 # --- trace files -------------------------------------------------------------
 
 def write_trace_file(path, records: Iterable[TelemetryRecord]) -> None:
@@ -593,14 +550,16 @@ SYS_ROW, RES_ROW, LOG_ROW = 0, 1, 2
 
 @dataclass(frozen=True)
 class TraceColumns:
-    """One job's trace as columns, one row per record in file order.
+    """One job's trace, or a run of its rows, as columns: one row per record in file order.
 
     Syscall rows (``kind`` SYS_ROW) carry ``name_id`` (an index into
     ``names``), ``thread_id`` (an index into ``threads``, the (pid, tid)
     pairs) and ``enter``; other rows hold 0, 0 and False there. ``t_ns`` is
     int64, or object when a timestamp does not fit int64. Resource samples
-    stay ResourceSample objects in ``samples``, in file order; log records
-    keep only their row and timestamp. Built by :func:`read_trace_columns`.
+    and log records stay objects, in row order, in ``samples`` and ``logs``.
+    ``columns[a:b]`` is rows a to b-1 with their samples and log records;
+    it shares ``names`` and ``threads``. Built by :func:`read_trace_columns`
+    or :meth:`from_records`.
     """
 
     job_id: str
@@ -612,6 +571,28 @@ class TraceColumns:
     names: tuple[str, ...]
     threads: tuple[tuple[int, int], ...]
     samples: tuple[ResourceSample, ...]
+    logs: tuple[LogRecord, ...] = ()
+
+    @classmethod
+    def from_records(cls, records: Iterable[TelemetryRecord], job_id: str) -> "TraceColumns":
+        return _ColumnRows(records).build(job_id)
+
+    def __len__(self) -> int:
+        return len(self.t_ns)
+
+    def __getitem__(self, rows: slice) -> "TraceColumns":
+        if rows.step not in (None, 1):
+            raise ValueError("TraceColumns rows are sliced with step 1 only")
+        start, stop, _ = rows.indices(len(self))
+        cut = slice(start, max(start, stop))
+        (s_lo, s_hi), (l_lo, l_hi) = (np.searchsorted(r, (cut.start, cut.stop)).tolist() for r in self.record_rows)
+        columns = (c[cut] for c in (self.t_ns, self.kind, self.name_id, self.thread_id, self.enter))
+        return TraceColumns(self.job_id, *columns, self.names, self.threads, self.samples[s_lo:s_hi], self.logs[l_lo:l_hi])
+
+    @functools.cached_property
+    def record_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row numbers of the samples and of the log records."""
+        return np.flatnonzero(self.kind == RES_ROW), np.flatnonzero(self.kind == LOG_ROW)
 
 
 def _timestamps(values: list[int]) -> np.ndarray:
@@ -621,57 +602,60 @@ def _timestamps(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+class _ColumnRows:
+    """TraceColumns under construction: one list per column, one row per added record."""
+
+    def __init__(self, records: Iterable[TelemetryRecord] = ()):
+        self.t_ns, self.kind, self.name_id, self.thread_id, self.enter, self.samples, self.logs = ([] for _ in range(7))
+        self.names, self.threads = Interner(), Interner()  # threads are keyed by decimal (pid, tid) strings
+        for rec in records:
+            self.add(rec)
+
+    def add(self, rec: TelemetryRecord) -> None:
+        event, sample = isinstance(rec, SyscallEvent), isinstance(rec, ResourceSample)
+        self.t_ns.append(rec.t_ns)
+        self.kind.append(SYS_ROW if event else RES_ROW if sample else LOG_ROW)
+        self.name_id.append(self.names[rec.name] if event else 0)
+        self.thread_id.append(self.threads[str(rec.pid), str(rec.tid)] if event else 0)
+        self.enter.append(event and rec.direction == ENTER)
+        if not event:
+            (self.samples if sample else self.logs).append(rec)
+
+    def build(self, job_id: str) -> TraceColumns:
+        return TraceColumns(
+            job_id=job_id,
+            t_ns=_timestamps(self.t_ns),
+            kind=np.array(self.kind, dtype=np.int8),
+            name_id=np.array(self.name_id, dtype=np.int64),
+            thread_id=np.array(self.thread_id, dtype=np.int64),
+            enter=np.array(self.enter, dtype=bool),
+            names=tuple(self.names.ordered),
+            threads=tuple((int(pid), int(tid)) for pid, tid in self.threads.ordered),
+            samples=tuple(self.samples),
+            logs=tuple(self.logs),
+        )
+
+
 def read_trace_columns(path, job_id: str) -> TraceColumns:
     """Read a `.trc` file into TraceColumns for job ``job_id``.
 
     The scan, the lines accepted and the errors raised are those of
     read_trace_file, but a canonical syscall line builds no object.
     """
-    t_ns: list[int] = []
-    kind: list[int] = []
-    name_id: list[int] = []
-    thread_id: list[int] = []
-    enter: list[bool] = []
-    samples: list[ResourceSample] = []
-    names, threads = Interner(), Interner()  # threads are keyed by decimal (pid, tid) strings
-    for first, rows in _scan(path):
-        for lineno, (t, _, pid, tid, name, exit_, _, _, line) in enumerate(rows, first):
+    rows = _ColumnRows()
+    t_ns, kind, name_id, thread_id, enter = rows.t_ns, rows.kind, rows.name_id, rows.thread_id, rows.enter
+    names, threads = rows.names, rows.threads
+    for first, lines in _scan(path):
+        for lineno, (t, _, pid, tid, name, exit_, _, _, line) in enumerate(lines, first):
             if t:
                 t_ns.append(int(t))
                 kind.append(SYS_ROW)
                 name_id.append(names[name])
                 thread_id.append(threads[pid, tid])
                 enter.append(not exit_)
-                continue
-            if not line.strip():
-                continue
-            rec = _parse_other(path, lineno, line)
-            t_ns.append(rec.t_ns)
-            if isinstance(rec, SyscallEvent):
-                kind.append(SYS_ROW)
-                name_id.append(names[rec.name])
-                thread_id.append(threads[str(rec.pid), str(rec.tid)])
-                enter.append(rec.direction == ENTER)
-                continue
-            if isinstance(rec, ResourceSample):
-                kind.append(RES_ROW)
-                samples.append(rec)
-            else:
-                kind.append(LOG_ROW)
-            name_id.append(0)
-            thread_id.append(0)
-            enter.append(False)
-    return TraceColumns(
-        job_id=job_id,
-        t_ns=_timestamps(t_ns),
-        kind=np.array(kind, dtype=np.int8),
-        name_id=np.array(name_id, dtype=np.int64),
-        thread_id=np.array(thread_id, dtype=np.int64),
-        enter=np.array(enter, dtype=bool),
-        names=tuple(names.ordered),
-        threads=tuple((int(pid), int(tid)) for pid, tid in threads.ordered),
-        samples=tuple(samples),
-    )
+            elif line.strip():
+                rows.add(_parse_other(path, lineno, line))
+    return rows.build(job_id)
 
 
 def load_labeled_trace(path, job_id: str, label: str, profile_name: str = "") -> LabeledTrace:

@@ -31,11 +31,13 @@ from .records import (
     ResourceSample,
     SyscallEvent,
     TelemetryRecord,
-    read_trace_file,
+    TraceColumns,
+    read_trace_columns,
+    read_trace_file,  # no caller here; kept importable for tools that look the parse up on this module
 )
 
 KILL_GRACE_S = 2.0
-REPLAY_CHUNK_RECORDS = 512  # records per stream hand-off when replaying faster than recorded gaps
+REPLAY_CHUNK_RECORDS = 512  # rows per stream hand-off when replaying faster than recorded gaps
 
 
 class KillReason(enum.IntEnum):
@@ -210,15 +212,15 @@ class LimitTracker:
 
 
 class TelemetryStream:
-    """Bounded record stream from one or more producer threads to one consumer.
+    """Bounded stream of row chunks from one or more producer threads to one consumer.
 
-    Records travel in chunks: ``put_many`` hands over a list of records in
-    one operation and ``put`` a single record. ``maxsize`` bounds the number
-    of buffered records (0 or less: unbounded). When it is reached, a
-    producer either blocks until the consumer catches up (default) or drops
-    the oldest buffered records. Iteration yields single records in the
-    order they were put and ends after the buffered records once the stream
-    is closed; records put after ``close`` are ignored.
+    A chunk is TraceColumns (what the backends put), or any sequence that
+    slices by rows; ``put_many`` hands one over. ``maxsize`` bounds the
+    buffered rows (0 or less: unbounded). When it is reached, a producer
+    either blocks until the consumer catches up (default) or drops the oldest
+    buffered rows, counted in ``dropped``. Iteration yields the chunks in put
+    order and ends after the buffered ones once the stream is closed; chunks
+    put after ``close`` are ignored.
     """
 
     def __init__(self, maxsize: int = 10000, overflow: str = "block"):
@@ -226,18 +228,15 @@ class TelemetryStream:
             raise ValueError("overflow must be 'block' or 'drop_oldest'")
         self._maxsize = maxsize
         self._overflow = overflow
-        self._chunks: collections.deque[list] = collections.deque()
-        self._size = 0  # records in self._chunks
+        self._chunks: collections.deque = collections.deque()
+        self._size = 0  # rows in self._chunks
         self._cond = threading.Condition()
         self._closed = False
+        self.dropped = 0  # rows discarded by drop_oldest
 
-    def put(self, record: TelemetryRecord) -> None:
-        self.put_many([record])
-
-    def put_many(self, records) -> None:
-        chunk = list(records)
+    def put_many(self, chunk) -> None:
         with self._cond:
-            while chunk and not self._closed:
+            while len(chunk) and not self._closed:
                 if self._maxsize <= 0 or self._overflow == "drop_oldest":
                     self._append(chunk)
                     self._drop_oldest()
@@ -249,7 +248,7 @@ class TelemetryStream:
                 self._append(chunk[:room])
                 chunk = chunk[room:]
 
-    def _append(self, chunk: list) -> None:
+    def _append(self, chunk) -> None:
         self._chunks.append(chunk)
         self._size += len(chunk)
         self._cond.notify_all()
@@ -265,6 +264,7 @@ class TelemetryStream:
                 self._chunks[0] = head[excess:]
                 dropped = excess
             self._size -= dropped
+            self.dropped += dropped
             excess -= dropped
 
     def close(self) -> None:
@@ -283,7 +283,7 @@ class TelemetryStream:
                 chunk = self._chunks.popleft()
                 self._size -= len(chunk)
                 cond.notify_all()
-            yield from chunk
+            yield chunk
 
 
 class JobHandle:
@@ -314,9 +314,10 @@ class JobHandle:
                 self._cond.notify_all()
 
     def _set_terminal(self, status: JobStatus) -> JobStatus:
-        """First terminal status sticks; returns the effective terminal status."""
+        """First terminal status sticks and frees the job id before waking waiters; returns the effective status."""
         with self._cond:
             if not self._status.terminal:
+                self._backend._release(self.job_id)
                 self._status = status
                 self._cond.notify_all()
             return self._status
@@ -372,10 +373,11 @@ class ReplayBackend(ExecutionBackend):
     """Streams a recorded trace file as the job's telemetry, deterministically.
 
     ``speed`` scales recorded inter-record delays: 0 replays as fast as
-    possible, 1 replays in real time. Records are forwarded verbatim (no
-    job_id rewriting), so the stream equals the file byte for byte. They are
-    handed to the stream in chunks of up to REPLAY_CHUNK_RECORDS, flushed
-    before every delay, so a timed replay still delivers each record on time.
+    possible, 1 replays in real time. The file is scanned into TraceColumns
+    at launch, so a malformed file fails the launch; the stream carries row
+    slices of those columns, which hold no syscall ``args`` or ``ret``.
+    Slices hold up to REPLAY_CHUNK_RECORDS rows, and a timed replay also cuts
+    one before every delay, so it still delivers each row on time.
     """
 
     def __init__(self, trace_path, speed: float = 0.0, stream_maxsize: int = 100000, overflow: str = "block"):
@@ -388,45 +390,46 @@ class ReplayBackend(ExecutionBackend):
     def _launch(self, descriptor: JobDescriptor) -> JobHandle:
         if not os.path.exists(self.trace_path):
             raise ReplaySourceMissing(f"no trace at {self.trace_path}")
-        records = read_trace_file(self.trace_path)
+        columns = read_trace_columns(self.trace_path, descriptor.job_id)
         stream = TelemetryStream(maxsize=self._stream_maxsize, overflow=self._overflow)
         handle = JobHandle(descriptor.job_id, stream, self)
         handle._stop = threading.Event()
 
         def run():
             handle._set_running()
-            prev_t = None
-            chunk = []
-            for record in records:
+            start = 0
+            for end, delay in self._cuts(columns.t_ns):
                 if handle._stop.is_set():
                     break
-                if self.speed > 0 and prev_t is not None and record.t_ns > prev_t:
-                    stream.put_many(chunk)
-                    chunk = []
-                    time.sleep((record.t_ns - prev_t) / 1e9 * self.speed)
-                prev_t = record.t_ns
-                chunk.append(record)
-                if len(chunk) >= REPLAY_CHUNK_RECORDS:
-                    stream.put_many(chunk)
-                    chunk = []
-            stream.put_many(chunk)
+                stream.put_many(columns[start:end])
+                start = end
+                if delay:
+                    time.sleep(delay)
             if not handle._stop.is_set():
                 handle._set_terminal(JobStatus.completed(0))
             stream.close()
-            self._release(descriptor.job_id)
 
         handle._thread = threading.Thread(target=run, name=f"replay-{descriptor.job_id}", daemon=True)
         handle._thread.start()
         return handle
 
+    def _cuts(self, t_ns):
+        """(end row, pause after it) of each hand-off: every REPLAY_CHUNK_RECORDS rows, and before each step forward in time when timed."""
+        if self.speed <= 0:
+            yield from ((row, 0.0) for row in range(REPLAY_CHUNK_RECORDS, len(t_ns), REPLAY_CHUNK_RECORDS))
+        else:
+            times, start = t_ns.tolist(), 0
+            for row in range(1, len(times)):
+                step = times[row] - times[row - 1]
+                if step > 0 or row - start >= REPLAY_CHUNK_RECORDS:
+                    yield row, max(step, 0) / 1e9 * self.speed
+                    start = row
+        yield len(t_ns), 0.0
+
     def _terminate(self, handle: JobHandle, reason: KillReason) -> JobStatus:
-        status = handle.status()
-        if status.terminal:
-            return status
-        handle._stop.set()
-        final = handle._set_terminal(JobStatus.killed(reason))
-        self._release(handle.job_id)
-        return final
+        if not handle.status().terminal:
+            handle._stop.set()
+        return handle._set_terminal(JobStatus.killed(reason))
 
 
 # --- process backend ----------------------------------------------------------
@@ -555,9 +558,7 @@ class ProcessBackend(ExecutionBackend):
         try:
             for raw in iter(pipe.readline, b""):
                 text = raw.decode("utf-8", errors="replace").rstrip("\n").replace("\n", " ")[:4096]
-                handle.telemetry.put(
-                    LogRecord(t_ns=time.time_ns(), job_id=handle.job_id, source=source, severity=severity, message=text)
-                )
+                _put(handle, LogRecord(t_ns=time.time_ns(), job_id=handle.job_id, source=source, severity=severity, message=text))
         except (OSError, ValueError):
             pass
         finally:
@@ -604,7 +605,8 @@ class ProcessBackend(ExecutionBackend):
                         first = fh.read().split()[0]
                     if first not in ("-1", "running"):
                         number = int(first)
-                        handle.telemetry.put(
+                        _put(
+                            handle,
                             SyscallEvent(
                                 t_ns=now_ns,
                                 job_id=handle.job_id,
@@ -628,7 +630,8 @@ class ProcessBackend(ExecutionBackend):
                 if prev_ticks is not None:
                     cpu_pct = max(0.0, (ticks - prev_ticks) / _CLK_TCK / interval * 100.0)
                 prev_ticks = ticks
-                handle.telemetry.put(
+                _put(
+                    handle,
                     ResourceSample(
                         t_ns=now_ns,
                         job_id=handle.job_id,
@@ -651,7 +654,6 @@ class ProcessBackend(ExecutionBackend):
         timer = getattr(handle, "_timer", None)
         if timer is not None:
             timer.cancel()
-        self._release(handle.job_id)
 
     def _terminate(self, handle: JobHandle, reason: KillReason) -> JobStatus:
         status = handle.status()
@@ -685,6 +687,10 @@ class ProcessBackend(ExecutionBackend):
                 pass
             proc.wait()
         return final
+
+
+def _put(handle: JobHandle, record: TelemetryRecord) -> None:
+    handle.telemetry.put_many(TraceColumns.from_records((record,), handle.job_id))
 
 
 def replay_job(trace_path, job_id: str, speed: float = 0.0, policy: SandboxPolicy | None = None) -> JobHandle:

@@ -504,6 +504,24 @@ def test_run_policy_field_of_the_wrong_type_exits_2(workspace, tmp_path, capsys,
     assert not marker.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("command", 5), ("policy", {"fs_hidden_paths": 5}), ("policy", 5), ("env", 5), ("command", ["/bin/true", 5])],
+    ids=["command", "fs_hidden_paths", "policy", "env", "command-item"],
+)
+def test_run_job_field_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, field, value):
+    marker = tmp_path / "started"
+    spec = {"job_id": "typed", "command": ["/bin/sh", "-c", f"touch {marker}"], field: value}
+    job = tmp_path / "typed.json"
+    job.write_text(json.dumps(spec))
+    code = run_cli("run", "--job", str(job), "--model", workspace["mlp"])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("run: ") and "must be a JSON" in err
+    assert "Traceback" not in err
+    assert not marker.exists()
+
+
 def test_policy_from_dict_keeps_defaults_for_absent_fields():
     from warden.cli import _policy_from_dict
     from warden.sandbox import SandboxPolicy

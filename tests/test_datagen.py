@@ -18,7 +18,8 @@ from warden.datagen import (
     profiles_by_name,
 )
 from warden.hashing import derive_seed
-from warden.records import ResourceSample, SyscallEvent, validate_trace
+from warden.records import ResourceSample, SyscallEvent
+from trace_validation import validate_trace
 
 
 def test_builtin_profiles_contract():

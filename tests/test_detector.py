@@ -30,8 +30,9 @@ from warden.features import FeatureConfig, Scaler, Windower, extract, make_windo
 from warden.hashing import SplitMix64
 from warden.ml import MlpClassifier, ModelBundle, SvmClassifier
 from warden.ml.data import build_feature_dataset
-from warden.records import ENTER, LabeledTrace, ResourceSample, SyscallEvent, write_trace_file
-from warden.sandbox import JobStatus, KillReason, replay_job
+from warden.records import ENTER, LabeledTrace, ResourceSample, SyscallEvent, TraceColumns, write_trace_file
+from warden.sandbox import REPLAY_CHUNK_RECORDS, JobStatus, KillReason, replay_job
+from reference_windower import reference_ngrams
 
 
 def run_updates(scores, config):
@@ -144,7 +145,7 @@ def test_alert_line_round_trip():
 # --- windowing ----------------------------------------------------------------------
 
 def oracle_windows(trace, config):
-    """Brute force over the whole trace: (index, start, end, events, samples) per kept window.
+    """Brute force over the whole trace: (index, start, end, samples, n-gram block bytes) per kept window.
 
     Window k holds the events in [start, end); its samples are the last sample
     before start followed by the in-window samples.
@@ -161,13 +162,13 @@ def oracle_windows(trace, config):
         if in_window:
             before = [s for s in samples if s.t_ns < start]
             inside = [s for s in samples if start <= s.t_ns < end]
-            out.append((k, start, end, in_window, tuple(before[-1:] + inside)))
+            out.append((k, start, end, tuple(before[-1:] + inside), reference_ngrams(in_window, config).tobytes()))
         k += 1
     return out
 
 
 def as_tuples(windows):
-    return [(w.index, w.t_start_ns, w.t_end_ns, w.events, w.samples) for w in windows]
+    return [(w.index, w.t_start_ns, w.t_end_ns, w.samples, w.ngrams.tobytes()) for w in windows]
 
 
 @pytest.mark.parametrize("profile_name", ["batch-compute", "cryptominer", "ddos-flood"])
@@ -176,10 +177,11 @@ def test_streaming_windower_equals_batch_windows(profile_name):
     config = FeatureConfig()
     expected = oracle_windows(trace, config)
     batch = make_windows(trace, config)
+    columns = TraceColumns.from_records(trace.records, trace.job_id)
     windower = Windower(config, trace.job_id)
     streamed = []
-    for record in trace.records:
-        streamed.extend(windower.push(record))
+    for start in range(0, len(columns), REPLAY_CHUNK_RECORDS):  # the chunks a replay streams
+        streamed.extend(windower.push_columns(columns[start : start + REPLAY_CHUNK_RECORDS]))
     streamed.extend(windower.finish())
     assert len(expected) >= 5
     assert as_tuples(batch) == expected
@@ -202,7 +204,8 @@ def test_windower_inserts_late_record_at_its_timestamp():
     config = FeatureConfig()
     pushed = [ev(0), rs(1, 10), rs(3, 30), rs(2, 20), ev(4), ev(11)]  # the sample at 2 s arrives late
     windower = Windower(config, "j")
-    windows = [w for record in pushed for w in windower.push(record)] + windower.finish()
+    windows = [w for record in pushed for w in windower.push_columns(TraceColumns.from_records([record], "j"))]
+    windows += windower.finish()
     assert [w.index for w in windows] == [0, 1, 2]
     assert windows[0].samples == (rs(1, 10), rs(2, 20), rs(3, 30))
     for w in windows:
@@ -255,6 +258,16 @@ def test_pipeline_normal_trace_no_terminate(small_bundle, tmp_path):
     handle, result = _replay_and_run(trace, tmp_path, small_bundle)
     assert result.terminated is False
     assert all(a.action_taken != ResponseAction.TERMINATE for a in result.alerts)
+
+
+def test_pipeline_counts_every_replayed_row(small_bundle, tmp_path):
+    trace = gen_trace(profiles_by_name()["batch-compute"], 40.0, "job-n2", seed=509)
+    handle, result = _replay_and_run(trace, tmp_path, small_bundle)
+    with open(tmp_path / "job-n2.trc", "rb") as fh:
+        lines = sum(1 for _ in fh)
+    assert lines > REPLAY_CHUNK_RECORDS
+    assert result.records_in == lines
+    assert result.windows_scored == len(make_windows(trace, FeatureConfig()))
 
 
 def test_pipeline_miner_trace_terminates_early(small_bundle, tmp_path):
@@ -409,7 +422,8 @@ def test_pipeline_survives_a_resource_sample_older_than_the_previous(small_bundl
 
     class ListHandle:
         job_id = "job-clk"
-        telemetry = [ev(0), rs(1, 10.0), rs(3, 10.0), rs(2, 90.0), ev(4)]  # the wall clock steps back: 3 s, then 2 s
+        # the wall clock steps back: 3 s, then 2 s
+        telemetry = [TraceColumns.from_records([ev(0), rs(1, 10.0), rs(3, 10.0), rs(2, 90.0), ev(4)], "job-clk")]
 
         def terminate(self, reason):
             raise AssertionError("no terminate expected")
@@ -426,10 +440,12 @@ def test_pipeline_stops_scoring_after_terminate_but_drains_the_stream(small_bund
     trace = gen_trace(profiles_by_name()["cryptominer"], 40.0, "job-m6", seed=508)
     consumed = []
     terminations = []
+    columns = TraceColumns.from_records(trace.records, trace.job_id)
+    chunks = [columns[i : i + REPLAY_CHUNK_RECORDS] for i in range(0, len(columns), REPLAY_CHUNK_RECORDS)]
 
     class ListHandle:
         job_id = trace.job_id
-        telemetry = (consumed.append(r) or r for r in trace.records)
+        telemetry = (consumed.append(len(chunk)) or chunk for chunk in chunks)
 
         def terminate(self, reason):
             terminations.append(reason)
@@ -438,7 +454,7 @@ def test_pipeline_stops_scoring_after_terminate_but_drains_the_stream(small_bund
     # terminate would show up at the end of the alert list
     result = run_pipeline(ListHandle(), small_bundle, DetectorConfig(), policy=SandboxPolicy(cpu_limit_pct=1e-9))
     assert terminations == [KillReason.DETECTOR_ACTION]
-    assert len(consumed) == len(trace.records)  # the stream was read to its end
+    assert sum(consumed) == len(trace.records) == result.records_in  # the stream was read to its end
     actions = [a.action_taken for a in result.alerts]
     assert actions.count(ResponseAction.TERMINATE) == 1
     assert actions[-1] == ResponseAction.TERMINATE

@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warden.datagen import builtin_profiles, gen_trace, profiles_by_name
 from warden.features import (
@@ -15,14 +17,16 @@ from warden.features import (
     FeatureVector,
     Scaler,
     Window,
-    Windower,
     extract,
     feature_matrix,
+    hash_bucket,
     make_windows,
     resource_features,
     window_vector,
 )
 from warden.hashing import MASK64
+import reference_windower
+from reference_windower import fed_in_chunks, reference_windows
 from warden.records import (
     ENTER,
     EXIT,
@@ -30,6 +34,7 @@ from warden.records import (
     LogRecord,
     ResourceSample,
     SyscallEvent,
+    TraceColumns,
     read_trace_columns,
     write_trace_file,
 )
@@ -65,29 +70,38 @@ CFG = FeatureConfig()
 
 # --- make_windows -----------------------------------------------------------------
 
+UNIGRAMS = FeatureConfig(ngram_orders=(1,))
+NAMED = ("read", "write", "openat", "close", "mmap")  # five names in five distinct unigram buckets
+
+
+def names_in(window, config=UNIGRAMS):
+    """The NAMED syscalls a window holds, read off its unigram buckets."""
+    assert len({hash_bucket(name, config.hash_dim) for name in NAMED}) == len(NAMED)
+    return [name for name in NAMED if window.ngrams[hash_bucket(name, config.hash_dim)] > 0]
+
+
 def test_single_window_holds_all_events():
     # trace spanning exactly one window with window == hop: one window, all events
-    events = [ev(t) for t in (0.0, 2.0, 4.0, 6.0, 9.0)]
-    config = FeatureConfig(window_s=10.0, hop_s=10.0)
+    events = [ev(t, name) for t, name in zip((0.0, 2.0, 4.0, 6.0, 9.0), NAMED)]
+    config = FeatureConfig(window_s=10.0, hop_s=10.0, ngram_orders=(1,))
     windows = make_windows(trace_of(events), config)
     assert [w.index for w in windows] == [0]
-    assert len(windows[0].events) == 5
+    assert names_in(windows[0], config) == list(NAMED)
 
 
 def test_overlapping_hop_windows():
-    events = [ev(t) for t in (0.0, 2.0, 4.0, 6.0, 9.0)]
-    windows = make_windows(trace_of(events), CFG)  # hop 5 s: second window starts at 5 <= 9
+    events = [ev(t, name) for t, name in zip((0.0, 2.0, 4.0, 6.0, 9.0), NAMED)]
+    windows = make_windows(trace_of(events), UNIGRAMS)  # hop 5 s: second window starts at 5 <= 9
     assert [w.index for w in windows] == [0, 1]
-    assert len(windows[0].events) == 5
-    assert len(windows[1].events) == 2  # events at 6 and 9
+    assert names_in(windows[0]) == list(NAMED)
+    assert names_in(windows[1]) == ["close", "mmap"]  # events at 6 and 9
 
 
 def test_window_membership_hand_oracle():
     # window 10 s, hop 5 s, events at 0 s and 12 s
-    events = [ev(0.0), ev(12.0)]
-    windows = make_windows(trace_of(events), CFG)
-    assert [(w.index, len(w.events)) for w in windows] == [(0, 1), (1, 1), (2, 1)]
-    assert windows[1].events[0].t_ns == int(12e9)
+    events = [ev(0.0, "read"), ev(12.0, "write")]
+    windows = make_windows(trace_of(events), UNIGRAMS)
+    assert [(w.index, names_in(w)) for w in windows] == [(0, ["read"]), (1, ["write"]), (2, ["write"])]
     assert windows[0].t_start_ns == 0 and windows[0].t_end_ns == int(10e9)
 
 
@@ -114,7 +128,7 @@ def test_window_index_grid_alignment():
         assert w.t_start_ns - int(3e9) == w.index * CFG.hop_ns
 
 
-# --- the column path against per-record push ---------------------------------------
+# --- the column path against the per-record reference windower ----------------------
 
 def sys_at(t_ns, name="read", pid=1, tid=1, direction=ENTER):
     return SyscallEvent(
@@ -160,7 +174,7 @@ COLUMN_CASES = {
 
 
 # sha256 of each window's index, bounds and vector, as per-record push with the
-# per-event n-gram loop produced them
+# per-event n-gram loop produced them; the reference windower must reproduce them
 PUSHED_SHA256 = {
     ("equal timestamps on window edges", "default"): "593fd7da6ed4b0bca7bbb58ac6130d44bb7a7f5e1adbf9a7513974c9a38ad14a",
     ("interleaved threads", "default"): "545f8f2d063b15f4e08e7b39fd5774b3f5989d42fbf5537b52cb64a4f4a06890",
@@ -187,11 +201,6 @@ def digest(windows, config):
     return h.hexdigest()
 
 
-def pushed_windows(records, config):
-    windower = Windower(config, "j1")
-    return [w for record in records for w in windower.push(record)] + windower.finish()
-
-
 def comparable(windows, config):
     return [
         (w.index, w.t_start_ns, w.t_end_ns, w.samples, w.ngrams.tobytes(), window_vector(w, config).values.tobytes())
@@ -210,11 +219,13 @@ def test_column_windows_equal_per_record_push(tmp_path, case, config_id, config)
     path = tmp_path / "case.trc"
     write_trace_file(path, records)
     columns = make_windows(read_trace_columns(path, "j1"), config)
-    pushed = pushed_windows(records, config)
+    pushed = reference_windows(records, config)
     assert pushed
     assert digest(pushed, config) == PUSHED_SHA256[case, config_id]
     assert comparable(columns, config) == comparable(pushed, config)
-    assert all(w.events == () for w in columns)
+    for cuts in ([1], [3, 4, 7], range(1, len(records))):
+        chunked = fed_in_chunks(records, config, cuts, separate_tables=True)
+        assert comparable(chunked, config) == comparable(pushed, config)
 
 
 @pytest.mark.parametrize("profile_name", ["batch-compute", "cryptominer", "ddos-flood"])
@@ -224,7 +235,84 @@ def test_column_windows_equal_per_record_push_on_generated_traces(tmp_path, prof
     write_trace_file(path, trace.records)
     columns = make_windows(read_trace_columns(path, "j1"), CFG)
     assert len(columns) >= 5
-    assert comparable(columns, CFG) == comparable(pushed_windows(trace.records, CFG), CFG)
+    assert comparable(columns, CFG) == comparable(reference_windows(trace.records, CFG), CFG)
+
+
+def test_windows_ending_past_int64_keep_their_last_rows():
+    # int64 timestamps whose first window ends at 2**63, one past the largest int64
+    records = [sys_at(2**63 - 10 * S), sys_at(2**63 - 2, "open"), sys_at(2**63 - 1, "close"), res_at(2**63 - 1)]
+    expected = reference_windower.comparable(reference_windows(records, CFG))
+    assert len(expected) == 2 and expected[0][1:3] == (2**63 - 10 * S, 2**63)
+    for cuts in ([], [1], [2, 3]):
+        assert reference_windower.comparable(fed_in_chunks(records, CFG, cuts)) == expected
+
+
+# one telemetry row: step forward and lateness in half seconds, kind, name, thread
+ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.sampled_from([0, 0, 0, 1, 3, 12]),
+        st.sampled_from(["enter", "enter", "exit", "res", "log"]),
+        st.sampled_from(["read", "write", "open"]),
+        st.integers(1, 2),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def rows_to_records(rows):
+    """A late row steps back from the clock, which itself only moves forward."""
+    records, clock = [], 0
+    for i, (step, late, kind, name, tid) in enumerate(rows):
+        clock += step * S // 2
+        t = clock - late * S // 2
+        if kind == "res":
+            records.append(res_at(t, rx=i))
+        elif kind == "log":
+            records.append(log_at(t))
+        else:
+            records.append(sys_at(t, name, tid=tid, direction=ENTER if kind == "enter" else EXIT))
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=ROWS, cuts=st.lists(st.integers(1, 59), max_size=8), trigrams=st.booleans())
+def test_chunked_windower_equals_the_reference_windower(rows, cuts, trigrams):
+    config = FeatureConfig(ngram_orders=(1, 2, 3), hash_dim=64, hop_s=3.0) if trigrams else CFG
+    records = rows_to_records(rows)
+    n = len(records)
+    expected = reference_windower.comparable(reference_windows(records, config))
+    newest = [max(r.t_ns for r in records[: i + 1]) for i in range(n)]
+    late = [i for i in range(1, n) if records[i].t_ns < newest[i - 1]]
+    feeds = {
+        "one chunk": [],
+        "512-row chunks": range(512, n, 512),
+        "1-row chunks": range(1, n),
+        "cut before each late row": late,
+        "cut after each late row": [i + 1 for i in late],
+        "drawn cuts": [c for c in cuts if c < n],
+    }
+    for feed, at in feeds.items():
+        for separate_tables in (False, True):
+            got = fed_in_chunks(records, config, at, separate_tables=separate_tables)
+            assert reference_windower.comparable(got) == expected, (feed, separate_tables)
+
+
+def test_trace_columns_slices_carry_their_samples_and_logs():
+    records = COLUMN_CASES["late records"] + [log_at(40 * S), res_at(41 * S, 7)]
+    whole = TraceColumns.from_records(records, "j1")
+    assert len(whole) == len(records)
+    assert whole.logs == tuple(r for r in records if isinstance(r, LogRecord))
+    for a, b in [(0, 3), (2, 9), (5, 5), (9, len(records)), (3, 100)]:
+        part = whole[a:b]
+        assert len(part) == len(records[a:b])
+        assert part.t_ns.tolist() == [r.t_ns for r in records[a:b]]
+        assert part.samples == tuple(r for r in records[a:b] if isinstance(r, ResourceSample))
+        assert part.logs == tuple(r for r in records[a:b] if isinstance(r, LogRecord))
+        assert part.names is whole.names and part.threads is whole.threads
+    with pytest.raises(ValueError):
+        whole[::2]
 
 
 # --- n-gram block ------------------------------------------------------------------
@@ -305,7 +393,7 @@ def test_exit_events_are_not_tokens():
 def win(start_s, end_s):
     return Window(
         job_id="j1", index=0, t_start_ns=int(start_s * 1e9), t_end_ns=int(end_s * 1e9),
-        events=(), samples=(), ngrams=np.zeros(CFG.hash_dim),
+        samples=(), ngrams=np.zeros(CFG.hash_dim),
     )
 
 

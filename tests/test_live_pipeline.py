@@ -16,7 +16,7 @@ from warden.coordinator import LEDGER_ENV_VAR
 from warden.detector import DetectorConfig, ResponseAction, run_pipeline
 from warden.features import FeatureConfig, Scaler
 from warden.ml import ModelBundle, SvmClassifier
-from warden.records import ResourceSample, SyscallEvent
+from warden.records import SYS_ROW
 from warden.sandbox import (
     JobDescriptor,
     JobStatus,
@@ -46,14 +46,15 @@ def test_live_job_emits_sampled_syscalls_and_resources():
     handle = backend.launch(
         JobDescriptor(job_id="live-telemetry", command=("/bin/sleep", "2"))
     )
-    records = list(handle.telemetry)
+    chunks = list(handle.telemetry)
     handle.wait(10.0)
-    syscalls = [r for r in records if isinstance(r, SyscallEvent)]
-    samples = [r for r in records if isinstance(r, ResourceSample)]
-    assert syscalls, "no sampled syscall events from a sleeping job"
+    kinds = np.concatenate([c.kind for c in chunks])
+    syscalls = np.concatenate([c.enter for c in chunks])[kinds == SYS_ROW]
+    samples = [s for c in chunks for s in c.samples]
+    assert len(syscalls), "no sampled syscall events from a sleeping job"
     assert samples, "no resource samples"
-    assert all(s.direction == "enter" for s in syscalls)
-    times = [r.t_ns for r in records]
+    assert syscalls.all()  # every sampled event is an enter event
+    times = [t for c in chunks for t in c.t_ns.tolist()]
     assert times == sorted(times)
 
 

@@ -26,8 +26,8 @@ from warden.records import (
     read_trace_columns,
     read_trace_file,
     serialize_line,
-    validate_trace,
 )
+from trace_validation import validate_trace
 
 
 def sys_event(**kw):

@@ -9,7 +9,15 @@ import time
 import pytest
 
 from warden.datagen import gen_trace, profiles_by_name
-from warden.records import LogRecord, ResourceSample, read_trace_file, serialize_line, write_trace_file
+from warden.records import (
+    ENTER,
+    RES_ROW,
+    SYS_ROW,
+    ResourceSample,
+    SyscallEvent,
+    read_trace_file,
+    write_trace_file,
+)
 from warden.sandbox import (
     REPLAY_CHUNK_RECORDS,
     DuplicateJobId,
@@ -28,6 +36,30 @@ from warden.sandbox import (
 )
 
 PHASE_ORDER = {"pending": 0, "running": 1, "completed": 2, "killed": 2}
+
+
+def stream_rows(chunks):
+    """One entry per streamed row: a syscall row's time, name, thread and direction, or the sample or log record."""
+    out = []
+    for c in chunks:
+        samples, logs = iter(c.samples), iter(c.logs)
+        for t, kind, name, thread, enter in zip(
+            c.t_ns.tolist(), c.kind.tolist(), c.name_id.tolist(), c.thread_id.tolist(), c.enter.tolist()
+        ):
+            if kind == SYS_ROW:
+                out.append((t, c.names[name], c.threads[thread], enter))
+            else:
+                out.append(next(samples) if kind == RES_ROW else next(logs))
+    return out
+
+
+def record_rows(records):
+    """stream_rows of records: what a stream carries of each (no syscall args or return value)."""
+    return [(r.t_ns, r.name, (r.pid, r.tid), r.direction == ENTER) if isinstance(r, SyscallEvent) else r for r in records]
+
+
+def flat(chunks):
+    return [item for chunk in chunks for item in chunk]
 
 
 def rs(t_s, cpu=0.0, rss=0, rx=0, tx=0, job="j1"):
@@ -66,7 +98,8 @@ def test_replay_stream_fidelity(small_trace):
     handle = replay_job(small_trace["path"], "job-r")
     streamed = list(handle.telemetry)
     assert handle.wait(5.0) == JobStatus.completed(0)
-    assert [serialize_line(r) for r in streamed] == [serialize_line(r) for r in small_trace["records"]]
+    assert {chunk.job_id for chunk in streamed} == {"job-r"}
+    assert stream_rows(streamed) == record_rows(small_trace["records"])
 
 
 def test_replay_missing_source():
@@ -169,7 +202,7 @@ def test_put_many_blocks_once_maxsize_records_are_buffered():
     assert producer.is_alive()  # 4 records buffered, 2 still waiting for room
     assert stream._size == 4
     consumed = []
-    consumer = threading.Thread(target=lambda: consumed.extend(stream), daemon=True)
+    consumer = threading.Thread(target=lambda: consumed.extend(flat(stream)), daemon=True)
     consumer.start()
     producer.join(5.0)
     assert not producer.is_alive()
@@ -182,14 +215,14 @@ def test_put_many_blocks_once_maxsize_records_are_buffered():
 def test_close_releases_a_blocked_producer():
     stream = TelemetryStream(maxsize=2)
     stream.put_many([0, 1])
-    producer = threading.Thread(target=stream.put, args=(2,), daemon=True)
+    producer = threading.Thread(target=stream.put_many, args=([2],), daemon=True)
     producer.start()
     time.sleep(0.1)
     assert producer.is_alive()
     stream.close()
     producer.join(5.0)
     assert not producer.is_alive()
-    assert list(stream) == [0, 1]
+    assert flat(stream) == [0, 1]
 
 
 def test_drop_oldest_keeps_newest_maxsize_records_across_chunks():
@@ -197,26 +230,28 @@ def test_drop_oldest_keeps_newest_maxsize_records_across_chunks():
     stream.put_many([0, 1, 2])
     stream.put_many([3, 4, 5])
     stream.put_many([6, 7])
-    stream.put(8)
+    stream.put_many([8])
     stream.close()
-    assert list(stream) == [4, 5, 6, 7, 8]
+    assert flat(stream) == [4, 5, 6, 7, 8]
+    assert stream.dropped == 4
 
     wide = TelemetryStream(maxsize=3, overflow="drop_oldest")
     wide.put_many([0, 1])
     wide.put_many(range(2, 12))  # one chunk wider than maxsize
     wide.close()
-    assert list(wide) == [9, 10, 11]
+    assert flat(wide) == [9, 10, 11]
+    assert wide.dropped == 9
 
 
 def test_put_after_close_is_ignored_and_iteration_ends_after_buffered_records():
     stream = TelemetryStream()
     stream.put_many([0, 1])
-    stream.put(2)
+    stream.put_many([2])
     stream.close()
-    stream.put(3)
+    stream.put_many([3])
     stream.put_many([4, 5])
     stream.close()
-    assert list(stream) == [0, 1, 2]
+    assert list(stream) == [[0, 1], [2]]
     assert list(stream) == []
 
 
@@ -225,7 +260,7 @@ def test_many_producers_lose_no_record_and_keep_each_producers_order():
 
     stream = TelemetryStream(maxsize=7)
     got = []
-    consumer = threading.Thread(target=lambda: got.extend(stream), daemon=True)
+    consumer = threading.Thread(target=lambda: got.extend(flat(stream)), daemon=True)
 
     def produce(p):
         for i in range(0, 600, 3):
@@ -233,7 +268,7 @@ def test_many_producers_lose_no_record_and_keep_each_producers_order():
                 stream.put_many([(p, i), (p, i + 1), (p, i + 2)])
             else:
                 for j in range(i, i + 3):
-                    stream.put((p, j))
+                    stream.put_many([(p, j)])
 
     producers = [threading.Thread(target=produce, args=(p,), daemon=True) for p in range(4)]
     old_interval = sys.getswitchinterval()
@@ -255,6 +290,16 @@ def test_many_producers_lose_no_record_and_keep_each_producers_order():
         assert [i for q, i in got if q == p] == list(range(600))
 
 
+def test_drop_oldest_replay_delivers_or_counts_every_row(small_trace):
+    lines = len(read_trace_file(small_trace["path"]))
+    backend = ReplayBackend(small_trace["path"], speed=0, stream_maxsize=100, overflow="drop_oldest")
+    handle = backend.launch(JobDescriptor(job_id="job-drop", command=("replay",)))
+    assert handle.wait(5.0) == JobStatus.completed(0)  # the replay never waits for the consumer
+    delivered = sum(len(chunk) for chunk in handle.telemetry)
+    assert delivered == 100
+    assert delivered + handle.telemetry.dropped == lines
+
+
 def test_speed0_replay_yields_read_trace_file_records_in_chunks(small_trace, monkeypatch):
     chunks = []
     real_put_many = TelemetryStream.put_many
@@ -265,7 +310,8 @@ def test_speed0_replay_yields_read_trace_file_records_in_chunks(small_trace, mon
     streamed = list(handle.telemetry)
     assert handle.wait(5.0) == JobStatus.completed(0)
     expected = read_trace_file(small_trace["path"])
-    assert streamed == expected
+    assert stream_rows(streamed) == record_rows(expected)
+    assert [len(chunk) for chunk in streamed] == chunks
     assert len(expected) > REPLAY_CHUNK_RECORDS  # at least one full chunk and a partial one
     assert sum(chunks) == len(expected)
     assert chunks[:-1] == [REPLAY_CHUNK_RECORDS] * (len(chunks) - 1)
@@ -303,11 +349,12 @@ def test_terminate_during_chunked_replay_ends_killed(tmp_path):
     assert handle.terminate(KillReason.POLICY_VIOLATION) == JobStatus.killed(KillReason.POLICY_VIOLATION)
     streamed = list(handle.telemetry)  # ends: the replay stops and closes the stream
     assert handle.wait(5.0) == JobStatus.killed(KillReason.POLICY_VIOLATION)
-    expected = read_trace_file(path)
+    expected = record_rows(read_trace_file(path))
+    rows = stream_rows(streamed)
     # the chunk in flight is delivered, then the replay stops
     assert len(expected) > 3 * REPLAY_CHUNK_RECORDS
-    assert REPLAY_CHUNK_RECORDS + 10 <= len(streamed) <= 2 * REPLAY_CHUNK_RECORDS
-    assert streamed == expected[: len(streamed)]
+    assert REPLAY_CHUNK_RECORDS + 10 <= len(rows) <= 2 * REPLAY_CHUNK_RECORDS
+    assert rows == expected[: len(rows)]
 
 
 # --- process backend -------------------------------------------------------------
@@ -323,9 +370,9 @@ def test_process_exit_code_passthrough():
 def test_process_stdout_becomes_log_records():
     backend = ProcessBackend(sample_interval_ms=100)
     handle = backend.launch(JobDescriptor(job_id="echoer", command=("/bin/sh", "-c", "echo hello-out; echo oops >&2")))
-    records = list(handle.telemetry)
+    chunks = list(handle.telemetry)
     handle.wait(10.0)
-    logs = [r for r in records if isinstance(r, LogRecord)]
+    logs = [log for chunk in chunks for log in chunk.logs]
     assert any(r.source == "stdout" and r.message == "hello-out" for r in logs)
     assert any(r.source == "stderr" and r.message == "oops" for r in logs)
 
@@ -338,7 +385,7 @@ def test_process_env_is_replaced():
             JobDescriptor(job_id="envjob", command=("/bin/sh", "-c", "echo v=$WARDEN_TEST_LEAK w=$WANTED"),
                           env={"WANTED": "yes", "PATH": "/usr/bin:/bin"})
         )
-        records = [r for r in handle.telemetry if isinstance(r, LogRecord)]
+        records = [log for chunk in handle.telemetry for log in chunk.logs]
         handle.wait(10.0)
         out = [r.message for r in records if r.source == "stdout"]
         assert out == ["v= w=yes"]
@@ -362,6 +409,26 @@ def test_duplicate_job_id_while_live():
     for _ in handle2.telemetry:
         pass
     assert handle2.wait(10.0).phase == "completed"
+
+
+def test_job_id_is_free_as_soon_as_wait_returns(small_trace):
+    backend = ProcessBackend(sample_interval_ms=100)
+    # the background sleep keeps the job's pipes open after the shell exits,
+    # so the pipe readers are still draining when wait returns
+    exits = ("/bin/sh", "-c", "sleep 0.3 & exit 0")
+    for i in range(24):
+        handle = backend.launch(JobDescriptor(job_id="again", command=("/bin/sleep", "5") if i % 2 else exits))
+        if i % 2:
+            assert handle.terminate(KillReason.POLICY_VIOLATION).phase == "killed"
+        assert handle.wait(10.0).terminal
+        backend.launch(JobDescriptor(job_id="again", command=("/bin/true",))).wait(10.0)
+    replay = ReplayBackend(small_trace["path"], speed=0)
+    for i in range(20):
+        handle = replay.launch(JobDescriptor(job_id="again", command=("replay",)))
+        if i % 2:
+            handle.terminate(KillReason.POLICY_VIOLATION)
+        assert handle.wait(10.0).terminal
+        replay.launch(JobDescriptor(job_id="again", command=("replay",))).terminate(KillReason.POLICY_VIOLATION)
 
 
 def test_spawn_failure():
