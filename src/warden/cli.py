@@ -1,11 +1,15 @@
 """The `warden` command suite: dataset generation through live detection.
 
+A training hyperparameter flag that is left out keeps the estimator's own
+default, and `--epochs 0` saves the untrained model.
+
 Exit codes are a stable scripting contract: 0 success, 2 usage or malformed
-input, 3 insufficient data (single-class training set), 4 fingerprint or
-format-version mismatch, 5 spawn failure, 10 a detector Terminate fired
-during `detect`, and 10+reason for jobs killed under `run` (11 policy,
-12 detector, 13 wallclock). A coordinator that rejects the node's
-registration is a usage error (2), not an outage.
+input, 3 insufficient data (single-class training set), 4 fingerprint,
+format-version or dimension mismatch (a feature CSV or a model scaler whose
+width is not that of the feature config), 5 spawn failure, 10 a detector
+Terminate fired during `detect`, and 10+reason for jobs killed under `run`
+(11 policy, 12 detector, 13 wallclock). A coordinator that rejects the
+node's registration is a usage error (2), not an outage.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .coordinator import LEDGER_ENV_VAR, CoordinatorClient, CoordinatorUnavailable, Rejected, serve_forever
-from .datagen import InvalidSpec, ScenarioSpec, gen_dataset
+from .datagen import ScenarioSpec, gen_dataset
 from .detector import (
     Alert,
     AlertSpool,
@@ -33,10 +38,9 @@ from .detector import (
     run_pipeline,
     serialize_alert_line,
 )
-from .features import DimensionMismatch, FeatureConfig, Scaler, write_feature_csv
-from .hashing import fnv1a64
+from .features import DimensionMismatch, FeatureConfig, Scaler, read_feature_csv, write_feature_csv
+from .hashing import SplitMix64, fnv1a64
 from .ml import (
-    Dataset,
     MlpClassifier,
     ModelBundle,
     RnnClassifier,
@@ -51,6 +55,7 @@ from .ml import (
     save_model,
 )
 from .ml.data import build_feature_dataset, build_sequence_dataset, load_manifest
+from .ml.io import KIND_CLASSES
 from .records import MalformedLine
 from .sandbox import (
     JobDescriptor,
@@ -69,8 +74,25 @@ EXIT_FINGERPRINT = 4
 EXIT_SPAWN = 5
 EXIT_TERMINATED = 10
 
+# exception type -> exit code, first match wins; any other error a command reports is a usage error
+_EXIT_CODES = (
+    (SingleClass, EXIT_DATA),
+    (DimensionMismatch, EXIT_FINGERPRINT),
+    (VersionMismatch, EXIT_FINGERPRINT),
+    (SpawnFailure, EXIT_SPAWN),
+)
+
 # traces that `detect` replays and scores at once; each also runs one replay thread
 DETECT_WORKERS = 4
+
+METRICS_HEADER = ("model", "accuracy", "precision", "recall", "f1", "fpr", "auc")
+
+
+def _fail(cmd: str, exc: Exception) -> int:
+    """Report ``exc`` on stderr as ``cmd``'s error; returns its exit code."""
+    detail = f"malformed input: {exc}" if isinstance(exc, MalformedLine) else exc
+    print(f"{cmd}: {detail}", file=sys.stderr)
+    return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_USAGE)
 
 
 def _banner(seed, feature_config: FeatureConfig, detector_config: DetectorConfig | None = None) -> None:
@@ -107,26 +129,6 @@ def _load_config_overrides(path) -> dict:
     return overrides
 
 
-def _feature_config(args) -> FeatureConfig:
-    params = {}
-    overrides = _load_config_overrides(args.config) if getattr(args, "config", None) else {}
-    if "window_s" in overrides:
-        params["window_s"] = float(overrides["window_s"])
-    if "hop_s" in overrides:
-        params["hop_s"] = float(overrides["hop_s"])
-    if "ngram_orders" in overrides:
-        params["ngram_orders"] = tuple(int(x) for x in overrides["ngram_orders"].split(",") if x)
-    if "hash_dim" in overrides:
-        params["hash_dim"] = int(overrides["hash_dim"])
-    for flag, key in (("window_s", "window_s"), ("hop_s", "hop_s"), ("hash_dim", "hash_dim")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[key] = value
-    if getattr(args, "ngram_orders", None):
-        params["ngram_orders"] = tuple(int(x) for x in args.ngram_orders.split(",") if x)
-    return FeatureConfig(**params)
-
-
 def parse_policy_spec(spec: str) -> tuple[tuple[int, ResponseAction], ...]:
     """Grammar: action:threshold[,action:threshold]... with actions alert|terminate."""
     aliases = {"alert": ResponseAction.RAISE_ALERT, "raise_alert": ResponseAction.RAISE_ALERT, "terminate": ResponseAction.TERMINATE}
@@ -145,37 +147,41 @@ def parse_policy_spec(spec: str) -> tuple[tuple[int, ResponseAction], ...]:
     return tuple(rules)
 
 
-def _detector_config(args, model_id: str = "") -> DetectorConfig:
-    overrides = _load_config_overrides(args.config) if getattr(args, "config", None) else {}
-    params = {"model_id": model_id}
-    if "tau" in overrides:
-        params["tau"] = float(overrides["tau"])
-    if "k" in overrides:
-        params["k"] = int(overrides["k"])
-    if "n" in overrides:
-        params["n"] = int(overrides["n"])
-    if "policy" in overrides:
-        params["action_policy"] = parse_policy_spec(overrides["policy"])
-    if getattr(args, "tau", None) is not None:
-        params["tau"] = args.tau
-    if getattr(args, "k", None) is not None:
-        params["k"] = args.k
-    if getattr(args, "n", None) is not None:
-        params["n"] = args.n
-    if getattr(args, "policy", None):
-        params["action_policy"] = parse_policy_spec(args.policy)
-    return DetectorConfig(**params)
+# config key (also the flag's dest) -> (constructor field, parser of the value)
+_FEATURE_KEYS = {
+    "window_s": ("window_s", float),
+    "hop_s": ("hop_s", float),
+    "ngram_orders": ("ngram_orders", lambda text: tuple(int(x) for x in text.split(",") if x)),
+    "hash_dim": ("hash_dim", int),
+}
+_DETECTOR_KEYS = {
+    "tau": ("tau", float),
+    "k": ("k", int),
+    "n": ("n", int),
+    "policy": ("action_policy", parse_policy_spec),
+}
+
+
+def _merged_config(args, cls, keys: dict, **params):
+    """``cls(**params)`` with each key from a --config line, overridden by its flag if given (an empty flag is not)."""
+    lines = _load_config_overrides(args.config) if args.config else {}
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) not in (None, "")}
+    for given in (lines, flags):
+        for key, (field, parse) in keys.items():
+            if key in given:
+                params[field] = parse(given[key])
+    return cls(**params)
 
 
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_gen_dataset(args) -> int:
     _banner(args.seed, FeatureConfig())
-    mix = {}
-    for item in args.mix or []:
-        name, _, weight = item.partition("=")
-        mix[name] = float(weight) if weight else 1.0
     try:
+        mix = {}
+        for item in args.mix or []:
+            name, _, weight = item.partition("=")
+            mix[name] = float(weight) if weight else 1.0
         spec = ScenarioSpec(
             n_normal=args.normal,
             n_malicious=args.malicious,
@@ -184,105 +190,83 @@ def cmd_gen_dataset(args) -> int:
             profile_mix=mix,
         )
         manifest = gen_dataset(spec, args.out)
-    except (InvalidSpec, OSError) as exc:
-        print(f"gen-dataset: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, OSError) as exc:
+        return _fail("gen-dataset", exc)
     print(f"wrote {len(manifest['entries'])} traces to {args.out}")
     return EXIT_OK
 
 
 def cmd_extract(args) -> int:
     try:
-        config = _feature_config(args)
+        config = _merged_config(args, FeatureConfig, _FEATURE_KEYS)
     except (ValueError, OSError) as exc:
-        print(f"extract: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("extract", exc)
     _banner(args.seed, config)
     try:
         manifest = load_manifest(args.manifest)
-        if not manifest["entries"]:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                from .features import csv_header
-
-                fh.write(csv_header(config.dim) + "\n")
-            print("wrote 0 feature rows")
-            return EXIT_OK
-        _, vectors = build_feature_dataset(args.manifest, config)
+        vectors = build_feature_dataset(args.manifest, config)[1] if manifest["entries"] else []
         labels = {e["job_id"]: e["label"] for e in manifest["entries"]}
         rows = write_feature_csv(args.out, vectors, labels, config.dim)
-    except MalformedLine as exc:
-        print(f"extract: malformed input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
-        print(f"extract: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("extract", exc)
     print(f"wrote {rows} feature rows")
     return EXIT_OK
 
 
-def _train_window_model(args, config: FeatureConfig):
-    if args.features:
-        from .features import read_feature_csv
+def _estimator(args, config: FeatureConfig):
+    """The --kind estimator with the hyperparameter flags given; the others keep the class's defaults."""
+    model = KIND_CLASSES[args.kind]()
+    given = {name: getattr(args, name, None) for name in model.get_params()}
+    if "vocab" in given:
+        given["vocab"] = config.hash_dim
+    return model.set_params(**{name: value for name, value in given.items() if value is not None})
 
-        X, y, job_ids, _ = read_feature_csv(args.features)
-        if X.shape[0] == 0:
-            raise SingleClass("feature CSV is empty")
-        dataset = Dataset(X, y, tuple(job_ids))
-    else:
-        dataset, _ = build_feature_dataset(args.manifest, config)
-    scaler = Scaler().fit(dataset.X)
-    if args.kind == "svm":
-        model = SvmClassifier(lambda_=args.svm_lambda, epochs=args.epochs or 20, seed=args.seed)
-    else:
-        model = MlpClassifier(
-            hidden=args.hidden, lr=args.lr if args.lr is not None else 0.05,
-            epochs=args.epochs or 50, batch=args.batch, seed=args.seed,
-        )
-    model.fit(scaler.transform(dataset.X), dataset.y)
-    return ModelBundle(kind=args.kind, model=model, feature_config=config, scaler=scaler), dataset.X, dataset.y
+
+def _load_corpus(args, config: FeatureConfig, model):
+    """(inputs, y, groups) to train or score ``model`` on.
+
+    The RNN reads token sequences from --manifest, and its groups are None.
+    The other kinds read window features from --features, else --manifest,
+    grouped by job id; a feature CSV must be as wide as ``config``. In
+    `train`, a feature CSV must hold a row and the RNN may not be given one.
+    """
+    training = args.command == "train"
+    sequences = isinstance(model, RnnClassifier)
+    if sequences and training and args.features:
+        raise ValueError(f"--kind {model.kind} needs a manifest (token sequences), not a feature CSV")
+    if sequences and not training and not args.manifest:
+        raise ValueError(f"{model.kind} models need a manifest")
+    if not args.features and not args.manifest:
+        raise ValueError("provide --manifest or --features")
+    if sequences:
+        data = build_sequence_dataset(args.manifest, config, t_max=model.t_max)
+        return data.sequences, data.y, None
+    if not args.features:
+        data, _ = build_feature_dataset(args.manifest, config)
+        return data.X, data.y, data.groups
+    X, y, job_ids, _ = read_feature_csv(args.features)
+    if training and X.shape[0] == 0:
+        raise SingleClass("feature CSV is empty")
+    if X.shape[1] != config.dim:
+        raise DimensionMismatch(f"feature CSV dimension {X.shape[1]} != model dimension {config.dim}")
+    return X, y, tuple(job_ids)
 
 
 def cmd_train(args) -> int:
     try:
-        config = _feature_config(args)
+        config = _merged_config(args, FeatureConfig, _FEATURE_KEYS)
     except (ValueError, OSError) as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("train", exc)
     _banner(args.seed, config)
-    if args.kind == "rnn" and args.features:
-        print("train: --kind rnn needs a manifest (token sequences), not a feature CSV", file=sys.stderr)
-        return EXIT_USAGE
-    if not args.features and not args.manifest:
-        print("train: provide --manifest or --features", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        if args.kind == "rnn":
-            seqdata = build_sequence_dataset(args.manifest, config, t_max=args.t_max)
-            model = RnnClassifier(
-                hidden=args.hidden,
-                embed=args.embed,
-                lr=args.lr if args.lr is not None else 0.01,
-                epochs=args.epochs or 30,
-                t_max=args.t_max,
-                clip=args.clip,
-                seed=args.seed,
-                vocab=config.hash_dim,
-            )
-            model.fit(seqdata.sequences, seqdata.y)
-            bundle = ModelBundle(kind="rnn", model=model, feature_config=config, scaler=None)
-            inputs, y = seqdata.sequences, seqdata.y
-        else:
-            bundle, inputs, y = _train_window_model(args, config)
+        model = _estimator(args, config)
+        inputs, y, groups = _load_corpus(args, config, model)
+        scaler = None if groups is None else Scaler().fit(inputs)
+        model.fit(inputs if scaler is None else scaler.transform(inputs), y)
+        bundle = ModelBundle(kind=model.kind, model=model, feature_config=config, scaler=scaler)
         scores = bundle.score(inputs)
-    except SingleClass as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except MalformedLine as exc:
-        print(f"train: malformed input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("train", exc)
     model_id = save_model(bundle, args.out)
     metrics = evaluate_scores(scores, y)
     auc = "" if metrics.auc is None else f"{metrics.auc:.6f}"
@@ -305,59 +289,27 @@ def _metric_row(name: str, metrics) -> str:
 def cmd_eval(args) -> int:
     try:
         bundle = load_model(args.model)
-    except VersionMismatch as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return EXIT_FINGERPRINT
     except (OSError, ValueError) as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    config = bundle.feature_config
-    _banner(args.seed, config)
+        return _fail("eval", exc)
+    _banner(args.seed, bundle.feature_config)
     try:
-        if bundle.kind == "rnn":
-            if not args.manifest:
-                print("eval: rnn models need a manifest", file=sys.stderr)
-                return EXIT_USAGE
-            seqdata = build_sequence_dataset(args.manifest, config, t_max=bundle.model.t_max)
-            scores, y = bundle.score(seqdata.sequences), seqdata.y
-            rows = [("rnn", evaluate_scores(scores, y))]
-            roc_scores, roc_labels = scores, y
-        else:
-            if args.features:
-                from .features import read_feature_csv
-
-                X, y, job_ids, _ = read_feature_csv(args.features)
-                if X.shape[1] != config.dim:
-                    raise DimensionMismatch(f"feature CSV dimension {X.shape[1]} != model dimension {config.dim}")
-                groups = tuple(job_ids)
-            else:
-                dataset, _ = build_feature_dataset(args.manifest, config)
-                X, y, groups = dataset.X, dataset.y, dataset.groups
-            scores = bundle.score(X)
+        inputs, y, groups = _load_corpus(args, bundle.feature_config, bundle.model)
+        scores = bundle.score(inputs)
+        rows = [(bundle.kind, evaluate_scores(scores, y))]
+        if groups is not None:  # window rows: add the per-trace row
             _, trace_scores, trace_labels = group_mean_scores(scores, y, groups)
-            rows = [
-                (bundle.kind, evaluate_scores(scores, y)),
-                (f"{bundle.kind}-trace", evaluate_scores(trace_scores, trace_labels)),
-            ]
-            roc_scores, roc_labels = scores, y
-    except DimensionMismatch as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return EXIT_FINGERPRINT
-    except MalformedLine as exc:
-        print(f"eval: malformed input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            rows.append((f"{bundle.kind}-trace", evaluate_scores(trace_scores, trace_labels)))
     except (ValueError, OSError) as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("eval", exc)
 
-    lines = ["model,accuracy,precision,recall,f1,fpr,auc"] + [_metric_row(n, m) for n, m in rows]
+    lines = [",".join(METRICS_HEADER)] + [_metric_row(n, m) for n, m in rows]
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     if args.roc_out:
         with open(args.roc_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("threshold,fpr,tpr\n")
-            for thr, fpr, tpr in roc_points(roc_scores, roc_labels):
+            for thr, fpr, tpr in roc_points(scores, y):
                 fh.write(f"{repr(thr)},{repr(fpr)},{repr(tpr)}\n")
     for line in lines:
         print(line)
@@ -366,10 +318,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     _banner(args.seed, FeatureConfig())
-    from .hashing import SplitMix64
-
-    thresholds = {"mlp": 1e-4, "rnn": 1e-4, "svm": 1e-6}
-    worst = {"mlp": 0.0, "rnn": 0.0, "svm": 0.0}
+    thresholds = {"svm": 1e-6, "mlp": 1e-4, "rnn": 1e-4}
+    worst = dict.fromkeys(thresholds, 0.0)
     for s in range(args.seeds):
         seed = args.seed + s
         rng = SplitMix64(fnv1a64(f"gradcheck-{seed}"))
@@ -377,12 +327,10 @@ def cmd_gradcheck(args) -> int:
         y = seed % 2
         mlp = MlpClassifier(hidden=4, epochs=0, seed=seed)
         mlp.fit(np.vstack([x, -x]), np.array([0, 1]))
-        worst["mlp"] = max(worst["mlp"], grad_check(mlp, (x, y)))
 
         seq = np.array([rng.randrange(8) for _ in range(12)])
         rnn = RnnClassifier(hidden=4, embed=3, epochs=0, seed=seed, vocab=8)
         rnn.fit([seq, seq[:5]], np.array([0, 1]))
-        worst["rnn"] = max(worst["rnn"], grad_check(rnn, (seq, y)))
 
         svm = SvmClassifier(lambda_=1e-2, epochs=0, seed=seed)
         svm.w_ = np.array([rng.gauss() for _ in range(6)])
@@ -390,68 +338,69 @@ def cmd_gradcheck(args) -> int:
         margin = (1.0 if y == 1 else -1.0) * (float(x @ svm.w_) + svm.b_)
         if abs(margin - 1.0) < 0.1:
             svm.b_ += 0.5  # stay away from the hinge kink where the subgradient is not unique
-        worst["svm"] = max(worst["svm"], grad_check(svm, (x, y)))
+        for model, example in ((mlp, (x, y)), (rnn, (seq, y)), (svm, (x, y))):
+            worst[model.kind] = max(worst[model.kind], grad_check(model, example))
     ok = True
-    for kind in ("svm", "mlp", "rnn"):
-        passed = worst[kind] < thresholds[kind]
+    for kind, threshold in thresholds.items():
+        passed = worst[kind] < threshold
         ok = ok and passed
-        print(f"gradcheck {kind}: max relative error {worst[kind]:.3e} (threshold {thresholds[kind]:.0e}) "
+        print(f"gradcheck {kind}: max relative error {worst[kind]:.3e} (threshold {threshold:.0e}) "
               f"{'ok' if passed else 'FAIL'}")
     return EXIT_OK if ok else 1
 
 
-def _load_online_model(args, cmd: str):
-    """(bundle, detector config) for `detect` and `run`, or an exit code once the error is printed."""
+def _node_agent(args, cmd: str, work, flush: bool = False) -> int:
+    """Load the window model, register with --coordinator; return ``work(bundle, detector_config, client, node_id)``.
+
+    A registration the coordinator rejects is a usage error. An unreachable
+    coordinator leaves the client None (node id "local"), so alerts spool.
+    With ``flush``, the --spool file is redelivered right after registering.
+    The client is closed when ``work`` returns.
+    """
     try:
         bundle = load_model(args.model)
         if bundle.scaler is None:
             raise ValueError("online window scoring needs an svm or mlp model")
-        detector_config = _detector_config(args, model_id=bundle.model_id)
-    except VersionMismatch as exc:
-        print(f"{cmd}: {exc}", file=sys.stderr)
-        return EXIT_FINGERPRINT
+        if bundle.scaler.mean_.shape[0] != bundle.feature_config.dim:
+            raise DimensionMismatch(f"{args.model}: scaler dimension {bundle.scaler.mean_.shape[0]} "
+                                    f"!= feature config dimension {bundle.feature_config.dim}")
+        detector_config = _merged_config(args, DetectorConfig, _DETECTOR_KEYS, model_id=bundle.model_id)
     except (OSError, ValueError) as exc:
-        print(f"{cmd}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(cmd, exc)
     _banner(args.seed, bundle.feature_config, detector_config)
-    return bundle, detector_config
-
-
-def cmd_detect(args) -> int:
-    loaded = _load_online_model(args, "detect")
-    if isinstance(loaded, int):
-        return loaded
-    coordinator = CoordinatorClient(args.coordinator) if args.coordinator else None
+    coordinator = client = CoordinatorClient(args.coordinator) if args.coordinator else None
+    node_id = "local"
     try:
-        return _detect_traces(args, *loaded, coordinator)
+        if coordinator is not None:
+            try:
+                node_id = coordinator.register(args.hostname, idempotency_key=args.hostname)
+                if flush and args.spool:
+                    flush_spool(AlertSpool(args.spool), coordinator, node_id)
+            except Rejected as exc:
+                print(f"{cmd}: coordinator {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            except CoordinatorUnavailable:
+                client = None  # alerts spool; the exit code still reflects detection
+        return work(bundle, detector_config, client, node_id)
     finally:
         if coordinator is not None:
             coordinator.close()
 
 
-def _detect_traces(args, bundle, detector_config, client) -> int:
-    node_id = "local"
+def cmd_detect(args) -> int:
+    return _node_agent(args, "detect", partial(_detect_traces, args), flush=True)
+
+
+def _detect_traces(args, bundle, detector_config, client, node_id) -> int:
     spool = AlertSpool(args.spool) if args.spool else None
-    if client is not None:
-        try:
-            node_id = client.register(args.hostname, idempotency_key=args.hostname)
-            if spool is not None:
-                flush_spool(spool, client, node_id)
-        except Rejected as exc:
-            print(f"detect: coordinator {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except CoordinatorUnavailable:
-            client = None  # alerts spool; exit code still reflects detection
 
     def detect_one(trace_path: str):
-        """(result, spooled alerts, None), or (None, None, error) for an unreadable trace."""
+        """(result, spooled alerts, None), or (None, None, the error) for an unreadable trace."""
         job_id = os.path.splitext(os.path.basename(trace_path))[0]
         try:
             handle = replay_job(trace_path, job_id, speed=args.replay_speed)
-        except MalformedLine as exc:
-            return None, None, f"malformed input: {exc}"
         except (SandboxError, OSError, ValueError) as exc:
-            return None, None, str(exc)
+            return None, None, exc
         # each pipeline spools into its own list; the lists reach the file in
         # argument order, so the spool does not depend on thread timing
         spooled = [] if spool is not None else None
@@ -463,7 +412,7 @@ def _detect_traces(args, bundle, detector_config, client) -> int:
     failed = terminated = False
     for result, spooled, error in outcomes:  # deterministic grouping: input order
         if error is not None:
-            print(f"detect: {error}", file=sys.stderr)
+            _fail("detect", error)
             failed = True
             continue
         for alert in spooled or ():
@@ -499,6 +448,8 @@ def cmd_run(args) -> int:
             job_spec = json.load(fh)
         if not isinstance(job_spec, dict):
             raise ValueError("a job file holds one JSON object")
+        if "job_id" not in job_spec:
+            raise ValueError("the job file has no job_id field")
         policy = _policy_from_dict(_json_field(job_spec, "policy", dict, {}))
         if args.wallclock_limit_s is not None:
             policy = replace(policy, wallclock_limit_s=args.wallclock_limit_s)
@@ -512,37 +463,17 @@ def cmd_run(args) -> int:
         if problems:
             print(f"run: invalid policy: {problems}", file=sys.stderr)
             return EXIT_USAGE
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    loaded = _load_online_model(args, "run")
-    if isinstance(loaded, int):
-        return loaded
-    coordinator = CoordinatorClient(args.coordinator) if args.coordinator else None
-    try:
-        return _run_job(args, descriptor, policy, *loaded, coordinator)
-    finally:
-        if coordinator is not None:
-            coordinator.close()
+    except (OSError, ValueError) as exc:
+        return _fail("run", exc)
+    return _node_agent(args, "run", partial(_run_job, args, descriptor, policy))
 
 
-def _run_job(args, descriptor, policy, bundle, detector_config, client) -> int:
-    node_id = "local"
-    if client is not None:
-        try:
-            node_id = client.register(args.hostname, idempotency_key=args.hostname)
-        except Rejected as exc:
-            print(f"run: coordinator {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except CoordinatorUnavailable:
-            client = None
-
+def _run_job(args, descriptor, policy, bundle, detector_config, client, node_id) -> int:
     backend = ProcessBackend(sample_interval_ms=args.sample_interval_ms)
     try:
         handle = backend.launch(descriptor)
     except SpawnFailure as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_SPAWN
+        return _fail("run", exc)
     spool = AlertSpool(args.spool) if args.spool else None
     result = run_pipeline(
         handle,
@@ -581,14 +512,14 @@ def cmd_report(args) -> int:
         for path in args.metrics or []:
             with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip()
-                if header != "model,accuracy,precision,recall,f1,fpr,auc":
+                if header != ",".join(METRICS_HEADER):
                     print(f"report: {path}: not a metrics CSV", file=sys.stderr)
                     return EXIT_USAGE
                 for line in fh:
                     line = line.strip()
                     if line:
                         parts = line.split(",")
-                        if len(parts) != 7:
+                        if len(parts) != len(METRICS_HEADER):
                             print(f"report: {path}: bad row {line!r}", file=sys.stderr)
                             return EXIT_USAGE
                         rows.append(parts)
@@ -599,14 +530,12 @@ def cmd_report(args) -> int:
                     if line.strip():
                         alerts.append(parse_alert_line(line))
     except (OSError, ValueError) as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("report", exc)
 
     if rows:
         rows.sort(key=lambda r: r[0])
-        widths = [max(len(r[i]) for r in rows + [["model", "accuracy", "precision", "recall", "f1", "fpr", "auc"]]) for i in range(7)]
-        header = ["model", "accuracy", "precision", "recall", "f1", "fpr", "auc"]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        widths = [max(len(r[i]) for r in rows + [METRICS_HEADER]) for i in range(len(METRICS_HEADER))]
+        print("  ".join(h.ljust(w) for h, w in zip(METRICS_HEADER, widths)))
         for row in rows:
             print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     if args.alerts is not None:
@@ -661,18 +590,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a classifier")
-    p.add_argument("--kind", choices=("svm", "mlp", "rnn"), required=True)
+    p.add_argument("--kind", choices=tuple(KIND_CLASSES), required=True)
     p.add_argument("--manifest")
     p.add_argument("--features")
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda", dest="svm_lambda", type=float, default=1e-4)
+    # hyperparameters: each dest is the estimator's parameter name; one left out keeps the class default
+    p.add_argument("--lambda", dest="lambda_", metavar="SVM_LAMBDA", type=float)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden", type=int, default=32)
+    p.add_argument("--hidden", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--embed", type=int, default=16)
-    p.add_argument("--t-max", dest="t_max", type=int, default=512)
-    p.add_argument("--clip", type=float, default=5.0)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--embed", type=int)
+    p.add_argument("--t-max", dest="t_max", type=int)
+    p.add_argument("--clip", type=float)
     common(p, features=True)
     p.set_defaults(func=cmd_train)
 

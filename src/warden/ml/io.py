@@ -25,10 +25,10 @@ from .svm import SvmClassifier
 MAGIC = b"WMDL"
 VERSION = 1
 
-# the kind byte is the class's index here: svm 0, mlp 1, rnn 2
-_KIND_CLASSES = {cls.kind: cls for cls in (SvmClassifier, MlpClassifier, RnnClassifier)}
-_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_CLASSES)}
-_KIND_NAMES = dict(enumerate(_KIND_CLASSES))
+# model kind -> estimator class; the kind byte is the class's index here: svm 0, mlp 1, rnn 2
+KIND_CLASSES = {cls.kind: cls for cls in (SvmClassifier, MlpClassifier, RnnClassifier)}
+_KIND_CODES = {kind: code for code, kind in enumerate(KIND_CLASSES)}
+_KIND_NAMES = dict(enumerate(KIND_CLASSES))
 
 
 class VersionMismatch(ValueError):
@@ -126,7 +126,7 @@ def load_model(path) -> ModelBundle:
         raise CorruptFile(f"{path}: bad header: {exc}") from None
 
     try:
-        model = _KIND_CLASSES[kind](**header["hyperparams"])
+        model = KIND_CLASSES[kind](**header["hyperparams"])
     except TypeError as exc:
         raise CorruptFile(f"{path}: hyperparameters do not fit a {kind} model: {exc}") from None
     feature_config = FeatureConfig.from_dict(header["feature_config"])

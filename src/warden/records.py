@@ -548,7 +548,7 @@ class Interner(dict):
 SYS_ROW, RES_ROW, LOG_ROW = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceColumns:
     """One job's trace, or a run of its rows, as columns: one row per record in file order.
 

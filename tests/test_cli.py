@@ -7,6 +7,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from warden.cli import main, parse_policy_spec
@@ -55,6 +56,15 @@ def test_gen_dataset_determinism(tmp_path):
                        "--duration", "10", "--seed", "3", "--out", str(out)) == 0
     for name in sorted(os.listdir(a)):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_gen_dataset_bad_mix_weight_exits_2(tmp_path, capsys):
+    code = run_cli("gen-dataset", "--normal", "1", "--malicious", "1", "--duration", "5",
+                   "--out", str(tmp_path / "c"), "--mix", "batch-compute=abc")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "gen-dataset: could not convert string to float: 'abc'" in err.splitlines()
+    assert "Traceback" not in err
 
 
 def test_extract_row_count_matches_window_recount(workspace, tmp_path):
@@ -164,6 +174,24 @@ def test_train_single_class_exits_3(tmp_path):
     code = run_cli("train", "--kind", "svm", "--manifest", str(corpus / "manifest.json"),
                    "--out", str(tmp_path / "m.wmdl"))
     assert code == 3
+
+
+def test_train_feature_csv_of_another_width_exits_4(workspace, tmp_path, capsys):
+    features = tmp_path / "f64.csv"
+    assert run_cli("extract", "--manifest", workspace["manifest"], "--out", str(features), "--hash-dim", "64") == 0
+    out = tmp_path / "svm.wmdl"
+    code = run_cli("train", "--kind", "svm", "--features", str(features), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "train: feature CSV dimension 76 != model dimension 268" in err.splitlines()
+    assert not out.exists()
+
+
+def test_eval_without_a_corpus_exits_2(workspace, capsys):
+    code = run_cli("eval", "--model", workspace["svm"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "eval: provide --manifest or --features" in err.splitlines()
 
 
 def test_eval_writes_metrics_and_roc(workspace, tmp_path, capsys):
@@ -366,6 +394,26 @@ def test_detect_rnn_model_rejected(workspace, tmp_path):
     assert run_cli("detect", path, "--model", str(rnn_path)) == 2
 
 
+def scaler_mismatched_model(path):
+    """An svm bundle whose scaler is 76 wide while its feature config says 268."""
+    from warden.features import FeatureConfig, Scaler
+    from warden.ml import ModelBundle, SvmClassifier, save_model
+
+    X = np.vstack([np.zeros(76), np.ones(76)])
+    scaler = Scaler().fit(X)
+    model = SvmClassifier(epochs=1).fit(scaler.transform(X), np.array([0, 1]))
+    save_model(ModelBundle(kind="svm", model=model, feature_config=FeatureConfig(), scaler=scaler), path)
+    return str(path)
+
+
+def test_detect_model_whose_scaler_is_not_its_config_width_exits_4(workspace, tmp_path, capsys):
+    model = scaler_mismatched_model(tmp_path / "bad.wmdl")
+    code = run_cli("detect", trace_path(workspace, lambda e: True), "--model", model)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"detect: {model}: scaler dimension 76 != feature config dimension 268" in err.splitlines()
+
+
 def test_detect_unreachable_coordinator_spools(workspace, tmp_path, capsys):
     miner = trace_path(workspace, lambda e: e["profile"] == "cryptominer")
     spool = tmp_path / "spool.alog"
@@ -484,6 +532,27 @@ def test_run_bad_detector_flag_exits_2(workspace, tmp_path, capsys):
     assert code == 2
     assert "run: tau must be in (0, 1)" in err
     assert "Traceback" not in err
+    assert not marker.exists()
+
+
+def test_run_job_without_job_id_names_the_field(workspace, tmp_path, capsys):
+    marker = tmp_path / "started"
+    job = tmp_path / "anonymous.json"
+    job.write_text(json.dumps({"command": ["/bin/sh", "-c", f"touch {marker}"]}))
+    code = run_cli("run", "--job", str(job), "--model", workspace["mlp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "run: the job file has no job_id field\n"
+    assert not marker.exists()
+
+
+def test_run_model_whose_scaler_is_not_its_config_width_exits_4(workspace, tmp_path, capsys):
+    marker = tmp_path / "started"
+    job = write_job(tmp_path, "marker", ["/bin/sh", "-c", f"touch {marker}"])
+    code = run_cli("run", "--job", job, "--model", scaler_mismatched_model(tmp_path / "bad.wmdl"))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "scaler dimension 76 != feature config dimension 268" in err
     assert not marker.exists()
 
 

@@ -22,6 +22,7 @@ from warden.records import (
     MalformedLine,
     ResourceSample,
     SyscallEvent,
+    TraceColumns,
     parse_line,
     read_trace_columns,
     read_trace_file,
@@ -329,6 +330,14 @@ def column_view(trace):
             rows.append((t_ns, "log"))
     assert next(samples, None) is None
     return rows
+
+
+def test_trace_columns_compare_by_identity():
+    records = [sys_event(t_ns=100), sys_event(t_ns=200, direction=EXIT, retval=0)]
+    a, b = TraceColumns.from_records(records, "j1"), TraceColumns.from_records(records, "j1")
+    assert a == a
+    assert a != b  # no element-wise comparison of the numpy columns
+    assert column_view(a) == column_view(b)
 
 
 def record_view(records):
