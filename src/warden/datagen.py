@@ -10,6 +10,11 @@ construction and the ML acceptance thresholds meaningful.
 
 Generation is byte-deterministic in (profile, duration, job_id, seed): all
 randomness flows through one splitmix64 stream consumed in a fixed order.
+One generator core produces a trace's time-sorted rows, and two views read
+them: ``gen_dataset`` hands the rows to ``records.write_trace_rows``, which
+writes each syscall row straight to its canonical ``.trc`` line, and
+``gen_trace`` returns the rows as records. A profile's checks cover every
+field a syscall row takes from it, so the rows need no per-event validation.
 """
 
 from __future__ import annotations
@@ -17,15 +22,20 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .hashing import SplitMix64, derive_seed, derive_tagged_seed
 from .records import (
     ENTER,
     EXIT,
+    MAX_ARGS,
+    MAX_NAME,
+    SYSCALL_NAME_RE,
     LabeledTrace,
     LogRecord,
     ResourceSample,
     SyscallEvent,
+    write_trace_rows,
 )
 
 SAMPLE_PERIOD_S = 1.0
@@ -47,6 +57,8 @@ class BehaviorProfile:
     ``transition`` rows follow ``syscall_vocab`` order and each row must sum
     to 1 (tolerance 1e-9). Network rates are piecewise-constant
     (duration_s, bytes_per_s) segments, cycled over the trace duration.
+    The vocab, args and return-value checks are the ones a ``SyscallEvent``
+    makes, so every syscall row generated from a valid profile is valid.
     """
 
     name: str
@@ -68,6 +80,23 @@ class BehaviorProfile:
             raise InvalidProfile(f"label must be normal|malicious, got {self.label!r}")
         if not self.syscall_vocab:
             raise InvalidProfile("syscall_vocab must be non-empty")
+        for name in self.syscall_vocab:
+            if not isinstance(name, str) or not SYSCALL_NAME_RE.fullmatch(name):
+                raise InvalidProfile(f"syscall name must match [a-z0-9_]{{1,{MAX_NAME}}}, got {name!r}")
+        for name, choices in self.args_choices.items():
+            if not isinstance(choices, tuple) or not all(isinstance(a, str) and len(a) <= MAX_ARGS for a in choices):
+                raise InvalidProfile(f"args_choices[{name!r}] must be a tuple of strings of at most {MAX_ARGS} chars")
+        for name, entry in self.fail_retval.items():
+            if not (
+                isinstance(entry, tuple)
+                and len(entry) == 2
+                and isinstance(entry[0], (int, float))
+                and not isinstance(entry[0], bool)
+                and 0.0 <= entry[0] <= 1.0
+                and isinstance(entry[1], int)
+                and not isinstance(entry[1], bool)
+            ):
+                raise InvalidProfile(f"fail_retval[{name!r}] must be (probability in [0, 1], integer), got {entry!r}")
         if len(self.transition) != len(self.syscall_vocab):
             raise InvalidProfile("transition must be square over the vocab")
         for i, row in enumerate(self.transition):
@@ -260,15 +289,21 @@ _LOG_TEMPLATES = {
 }
 
 
-def gen_trace(profile: BehaviorProfile, duration_s: float, job_id: str, seed: int) -> LabeledTrace:
-    """Generate one labeled trace: time-ordered, one job_id, cumulative counters that never go down."""
+def _trace_rows(profile: BehaviorProfile, duration_s: float, job_id: str, seed: int) -> tuple[int, list[tuple]]:
+    """The generator core: a trace's pid and its rows, sorted by time.
+
+    A syscall row is ``(t_ns, tid, name, args, retval)`` with retval None on
+    enter; a resource sample or log line is ``(t_ns, record)``. Equal times
+    keep generation order: syscalls, then samples, then logs.
+    """
     if duration_s <= 0:
         raise InvalidProfile("duration_s must be positive")
     rng = SplitMix64(seed)
     pid = 1000 + rng.randrange(9000)
     duration_ns = int(duration_s * 1e9)
 
-    records: list = []
+    rows: list[tuple] = []
+    records: list = []  # resource samples and logs
 
     # --- syscall enter/exit pairs driven by the Markov chain -----------------
     vocab = profile.syscall_vocab
@@ -281,7 +316,7 @@ def gen_trace(profile: BehaviorProfile, duration_s: float, job_id: str, seed: in
         t += rng.expovariate(profile.rate_events_per_s)
         if t >= duration_s:
             break
-        state = rng.weighted_index(list(profile.transition[state]))
+        state = rng.weighted_index(profile.transition[state])
         name = vocab[state]
         tid = pid + rng.randrange(profile.n_threads)
         t_ns = int(t * 1e9)
@@ -298,9 +333,8 @@ def gen_trace(profile: BehaviorProfile, duration_s: float, job_id: str, seed: in
             if rng.uniform() < prob:
                 retval = bad
         service_ns = 1000 + rng.randrange(49000)
-        records.append(SyscallEvent(t_ns=t_ns, job_id=job_id, pid=pid, tid=tid, name=name, direction=ENTER, args_digest=args))
-        exit_ns = min(t_ns + service_ns, duration_ns - 1)
-        records.append(SyscallEvent(t_ns=exit_ns, job_id=job_id, pid=pid, tid=tid, name=name, direction=EXIT, args_digest=args, retval=retval))
+        rows.append((t_ns, tid, name, args, None))
+        rows.append((min(t_ns + service_ns, duration_ns - 1), tid, name, args, retval))
         sec = int(t)
         if name in ("read", "recvfrom"):
             read_counts[sec] = read_counts.get(sec, 0) + 1
@@ -356,7 +390,19 @@ def gen_trace(profile: BehaviorProfile, duration_s: float, job_id: str, seed: in
                 )
             )
 
-    records.sort(key=lambda r: r.t_ns)  # Python sort is stable: equal times keep gen order
+    rows += [(r.t_ns, r) for r in records]
+    rows.sort(key=itemgetter(0))  # Python sort is stable: equal times keep gen order
+    return pid, rows
+
+
+def gen_trace(profile: BehaviorProfile, duration_s: float, job_id: str, seed: int) -> LabeledTrace:
+    """Generate one labeled trace: time-ordered, one job_id, cumulative counters that never go down."""
+    pid, rows = _trace_rows(profile, duration_s, job_id, seed)
+    records = [
+        row[1] if len(row) == 2
+        else SyscallEvent(row[0], job_id, pid, row[1], row[2], ENTER if row[4] is None else EXIT, row[3], row[4])
+        for row in rows
+    ]
     return LabeledTrace(job_id=job_id, label=profile.label, profile_name=profile.name, records=tuple(records))
 
 
@@ -386,8 +432,6 @@ def gen_dataset(spec: ScenarioSpec, out_dir) -> dict:
 
     os.makedirs(out_dir, exist_ok=True)
     entries = []
-    from .records import write_trace_file
-
     total = spec.n_normal + spec.n_malicious
     for index in range(total):
         label = "normal" if index < spec.n_normal else "malicious"
@@ -396,9 +440,9 @@ def gen_dataset(spec: ScenarioSpec, out_dir) -> dict:
         names = by_label[label]
         name = names[choice_rng.weighted_index([mix[n] for n in names])]
         job_id = f"job-{index:04d}"
-        trace = gen_trace(profiles[name], spec.duration_s, job_id, trace_seed)
+        pid, rows = _trace_rows(profiles[name], spec.duration_s, job_id, trace_seed)
         filename = f"{label}-{name}-{index:04d}.trc"
-        write_trace_file(os.path.join(out_dir, filename), trace.records)
+        write_trace_rows(os.path.join(out_dir, filename), job_id, pid, rows)
         entries.append({"file": filename, "job_id": job_id, "label": label, "profile": name, "seed": trace_seed})
 
     manifest = {"seed": spec.seed, "duration_s": spec.duration_s, "entries": entries}

@@ -9,6 +9,9 @@ platforms, processes and Python versions.
 from __future__ import annotations
 
 import math
+from itertools import chain
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -38,31 +41,60 @@ def derive_tagged_seed(seed: int, tag: str) -> int:
     return fnv1a64((seed & MASK64).to_bytes(8, "little") + tag.encode("utf-8"))
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
 def splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 step; returns (next_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    state = (state + _GAMMA) & MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return state, z ^ (z >> 31)
+
+
+_BLOCK = 4096
+# k * gamma mod 2**64 for k = 1.._BLOCK: the state offsets of one block
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
+def _splitmix64_blocks(state: int):
+    """The splitmix64 outputs after ``state``, as lists of _BLOCK ints.
+
+    Only array arithmetic is used: it wraps mod 2**64 without the overflow
+    warning that numpy scalar arithmetic raises.
+    """
+    while True:
+        z = _STEPS + np.uint64(state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        yield z.tolist()
+        state = (state + _BLOCK * _GAMMA) & MASK64
 
 
 class SplitMix64:
     """Deterministic PRNG over the splitmix64 recurrence.
+
+    splitmix64 is counter-based: output k is mix(seed + k * gamma) (Steele,
+    Lea and Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA
+    2014). So ``next_u64()`` serves outputs from a buffer that one vectorised
+    uint64 mix fills _BLOCK outputs at a time, with exactly the bits of
+    stepping ``splitmix64``.
 
     Every float is derived from a whole 64-bit output, and every method
     consumes a fixed number of draws (gauss may loop only on the measure-zero
     event uniform() == 0.0), so sequences are bit-stable given a seed.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("next_u64",)
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state, out = splitmix64(self._state)
-        return out
+        self.next_u64 = chain.from_iterable(_splitmix64_blocks(seed & MASK64)).__next__
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""

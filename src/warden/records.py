@@ -25,13 +25,13 @@ DIRECTIONS = (ENTER, EXIT)
 SEVERITIES = ("debug", "info", "warn", "error")
 LABELS = ("normal", "malicious")
 
-_SYSCALL_NAME_RE = re.compile(r"^[a-z0-9_]+$")
-
 MAX_JOB_ID = 64
 MAX_NAME = 32
 MAX_ARGS = 256
 MAX_SOURCE = 64
 MAX_MESSAGE = 4096
+
+SYSCALL_NAME_RE = re.compile(rf"[a-z0-9_]{{1,{MAX_NAME}}}")  # the whole name: use fullmatch
 
 
 class InvalidRecord(ValueError):
@@ -89,11 +89,7 @@ class SyscallEvent:
         _check_job_id(self.job_id)
         _check_int("pid", self.pid, minimum=1)
         _check_int("tid", self.tid, minimum=1)
-        if (
-            not isinstance(self.name, str)
-            or not 1 <= len(self.name) <= MAX_NAME
-            or not _SYSCALL_NAME_RE.match(self.name)
-        ):
+        if not isinstance(self.name, str) or not SYSCALL_NAME_RE.fullmatch(self.name):
             raise InvalidRecord(f"syscall name must match [a-z0-9_]+ (1-{MAX_NAME} chars), got {self.name!r}")
         if self.direction not in DIRECTIONS:
             raise InvalidRecord(f"direction must be 'enter' or 'exit', got {self.direction!r}")
@@ -233,19 +229,9 @@ def serialize_line(record: TelemetryRecord) -> str:
         raise InvalidRecord(f"not a telemetry record: {type(record).__name__}")
     record.__post_init__()  # re-check invariants; construction normally guarantees them
     if isinstance(record, SyscallEvent):
-        parts = [
-            '"kind":"sys"',
-            f'"t_ns":{record.t_ns}',
-            f'"job_id":{_dump_str(record.job_id)}',
-            f'"pid":{record.pid}',
-            f'"tid":{record.tid}',
-            f'"name":"{record.name}"',
-            f'"dir":"{record.direction}"',
-            f'"args":{_dump_str(record.args_digest)}',
-        ]
-        if record.direction == EXIT:
-            parts.append(f'"ret":{record.retval}')
-    elif isinstance(record, ResourceSample):
+        row = (record.t_ns, record.tid, record.name, record.args_digest, record.retval)
+        return _row_lines(record.job_id, record.pid, (row,))[0]
+    if isinstance(record, ResourceSample):
         parts = [
             '"kind":"res"',
             f'"t_ns":{record.t_ns}',
@@ -423,6 +409,42 @@ def write_trace_file(path, records: Iterable[TelemetryRecord]) -> None:
         for record in records:
             fh.write(serialize_line(record))
             fh.write("\n")
+
+
+def _row_lines(job_id: str, pid: int, rows: Iterable[tuple]) -> list[str]:
+    """One job's rows as canonical lines (no newlines); the one place that spells out a sys line.
+
+    A syscall row ``(t_ns, tid, name, args, retval)``, retval None on enter,
+    becomes its line without a SyscallEvent: the caller guarantees that its
+    fields meet SyscallEvent's invariants. job_id and pid are formatted once,
+    and each distinct args string is JSON-encoded once. Any other row is
+    ``(t_ns, record)`` and goes through serialize_line.
+    """
+    ids = f'"job_id":{_dump_str(job_id)},"pid":{pid}'
+    quoted: dict[str, str] = {}
+    lines = []
+    append = lines.append
+    for row in rows:
+        if len(row) == 2:
+            append(serialize_line(row[1]))
+            continue
+        t_ns, tid, name, args, retval = row
+        encoded = quoted.get(args)
+        if encoded is None:
+            encoded = quoted[args] = _dump_str(args)
+        if retval is None:
+            append(f'{{"kind":"sys","t_ns":{t_ns},{ids},"tid":{tid},"name":"{name}","dir":"enter","args":{encoded}}}')
+        else:
+            append(f'{{"kind":"sys","t_ns":{t_ns},{ids},"tid":{tid},"name":"{name}","dir":"exit","args":{encoded},"ret":{retval}}}')
+    return lines
+
+
+def write_trace_rows(path, job_id: str, pid: int, rows: Iterable[tuple]) -> None:
+    """Write one job's rows (see _row_lines), byte for byte what write_trace_file gives for the same records."""
+    lines = _row_lines(job_id, pid, rows)
+    lines.append("")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
 
 
 # Canonical `sys` lines as serialize_line writes them. The sys alternative

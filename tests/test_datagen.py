@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,11 @@ import os
 import numpy as np
 import pytest
 
+from warden import datagen
 from warden.datagen import (
+    MIB,
+    BehaviorProfile,
+    InvalidProfile,
     InvalidSpec,
     ScenarioSpec,
     builtin_profiles,
@@ -18,7 +23,7 @@ from warden.datagen import (
     profiles_by_name,
 )
 from warden.hashing import derive_seed
-from warden.records import ResourceSample, SyscallEvent
+from warden.records import MAX_ARGS, ResourceSample, SyscallEvent, read_trace_file, serialize_line
 from trace_validation import validate_trace
 
 
@@ -154,3 +159,122 @@ def test_class_separability_by_construction(corpus42_features):
     diff = np.abs(m1 - m0)
     separated = (diff >= 4.0 * pooled) & (diff > 0)
     assert int(separated.sum()) >= 3
+
+
+# --- profile checks: every field a syscall row takes from a profile ------------
+
+def _profile(**overrides):
+    fields = dict(
+        name="custom",
+        label="malicious",
+        syscall_vocab=("open", "read"),
+        transition=((0.5, 0.5), (0.5, 0.5)),
+        rate_events_per_s=40.0,
+        cpu_envelope=(50.0, 5.0),
+        rss_envelope=(MIB, 0),
+        net_tx_rate=((1.0, 0.0),),
+        net_rx_rate=((1.0, 0.0),),
+        log_lines_per_s=0.5,
+    )
+    fields.update(overrides)
+    return BehaviorProfile(**fields)
+
+
+@pytest.mark.parametrize("name", ["", "Open", "op-en", "open\n", "x" * 33, 7])
+def test_profile_rejects_bad_syscall_name(name):
+    with pytest.raises(InvalidProfile, match="syscall name"):
+        _profile(syscall_vocab=("read", name))
+
+
+@pytest.mark.parametrize("choices", [["/etc/shadow"], ("/etc/shadow", 3), ("x" * (MAX_ARGS + 1),), "/etc/shadow"])
+def test_profile_rejects_bad_args_choices(choices):
+    with pytest.raises(InvalidProfile, match="args_choices"):
+        _profile(args_choices={"open": choices})
+
+
+@pytest.mark.parametrize("entry", [(1.5, -1), (-0.1, -1), (0.5, "x"), (0.5, 1.0), (0.5, True), (True, -1), (0.5,), [0.5, -1]])
+def test_profile_rejects_bad_fail_retval(entry):
+    with pytest.raises(InvalidProfile, match="fail_retval"):
+        _profile(fail_retval={"open": entry})
+
+
+def test_profile_accepts_longest_name_and_args():
+    _profile(syscall_vocab=("read", "x" * 32), args_choices={"read": ("a" * MAX_ARGS, "")}, fail_retval={"read": (1, -2)})
+
+
+# --- the two views of the generator core ----------------------------------------
+
+def _written_lines(directory, entry) -> list[str]:
+    with open(os.path.join(directory, entry["file"]), "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
+
+
+def _generated_lines(profile, duration_s, entry) -> list[str]:
+    return [serialize_line(r) for r in gen_trace(profile, duration_s, entry["job_id"], entry["seed"]).records]
+
+
+@pytest.mark.parametrize("name", sorted(profiles_by_name()))
+def test_written_trace_equals_serialized_gen_trace(tmp_path, name):
+    profile = profiles_by_name()[name]
+    normal = profile.label == "normal"
+    spec = ScenarioSpec(n_normal=int(normal), n_malicious=int(not normal), duration_s=12.5, seed=31, profile_mix={name: 1.0})
+    (entry,) = gen_dataset(spec, tmp_path)["entries"]
+    assert _written_lines(tmp_path, entry) == _generated_lines(profile, 12.5, entry)
+
+
+def test_written_args_are_json_encoded_like_serialize_line(tmp_path, monkeypatch):
+    odd = ('say "hi"', "C:\\temp\\x", "tab\there", "résumé ☃ 日本", "")
+    profile = _profile(
+        syscall_vocab=("open", "read", "connect"),
+        transition=((0.4, 0.3, 0.3),) * 3,
+        args_choices={"open": odd, "connect": ()},
+        fail_retval={"open": (0.5, -13)},
+    )
+    monkeypatch.setattr(datagen, "profiles_by_name", lambda: {profile.name: profile})
+    spec = ScenarioSpec(n_normal=0, n_malicious=2, duration_s=10.0, seed=5, profile_mix={profile.name: 1.0})
+    entries = gen_dataset(spec, tmp_path)["entries"]
+    written = set()
+    for entry in entries:
+        lines = _written_lines(tmp_path, entry)
+        assert lines == _generated_lines(profile, 10.0, entry)
+        written.update(r.args_digest for r in read_trace_file(tmp_path / entry["file"]) if isinstance(r, SyscallEvent))
+    assert set(odd) <= written  # every awkward choice was written and read back
+
+
+# sha256 of the corpus files, computed before gen_dataset wrote lines from the generator core
+CORPUS_SHA256 = {
+    "default-mix": (
+        ScenarioSpec(n_normal=2, n_malicious=4, duration_s=30.0, seed=42),
+        {
+            "malicious-ddos-flood-0004.trc": "2caa172640734387111eec9bccdba80a7fb44442c16831f5e69cc617576b2f39",
+            "malicious-ddos-flood-0005.trc": "1332fd99b43a3df6823c4182285812516d0ff82f4917a5392cff113e5faf0eb6",
+            "malicious-priv-escalation-0002.trc": "b562157d7add6248ac762ea45c28c9c9032227e5a1e655ef00a298b00e1e9ae3",
+            "malicious-priv-escalation-0003.trc": "ec3067d9d8e493bcae83b0e6cab922779d7eb1e5c55ca835114696d7745a4173",
+            "manifest.json": "ec3cda6f06c041922fa7cd54710c0dccd7972f197dc51270fc783c79dfd095c1",
+            "normal-data-transfer-0000.trc": "f7e43c826ca3d5a308d3f8fb306d531ef81681ece917326e3095cedc75b20940",
+            "normal-data-transfer-0001.trc": "e91f4b068882bce75940cc65ab8f46b3bc0ffef029d36a0f7c7bc5dd3595d679",
+        },
+    ),
+    # args choices, synthesized 10.0.x.y:port args and failing return values
+    "priv-escalation-and-scanner": (
+        ScenarioSpec(n_normal=0, n_malicious=4, duration_s=30.0, seed=6,
+                     profile_mix={"priv-escalation": 1.0, "scanner": 1.0}),
+        {
+            "malicious-priv-escalation-0000.trc": "18e8c76b695c0f4fe2eeb24089235b677549be4a0b2d08387f4de084404dbeaa",
+            "malicious-priv-escalation-0002.trc": "f89500d0044158c467730a69056f6b996f79fcbee89bc353d985a9effcca2315",
+            "malicious-scanner-0001.trc": "68b05c4b86bb3c0812c363124314a45b1ca261a301962cd64c95be10bedb3013",
+            "malicious-scanner-0003.trc": "8559fdb31dae19344cca516dcddb6122560f47a142222870af2e1d4e84eae8f6",
+            "manifest.json": "c1b044aad6b746e3a5534202db4731d84c19f07f522012f0ebed3799b11855f1",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_SHA256))
+def test_corpus_bytes_are_pinned(tmp_path, name):
+    spec, expected = CORPUS_SHA256[name]
+    gen_dataset(spec, tmp_path)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in sorted(os.listdir(tmp_path))}
+    assert got == expected

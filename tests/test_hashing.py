@@ -9,6 +9,17 @@ import pytest
 from warden.hashing import MASK64, SplitMix64, derive_seed, fnv1a64, splitmix64
 
 
+class ScalarSplitMix64(SplitMix64):
+    """Reference generator: the same methods over one scalar splitmix64 step per draw."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self.state, out = splitmix64(self.state)
+        return out
+
+
 def fnv1a64_oracle(data: bytes) -> int:
     """Independent FNV-1a: same recurrence written differently (functional fold)."""
     from functools import reduce
@@ -91,3 +102,32 @@ def test_weighted_index_distribution():
     total = sum(counts)
     assert abs(counts[0] / total - 0.1) < 0.02
     assert abs(counts[2] / total - 0.7) < 0.02
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+def test_block_stream_equals_scalar_recurrence(seed):
+    # 20k draws cross four block boundaries
+    fast, oracle = SplitMix64(seed), ScalarSplitMix64(seed)
+    assert [fast.next_u64() for _ in range(20000)] == [oracle.next_u64() for _ in range(20000)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+def test_interleaved_methods_equal_scalar_recurrence(seed):
+    fast, oracle = SplitMix64(seed), ScalarSplitMix64(seed)
+    pick = ScalarSplitMix64(seed ^ 0x5DEECE66D)  # chooses the call sequence
+    for step in range(3000):
+        op = pick.randrange(4)
+        if op == 0:
+            assert fast.uniform() == oracle.uniform()
+        elif op == 1:
+            n = 1 + pick.randrange(70000)
+            assert fast.randrange(n) == oracle.randrange(n)
+        elif op == 2:
+            assert fast.gauss(3.0, 2.0) == oracle.gauss(3.0, 2.0)
+        else:
+            n = pick.randrange(40)
+            xs, ys = list(range(n)), list(range(n))
+            fast.shuffle(xs)
+            oracle.shuffle(ys)
+            assert xs == ys, step
+    assert fast.next_u64() == oracle.next_u64()

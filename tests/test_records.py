@@ -27,6 +27,8 @@ from warden.records import (
     read_trace_columns,
     read_trace_file,
     serialize_line,
+    write_trace_file,
+    write_trace_rows,
 )
 from trace_validation import validate_trace
 
@@ -128,9 +130,32 @@ def test_round_trip_log_with_unicode_and_quotes():
     assert parse_line(serialize_line(rec)) == rec
 
 
+def test_write_trace_rows_equals_write_trace_file(tmp_path):
+    odd = 'say "hi" C:\\x\ttab résumé ☃'
+    records = [
+        sys_event(t_ns=1, tid=9, name="open", args_digest=odd),
+        sys_event(t_ns=2, tid=9, name="open", direction=EXIT, args_digest=odd, retval=-13),
+        res_sample(t_ns=2, cpu_pct=12.5),
+        sys_event(t_ns=3, name="read", direction=EXIT, retval=0),
+        LogRecord(t_ns=4, job_id="j1", source="stdout", severity="warn", message='"x"\ty'),
+    ]
+    rows = [
+        (r.t_ns, r.tid, r.name, r.args_digest, r.retval) if isinstance(r, SyscallEvent) else (r.t_ns, r)
+        for r in records
+    ]
+    write_trace_file(tmp_path / "a.trc", records)
+    write_trace_rows(tmp_path / "b.trc", "j1", 7, rows)
+    assert (tmp_path / "b.trc").read_bytes() == (tmp_path / "a.trc").read_bytes()
+    assert list(read_trace_file(tmp_path / "b.trc")) == records
+    write_trace_rows(tmp_path / "empty.trc", "j1", 7, [])
+    assert (tmp_path / "empty.trc").read_bytes() == b""
+
+
 def test_invariants_enforced_at_construction():
     with pytest.raises(InvalidRecord):
         sys_event(name="Read")  # uppercase
+    with pytest.raises(InvalidRecord):
+        sys_event(name="read\n")  # would end the line early
     with pytest.raises(InvalidRecord):
         sys_event(direction=EXIT)  # missing retval
     with pytest.raises(InvalidRecord):
