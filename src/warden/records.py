@@ -447,25 +447,35 @@ def write_trace_rows(path, job_id: str, pid: int, rows: Iterable[tuple]) -> None
         fh.write("\n".join(lines))
 
 
-# Canonical `sys` lines as serialize_line writes them. The sys alternative
+# A `.trc` line splits into the head of a canonical `sys` line, its t_ns and
+# its tail: groups 1 t_ns (the strict _INT) and 2 the tail, from the comma
+# after t_ns; any other line is caught whole by group 3.
+#
+# _TAIL is the rest of a canonical sys line as serialize_line writes it. It
 # admits exactly the values SyscallEvent's invariants allow and strict
 # json.loads reads back unchanged: JSON integers of at most 20 digits, pid and
 # tid >= 1, strings without quote, backslash or control character, and the
-# length limits. A line it matches becomes a record or a column row without
-# re-running the checks; any other line is caught whole by the last group and
-# goes through parse_line. Groups: 1 t_ns, 2 job_id, 3 pid, 4 tid, 5 name,
-# 6 "exit" (empty on enter), 7 args, 8 ret (present iff exit), 9 other line.
+# length limits. A line whose tail it matches becomes a record or a column row
+# without re-running the checks; any other line goes through parse_line.
+# Groups: 1 job_id, 2 pid, 3 tid, 4 name, 5 "exit" (empty on enter), 6 args,
+# 7 ret (present iff exit); all empty when the tail fails. _TAIL_KEY is the
+# same pattern capturing only a column row's key: pid, tid, name and "exit".
 _STR = r'[^"\\\x00-\x1f]'
 _INT = r"-?(?:0|[1-9][0-9]{0,19})"
 _POS_INT = r"[1-9][0-9]{0,19}"
-_LINE = re.compile(
-    rf'\{{"kind":"sys","t_ns":({_INT}),"job_id":"({_STR}{{1,{MAX_JOB_ID}}})",'
-    rf'"pid":({_POS_INT}),"tid":({_POS_INT}),"name":"([a-z0-9_]{{1,{MAX_NAME}}})",'
-    rf'"dir":"(?:enter|(exit))","args":"({_STR}{{0,{MAX_ARGS}}})"(?(6),"ret":({_INT}))\}}\n'
-    r"|(.*)\n"
+_SYS_HEAD = '{"kind":"sys","t_ns":'
+_LINE = re.compile(rf"{re.escape(_SYS_HEAD)}({_INT})(,[^\n]*)\n|([^\n]*)\n")
+_TAIL, _TAIL_KEY = (
+    re.compile(  # group: "(" captures job_id, args and ret, "(?:" does not
+        rf',"job_id":"{group}{_STR}{{1,{MAX_JOB_ID}}})","pid":({_POS_INT}),"tid":({_POS_INT}),'
+        rf'"name":"([a-z0-9_]{{1,{MAX_NAME}}})","dir":"(?:enter|(?P<exit>exit))","args":"{group}{_STR}{{0,{MAX_ARGS}}})"'
+        rf'(?(exit),"ret":{group}{_INT}))\}}\n|[^\n]*\n'
+    )
+    for group in ("(", "(?:")
 )
 
 _BLOCK_BYTES = 1 << 16
+_KNOWN_TAILS = 1 << 14  # checked tails kept per call; a trace of distinct args refills it
 
 
 def _blocks(fh):
@@ -481,73 +491,89 @@ def _blocks(fh):
         yield pending
 
 
-def _rows(text: str) -> list[tuple[str, ...]]:
-    """One _LINE group tuple per line; lines end at "\\n", "\\r\\n" or "\\r", as in text mode."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not text.endswith("\n"):
-        text += "\n"
-    return _LINE.findall(text)
-
-
 def _located(path, lineno: int, exc: MalformedLine) -> MalformedLine:
     err = MalformedLine(f"{path}:{lineno}: {exc}", offset=exc.offset)
     err.lineno = lineno
     return err
 
 
-def _scan(path):
-    """Yield ``(lineno, rows)`` per block of a `.trc` file: _LINE group tuples, one per line, from line ``lineno`` on.
+def _scan(path, tail: re.Pattern, value):
+    """Yield ``(lineno, t, tails, others, known)`` per block of a `.trc` file, from line ``lineno`` on.
 
-    Bytes that are not UTF-8 raise MalformedLine with their path:lineno and
-    their offset in the line, after the rows of the lines before them.
+    ``t``, ``tails`` and ``others`` are the block's _LINE groups, one per
+    line; lines end at "\\n", "\\r\\n" or "\\r", as in text mode. ``known``
+    maps each tail ("" too) to ``value`` of its ``tail`` groups: a tail is
+    checked once per call, by one findall over each block's new tails, and
+    the map is cleared when it would pass _KNOWN_TAILS entries. Bytes that
+    are not UTF-8 raise MalformedLine with their path:lineno and their offset
+    in the line, after the block of the lines before them.
     """
+    known: dict = {}
     lineno = 1
     with open(path, "rb") as fh:
         for block in _blocks(fh):
+            bad = None
             try:
-                rows = _rows(block.decode("utf-8"))
+                text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 head = block[: exc.start]
                 cut = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
-                if cut:
-                    rows = _rows(head[:cut].decode("utf-8"))
-                    yield lineno, rows
-                    lineno += len(rows)
+                text = head[:cut].decode("utf-8")
                 bad = MalformedLine(f"invalid UTF-8: {exc.reason}", offset=exc.start - cut)
-                raise _located(path, lineno, bad) from None
-            yield lineno, rows
-            lineno += len(rows)
+            if text:
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                t, tails, others = zip(*_LINE.findall(text if text.endswith("\n") else text + "\n"))
+                new = list(set(tails).difference(known))
+                if len(known) + len(new) > _KNOWN_TAILS:
+                    known.clear()
+                    new = list(set(tails))
+                known.update(zip(new, map(value, tail.findall("\n".join(new) + "\n"))))
+                yield lineno, t, tails, others, known
+                lineno += len(t)
+            if bad:
+                raise _located(path, lineno, bad)
 
 
-def _parse_other(path, lineno: int, line: str) -> TelemetryRecord:
-    """parse_line for a line the sys pattern did not match; errors carry path:lineno."""
+def _parse_slow(path, lineno: int, t: str, tail: str, other: str) -> TelemetryRecord | None:
+    """parse_line of a failed tail's line, rebuilt byte for byte, or of any other line; None if blank, errors at path:lineno."""
+    line = _SYS_HEAD + t + tail if t else other
+    if not line.strip():
+        return None
     try:
         return parse_line(line)
     except MalformedLine as exc:
         raise _located(path, lineno, exc) from None
 
 
+def _event_fields(groups: tuple[str, ...]) -> dict | None:
+    """A SyscallEvent's fields but t_ns from a tail's _TAIL groups; None when it failed."""
+    job_id, pid, tid, name, exit_, args, ret = groups
+    return {  # one string object per distinct job_id and name
+        "job_id": intern(job_id), "pid": int(pid), "tid": int(tid), "name": intern(name),
+        "direction": EXIT if exit_ else ENTER, "args_digest": args, "retval": int(ret) if exit_ else None,
+    } if pid else None
+
+
 def read_trace_file(path) -> list[TelemetryRecord]:
     """Parse a `.trc` file; MalformedLine is re-raised with the line number attached.
 
-    Canonical syscall lines become records without re-running the checks the
-    pattern has proven; every other non-blank line goes through parse_line, so
-    records and errors are those of parse_line.
+    A line whose tail passed _TAIL becomes a record from its tail's fields,
+    read once per distinct tail, and its own t_ns, without re-running the
+    checks the pattern has proven. Every other non-blank line goes through
+    parse_line, so records and errors are those of parse_line.
     """
     out: list[TelemetryRecord] = []
     new, setattr_ = object.__new__, object.__setattr__
-    for first, rows in _scan(path):
-        for lineno, (t_ns, job_id, pid, tid, name, exit_, args, ret, line) in enumerate(rows, first):
-            if t_ns:
+    for first, t, tails, others, known in _scan(path, _TAIL, _event_fields):
+        for lineno, (t_ns, tail, other) in enumerate(zip(t, tails, others), first):
+            fields = known[tail]
+            if fields is not None:
                 rec = new(SyscallEvent)
-                setattr_(rec, "__dict__", {  # one string object per distinct job_id and name
-                    "t_ns": int(t_ns), "job_id": intern(job_id), "pid": int(pid), "tid": int(tid), "name": intern(name),
-                    "direction": EXIT if exit_ else ENTER, "args_digest": args, "retval": int(ret) if exit_ else None,
-                })
+                setattr_(rec, "__dict__", {"t_ns": int(t_ns), **fields})
                 out.append(rec)
-            elif line.strip():
-                out.append(_parse_other(path, lineno, line))
+            elif (rec := _parse_slow(path, lineno, t_ns, tail, other)) is not None:
+                out.append(rec)
     return out
 
 
@@ -576,12 +602,13 @@ class TraceColumns:
 
     Syscall rows (``kind`` SYS_ROW) carry ``name_id`` (an index into
     ``names``), ``thread_id`` (an index into ``threads``, the (pid, tid)
-    pairs) and ``enter``; other rows hold 0, 0 and False there. ``t_ns`` is
-    int64, or object when a timestamp does not fit int64. Resource samples
-    and log records stay objects, in row order, in ``samples`` and ``logs``.
-    ``columns[a:b]`` is rows a to b-1 with their samples and log records;
-    it shares ``names`` and ``threads``. Built by :func:`read_trace_columns`
-    or :meth:`from_records`.
+    pairs) and ``enter``; other rows hold 0, 0 and False there. Names and
+    threads are numbered by first appearance among the syscall rows.
+    ``t_ns`` is int64, or object when a timestamp does not fit int64.
+    Resource samples and log records stay objects, in row order, in
+    ``samples`` and ``logs``. ``columns[a:b]`` is rows a to b-1 with their
+    samples and log records; it shares ``names`` and ``threads``. Built by
+    :func:`read_trace_columns` or :meth:`from_records`.
     """
 
     job_id: str
@@ -597,7 +624,9 @@ class TraceColumns:
 
     @classmethod
     def from_records(cls, records: Iterable[TelemetryRecord], job_id: str) -> "TraceColumns":
-        return _ColumnRows(records).build(job_id)
+        keys, samples, logs, records = Interner(), [], [], list(records)
+        codes = np.array([_record_code(rec, keys, samples, logs) for rec in records], dtype=np.int64)
+        return _columns(job_id, _timestamps([rec.t_ns for rec in records]), codes, keys, samples, logs)
 
     def __len__(self) -> int:
         return len(self.t_ns)
@@ -617,6 +646,21 @@ class TraceColumns:
         return np.flatnonzero(self.kind == RES_ROW), np.flatnonzero(self.kind == LOG_ROW)
 
 
+# Row codes while columns are built: a syscall row's code is its number in an
+# Interner of row keys (pid, tid, name, "exit" or ""), _TAIL_KEY's groups.
+# Other codes are negative: a sample's and a log record's is minus its kind.
+_SAMPLE, _LOG, _SLOW, _BLANK = -RES_ROW, -LOG_ROW, -3, -4
+
+
+def _record_code(rec: TelemetryRecord, keys: Interner, samples: list, logs: list) -> int:
+    """A record's row code; a sample or log record is appended to its list."""
+    if isinstance(rec, SyscallEvent):
+        return keys[str(rec.pid), str(rec.tid), rec.name, "" if rec.direction == ENTER else "exit"]
+    sample = isinstance(rec, ResourceSample)
+    (samples if sample else logs).append(rec)
+    return _SAMPLE if sample else _LOG
+
+
 def _timestamps(values: list[int]) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64)
@@ -624,60 +668,45 @@ def _timestamps(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-class _ColumnRows:
-    """TraceColumns under construction: one list per column, one row per added record."""
-
-    def __init__(self, records: Iterable[TelemetryRecord] = ()):
-        self.t_ns, self.kind, self.name_id, self.thread_id, self.enter, self.samples, self.logs = ([] for _ in range(7))
-        self.names, self.threads = Interner(), Interner()  # threads are keyed by decimal (pid, tid) strings
-        for rec in records:
-            self.add(rec)
-
-    def add(self, rec: TelemetryRecord) -> None:
-        event, sample = isinstance(rec, SyscallEvent), isinstance(rec, ResourceSample)
-        self.t_ns.append(rec.t_ns)
-        self.kind.append(SYS_ROW if event else RES_ROW if sample else LOG_ROW)
-        self.name_id.append(self.names[rec.name] if event else 0)
-        self.thread_id.append(self.threads[str(rec.pid), str(rec.tid)] if event else 0)
-        self.enter.append(event and rec.direction == ENTER)
-        if not event:
-            (self.samples if sample else self.logs).append(rec)
-
-    def build(self, job_id: str) -> TraceColumns:
-        return TraceColumns(
-            job_id=job_id,
-            t_ns=_timestamps(self.t_ns),
-            kind=np.array(self.kind, dtype=np.int8),
-            name_id=np.array(self.name_id, dtype=np.int64),
-            thread_id=np.array(self.thread_id, dtype=np.int64),
-            enter=np.array(self.enter, dtype=bool),
-            names=tuple(self.names.ordered),
-            threads=tuple((int(pid), int(tid)) for pid, tid in self.threads.ordered),
-            samples=tuple(self.samples),
-            logs=tuple(self.logs),
-        )
+def _columns(job_id: str, t_ns: np.ndarray, codes: np.ndarray, keys: Interner, samples: list, logs: list) -> TraceColumns:
+    """TraceColumns from one row code per row; names and threads are numbered by first appearance among syscall rows."""
+    ordered = [(name, (int(pid), int(tid)), not exit_) for pid, tid, name, exit_ in keys.ordered]
+    sys_codes = codes[codes >= 0]
+    first = np.full(len(ordered), len(sys_codes))  # each key's first syscall row
+    np.minimum.at(first, sys_codes, np.arange(len(sys_codes)))
+    seen = [ordered[k] for k in np.argsort(first, kind="stable").tolist()]
+    names, threads = Interner(k[0] for k in seen), Interner(k[1] for k in seen)
+    end = [0, 0]  # what the negative codes of samples and log records gather: 0, or False
+    name_id = np.array([names[k[0]] for k in ordered] + end, dtype=np.int64)[codes]
+    thread_id = np.array([threads[k[1]] for k in ordered] + end, dtype=np.int64)[codes]
+    enter = np.array([k[2] for k in ordered] + end, dtype=bool)[codes]
+    kind = np.where(codes >= 0, SYS_ROW, -codes).astype(np.int8)
+    return TraceColumns(job_id, t_ns, kind, name_id, thread_id, enter, tuple(names.ordered), tuple(threads.ordered), tuple(samples), tuple(logs))
 
 
 def read_trace_columns(path, job_id: str) -> TraceColumns:
     """Read a `.trc` file into TraceColumns for job ``job_id``.
 
-    The scan, the lines accepted and the errors raised are those of
-    read_trace_file, but a canonical syscall line builds no object.
+    The lines accepted and the errors raised are those of read_trace_file,
+    with no Python loop over the rows: a row's code is one dict lookup of its
+    tail, and the id and enter columns are numpy gathers through the codes.
+    Only a line whose tail failed, or any other line, goes through parse_line.
     """
-    rows = _ColumnRows()
-    t_ns, kind, name_id, thread_id, enter = rows.t_ns, rows.kind, rows.name_id, rows.thread_id, rows.enter
-    names, threads = rows.names, rows.threads
-    for first, lines in _scan(path):
-        for lineno, (t, _, pid, tid, name, exit_, _, _, line) in enumerate(lines, first):
-            if t:
-                t_ns.append(int(t))
-                kind.append(SYS_ROW)
-                name_id.append(names[name])
-                thread_id.append(threads[pid, tid])
-                enter.append(not exit_)
-            elif line.strip():
-                rows.add(_parse_other(path, lineno, line))
-    return rows.build(job_id)
+    keys, samples, logs, t_ns, blocks = Interner(), [], [], [], []
+    keys["", "", "", ""] = _SLOW  # the groups of a failed tail; not in keys.ordered
+    for first, t, tails, others, known in _scan(path, _TAIL_KEY, keys.__getitem__):
+        codes = np.fromiter(map(known.__getitem__, tails), dtype=np.int64, count=len(tails))
+        slow = np.flatnonzero(codes == _SLOW).tolist()
+        if slow:
+            t = list(t)
+            for i in slow:
+                rec = _parse_slow(path, first + i, t[i], tails[i], others[i])
+                codes[i], t[i] = (_BLANK, 0) if rec is None else (_record_code(rec, keys, samples, logs), rec.t_ns)
+        t_ns.extend(map(int, t))
+        blocks.append(codes)
+    codes = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+    rows = codes != _BLANK
+    return _columns(job_id, _timestamps(t_ns)[rows], codes[rows], keys, samples, logs)
 
 
 def load_labeled_trace(path, job_id: str, label: str, profile_name: str = "") -> LabeledTrace:

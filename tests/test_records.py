@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from warden.datagen import builtin_profiles, gen_trace
 from warden.records import (
     ENTER,
     EXIT,
+    LOG_ROW,
     RES_ROW,
     SYS_ROW,
     InvalidRecord,
@@ -557,3 +561,197 @@ def test_columns_keep_integers_beyond_int64(tmp_path):
     trace = read_trace_columns(path, "j1")
     assert trace.t_ns.dtype == object
     assert column_view(trace) == record_view(records)
+
+
+# --- raw columns: the bulk tail check against one record at a time -----------------
+
+def loop_columns(records, job_id):
+    """TraceColumns built one record at a time, names and threads numbered as first met: the oracle."""
+    t_ns, kind, name_id, thread_id, enter, samples, logs = ([] for _ in range(7))
+    names, threads = {}, {}
+    for rec in records:
+        event, sample = isinstance(rec, SyscallEvent), isinstance(rec, ResourceSample)
+        t_ns.append(rec.t_ns)
+        kind.append(SYS_ROW if event else RES_ROW if sample else LOG_ROW)
+        name_id.append(names.setdefault(rec.name, len(names)) if event else 0)
+        thread_id.append(threads.setdefault((rec.pid, rec.tid), len(threads)) if event else 0)
+        enter.append(event and rec.direction == ENTER)
+        if not event:
+            (samples if sample else logs).append(rec)
+    try:
+        stamps = np.array(t_ns, dtype=np.int64)
+    except OverflowError:
+        stamps = np.array(t_ns, dtype=object)
+    return TraceColumns(
+        job_id, stamps, np.array(kind, dtype=np.int8), np.array(name_id, dtype=np.int64),
+        np.array(thread_id, dtype=np.int64), np.array(enter, dtype=bool),
+        tuple(names), tuple(threads), tuple(samples), tuple(logs),
+    )
+
+
+def raw_columns(columns):
+    """Every field of TraceColumns, each array as its dtype and values."""
+    arrays = (columns.t_ns, columns.kind, columns.name_id, columns.thread_id, columns.enter)
+    return (
+        columns.job_id, [(a.dtype.str, a.tolist()) for a in arrays],
+        columns.names, columns.threads, columns.samples, columns.logs,
+    )
+
+
+def raw_read(path):
+    return raw_columns(read_trace_columns(path, "j1"))
+
+
+def raw_reference(path):
+    records = per_line_reference(path)
+    reference = raw_columns(TraceColumns.from_records(records, "j1"))
+    assert reference == raw_columns(loop_columns(records, "j1"))
+    return reference
+
+
+ARGS_CHOICES = ["", "plain", "/etc/passwd", 'a"b', "a\\b", "tab\there", "café", "x" * 256]
+
+
+@st.composite
+def line_spec(draw):
+    """How to write one line of any t_ns: ``render(spec, t_ns)`` gives the line, without its end."""
+    style = draw(st.sampled_from(["canonical"] * 4 + ["reordered", "escaped", "res", "log", "blank"]))
+    if style == "blank":
+        return style, draw(st.sampled_from(["", " ", "\t "]))
+    if style in ("res", "log"):
+        return style, draw(st.integers(0, 3))
+    exit_ = draw(st.booleans())
+    fields = {
+        "job_id": "j1",
+        "pid": draw(st.integers(1, 3)),
+        "tid": draw(st.integers(1, 3)),
+        "name": draw(st.sampled_from(["read", "write", "openat", "x"])),
+        "dir": EXIT if exit_ else ENTER,
+        "args": draw(st.sampled_from(ARGS_CHOICES)),
+    }
+    if exit_:
+        fields["ret"] = draw(st.integers(-3, 3))
+    order = draw(st.permutations(list(fields))) if style == "reordered" else list(fields)
+    return style, (fields, order)
+
+
+def render(spec, t_ns: int) -> str:
+    style, detail = spec
+    if style == "blank":
+        return detail
+    if style == "res":
+        return serialize_line(res_sample(t_ns=t_ns, rss_bytes=detail))
+    if style == "log":
+        return serialize_line(LogRecord(t_ns=t_ns, job_id="j1", source="s", severity="info", message=f"m{detail}"))
+    fields, order = detail
+    obj = {"kind": "sys", "t_ns": t_ns, **{key: fields[key] for key in order}}
+    line = json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    args = fields["args"]
+    if style == "escaped" and args:  # the first args character as a \u escape
+        rest = json.dumps(args[1:], ensure_ascii=False)[1:]
+        line = line.replace(f'"args":{json.dumps(args, ensure_ascii=False)}', f'"args":"\\u{ord(args[0]):04x}{rest}')
+    return line
+
+
+@given(
+    specs=st.lists(st.tuples(line_spec(), st.sampled_from(["\n", "\r\n", "\r"])), min_size=1, max_size=12),
+    past_a_block=st.booleans(),
+    known_tails=st.sampled_from([1, 8, 1 << 14]),
+)
+@settings(max_examples=60, deadline=None)
+def test_raw_columns_equal_the_per_record_build_property(tmp_path_factory, specs, past_a_block, known_tails):
+    """The same spec list is written over and over, so its tails repeat in every 64-KiB block."""
+    one_pass = sum(len(render(spec, 10**9)) + len(end) for spec, end in specs)
+    passes = 1 + (3 * (1 << 16)) // max(one_pass, 1) if past_a_block else 1
+    t_ns = itertools.count(10**9, 997)
+    text = "".join(render(spec, next(t_ns)) + end for _ in range(passes) for spec, end in specs)
+    path = tmp_path_factory.getbasetemp() / "raw-columns.trc"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch("warden.records._KNOWN_TAILS", known_tails):
+        assert outcome(raw_read, path) == outcome(raw_reference, path)
+        assert outcome(read_trace_file, path) == outcome(per_line_reference, path)
+
+
+def test_ids_number_by_first_row_when_a_parsed_line_brings_a_name_and_thread_in(tmp_path):
+    # the reordered line is parsed after its block's tails are checked, yet its
+    # name and thread come first in the file, so they take id 0
+    write = ENTER_LINE.replace('"name":"read"', '"name":"write"').replace('"pid":7,"tid":8', '"pid":9,"tid":9')
+    reordered = write.replace('"kind":"sys","t_ns":100', '"t_ns":100,"kind":"sys"')
+    path = tmp_path / "trap.trc"
+    path.write_text("\n".join([reordered, ENTER_LINE, write, EXIT_LINE]) + "\n", encoding="utf-8")
+    columns = read_trace_columns(path, "j1")
+    assert columns.names == ("write", "read") and columns.threads == ((9, 9), (7, 8))
+    assert columns.name_id.tolist() == [0, 1, 0, 1] and columns.thread_id.tolist() == [0, 1, 0, 1]
+    assert raw_read(path) == raw_reference(path)
+
+
+def test_an_empty_trace_reads_to_empty_columns(tmp_path):
+    for name, text in (("empty.trc", ""), ("blank.trc", "\n \n\r\n")):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert raw_read(path) == raw_reference(path) == raw_columns(loop_columns([], "j1"))
+        assert read_trace_file(path) == []
+
+
+BAD_LINES = {
+    "zero pid": ENTER_LINE.replace('"pid":7', '"pid":0'),
+    "ret on enter": MUTATED_LINES["ret on enter"],
+    "257-char args": MUTATED_LINES["257-char args"],
+    "leading zero t_ns": ENTER_LINE.replace('"t_ns":100', '"t_ns":01'),
+    "21-digit t_ns": MUTATED_LINES["21-digit t_ns"],  # valid: parse_line reads integers of any size
+}
+
+
+def later_block_trace(path, bad: bytes) -> int:
+    """Write ``bad`` after 1,400 repeated canonical lines, past two 64-KiB blocks; return its line number."""
+    head = "\n".join([ENTER_LINE, EXIT_LINE] * 700).encode()
+    assert len(head) > 2 * (1 << 16)
+    path.write_bytes(head + b"\n" + bad + b"\n" + "\n".join([EXIT_LINE, ENTER_LINE] * 5).encode() + b"\n")
+    return 1401
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LINES))
+@pytest.mark.parametrize("read,reference", [(read_trace_file, per_line_reference), (raw_read, raw_reference)], ids=["records", "columns"])
+def test_a_bad_line_in_a_later_block_is_located_as_parse_line_locates_it(tmp_path, bad, read, reference):
+    path = tmp_path / "later.trc"
+    lineno = later_block_trace(path, BAD_LINES[bad].encode())
+    got, want = outcome(read, path), outcome(reference, path)
+    assert got == want
+    if bad != "21-digit t_ns":
+        assert want[0] == "MalformedLine" and want[3] == lineno and want[1].startswith(f"{path}:{lineno}: ")
+
+
+@pytest.mark.parametrize("read", [read_trace_file, read_columns], ids=["records", "columns"])
+def test_bytes_that_are_not_utf8_in_a_later_block_are_located(tmp_path, read):
+    path = tmp_path / "later-binary.trc"
+    bad = ENTER_LINE.encode().replace(b'"ab"', b'"a\xffb"')
+    lineno = later_block_trace(path, bad)
+    with pytest.raises(MalformedLine) as exc:
+        read(path)
+    assert (str(exc.value), exc.value.lineno, exc.value.offset) == (
+        f"{path}:{lineno}: invalid UTF-8: invalid start byte", lineno, bad.index(b"\xff"),
+    )
+
+
+def test_a_trace_of_distinct_args_on_every_line_reads_to_the_reference(tmp_path):
+    # every tail is new, so the map of checked tails fills and is cleared several times
+    rows = [
+        (10**9 + i, 1 + i % 4, ("read", "write", "openat")[i % 3], f"/data/file-{i:06d}", None if i % 2 == 0 else i % 7 - 3)
+        for i in range(60_000)
+    ]
+    path = tmp_path / "distinct.trc"
+    write_trace_rows(path, "job-0001", 4242, rows)
+    records = per_line_reference(path)
+    assert raw_read(path) == raw_columns(TraceColumns.from_records(records, "j1")) == raw_columns(loop_columns(records, "j1"))
+    assert read_trace_file(path) == records
+
+
+def test_the_map_of_checked_tails_is_cleared_when_full(tmp_path, monkeypatch):
+    import warden.records as records_module
+
+    monkeypatch.setattr(records_module, "_BLOCK_BYTES", 1024)
+    monkeypatch.setattr(records_module, "_KNOWN_TAILS", 64)
+    path = tmp_path / "distinct.trc"
+    write_trace_rows(path, "j1", 7, [(i, 1, "read", f"a{i}", None) for i in range(2000)])
+    sizes = [len(known) for *_, known in records_module._scan(path, records_module._TAIL_KEY, str)]
+    assert max(sizes) <= 64 and sizes[-1] < max(sizes)
