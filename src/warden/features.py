@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hashing import fnv1a64
-from .records import SYS_ROW, Interner, ResourceSample, TraceColumns, UnsortedInput
+from .records import LABELS, SYS_ROW, Interner, ResourceSample, TraceColumns, UnsortedInput
 
 RESOURCE_DIM = 12
 
@@ -489,13 +489,15 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str], list[int]
         y: list[int] = []
         job_ids: list[str] = []
         window_indices: list[int] = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != dim + 3:
                 raise ValueError(f"{path}: row has {len(parts)} columns, expected {dim + 3}")
+            if parts[dim + 2] not in LABELS:
+                raise ValueError(f"{path}:{lineno}: label {parts[dim + 2]!r} is not one of {LABELS}")
             X_rows.append([float(x) for x in parts[:dim]])
             job_ids.append(parts[dim])
             window_indices.append(int(parts[dim + 1]))

@@ -5,6 +5,14 @@ periodic resource-usage samples with cumulative I/O and network counters, and
 free-text log lines. All three share a single newline-delimited JSON line
 format with a `kind` discriminator and a canonical key order, so serialization
 is byte-deterministic and traces can be replayed without external tooling.
+
+One table per line kind (record class and wire keys in canonical order)
+drives both `parse_line` and `serialize_line`; each record checks its own
+fields, so a line is rejected by the same rules that guard construction.
+Two readers share one block-wise scan of a `.trc` file: `read_trace_file`
+runs `parse_line` on every line, and `read_trace_columns` checks each
+distinct syscall-line tail once with a regex and sends only the other lines
+through `parse_line`.
 """
 
 from __future__ import annotations
@@ -12,8 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
-from sys import intern
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -21,6 +28,7 @@ import numpy as np
 ENTER = "enter"
 EXIT = "exit"
 DIRECTIONS = (ENTER, EXIT)
+_ENTER_RETVAL = "retval is forbidden on enter events"
 
 SEVERITIES = ("debug", "info", "warn", "error")
 LABELS = ("normal", "malicious")
@@ -35,7 +43,11 @@ SYSCALL_NAME_RE = re.compile(rf"[a-z0-9_]{{1,{MAX_NAME}}}")  # the whole name: u
 
 
 class InvalidRecord(ValueError):
-    """A record field violates its type invariant."""
+    """A record field violates its type invariant; ``field`` names its attribute ("" for no single field)."""
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
 
 
 class MalformedLine(ValueError):
@@ -61,14 +73,14 @@ class UnsortedInput(ValueError):
 
 def _check_int(name: str, value, minimum=None) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidRecord(f"{name} must be an integer, got {value!r}")
+        raise InvalidRecord(f"{name} must be an integer, got {value!r}", name)
     if minimum is not None and value < minimum:
-        raise InvalidRecord(f"{name} must be >= {minimum}, got {value}")
+        raise InvalidRecord(f"{name} must be >= {minimum}, got {value}", name)
 
 
 def _check_job_id(job_id) -> None:
     if not isinstance(job_id, str) or not job_id or len(job_id) > MAX_JOB_ID:
-        raise InvalidRecord(f"job_id must be a non-empty string of at most {MAX_JOB_ID} chars")
+        raise InvalidRecord(f"job_id must be a non-empty string of at most {MAX_JOB_ID} chars", "job_id")
 
 
 @dataclass(frozen=True)
@@ -90,17 +102,17 @@ class SyscallEvent:
         _check_int("pid", self.pid, minimum=1)
         _check_int("tid", self.tid, minimum=1)
         if not isinstance(self.name, str) or not SYSCALL_NAME_RE.fullmatch(self.name):
-            raise InvalidRecord(f"syscall name must match [a-z0-9_]+ (1-{MAX_NAME} chars), got {self.name!r}")
+            raise InvalidRecord(f"syscall name must match [a-z0-9_]+ (1-{MAX_NAME} chars), got {self.name!r}", "name")
         if self.direction not in DIRECTIONS:
-            raise InvalidRecord(f"direction must be 'enter' or 'exit', got {self.direction!r}")
+            raise InvalidRecord(f"direction must be 'enter' or 'exit', got {self.direction!r}", "direction")
         if not isinstance(self.args_digest, str) or len(self.args_digest) > MAX_ARGS:
-            raise InvalidRecord(f"args_digest must be a string of at most {MAX_ARGS} chars")
+            raise InvalidRecord(f"args_digest must be a string of at most {MAX_ARGS} chars", "args_digest")
         if self.direction == EXIT:
             if self.retval is None:
-                raise InvalidRecord("retval is required on exit events")
+                raise InvalidRecord("retval is required on exit events", "retval")
             _check_int("retval", self.retval)
         elif self.retval is not None:
-            raise InvalidRecord("retval is forbidden on enter events")
+            raise InvalidRecord(_ENTER_RETVAL, "retval")
 
 
 def _quantize_real(value: float) -> float:
@@ -129,10 +141,10 @@ class ResourceSample:
         _check_int("t_ns", self.t_ns)
         _check_job_id(self.job_id)
         if isinstance(self.cpu_pct, bool) or not isinstance(self.cpu_pct, (int, float)):
-            raise InvalidRecord(f"cpu_pct must be a real number, got {self.cpu_pct!r}")
+            raise InvalidRecord(f"cpu_pct must be a real number, got {self.cpu_pct!r}", "cpu_pct")
         cpu = float(self.cpu_pct)
         if cpu != cpu or cpu in (float("inf"), float("-inf")) or cpu < 0.0:
-            raise InvalidRecord(f"cpu_pct must be finite and >= 0, got {self.cpu_pct!r}")
+            raise InvalidRecord(f"cpu_pct must be finite and >= 0, got {self.cpu_pct!r}", "cpu_pct")
         object.__setattr__(self, "cpu_pct", _quantize_real(cpu))
         _check_int("rss_bytes", self.rss_bytes, minimum=0)
         _check_int("net_rx_bytes", self.net_rx_bytes, minimum=0)
@@ -155,13 +167,13 @@ class LogRecord:
         _check_int("t_ns", self.t_ns)
         _check_job_id(self.job_id)
         if not isinstance(self.source, str) or len(self.source) > MAX_SOURCE:
-            raise InvalidRecord(f"source must be a string of at most {MAX_SOURCE} chars")
+            raise InvalidRecord(f"source must be a string of at most {MAX_SOURCE} chars", "source")
         if self.severity not in SEVERITIES:
-            raise InvalidRecord(f"severity must be one of {SEVERITIES}, got {self.severity!r}")
+            raise InvalidRecord(f"severity must be one of {SEVERITIES}, got {self.severity!r}", "severity")
         if not isinstance(self.message, str) or len(self.message) > MAX_MESSAGE:
-            raise InvalidRecord(f"message must be a string of at most {MAX_MESSAGE} chars")
+            raise InvalidRecord(f"message must be a string of at most {MAX_MESSAGE} chars", "message")
         if "\n" in self.message:
-            raise InvalidRecord("message must not contain newline characters")
+            raise InvalidRecord("message must not contain newline characters", "message")
 
 
 TelemetryRecord = Union[SyscallEvent, ResourceSample, LogRecord]
@@ -184,27 +196,27 @@ class LabeledTrace:
     def __post_init__(self):
         _check_job_id(self.job_id)
         if self.label not in LABELS:
-            raise InvalidRecord(f"label must be one of {LABELS}, got {self.label!r}")
+            raise InvalidRecord(f"label must be one of {LABELS}, got {self.label!r}", "label")
         if not isinstance(self.profile_name, str):
-            raise InvalidRecord("profile_name must be a string")
+            raise InvalidRecord("profile_name must be a string", "profile_name")
         object.__setattr__(self, "records", tuple(self.records))
 
 
 # --- wire format ------------------------------------------------------------
 
-_SYS_FIELDS = ("kind", "t_ns", "job_id", "pid", "tid", "name", "dir", "args", "ret")
-_RES_FIELDS = (
-    "kind",
-    "t_ns",
-    "job_id",
-    "cpu_pct",
-    "rss_bytes",
-    "net_rx_bytes",
-    "net_tx_bytes",
-    "io_read_bytes",
-    "io_write_bytes",
-)
-_LOG_FIELDS = ("kind", "t_ns", "job_id", "source", "severity", "message")
+# One table per line kind: its record class, the (wire key, record attribute)
+# pairs in canonical key order after "kind", the keys a line must have and the
+# keys it may have. "ret" is the one optional key: present iff exit.
+_WIRE_KEYS = {"direction": "dir", "args_digest": "args", "retval": "ret"}
+
+
+def _wire_table(cls) -> tuple:
+    pairs = tuple((_WIRE_KEYS.get(f.name, f.name), f.name) for f in fields(cls))
+    allowed = frozenset(["kind", *(key for key, _ in pairs)])
+    return cls, pairs, allowed - {"ret"}, allowed
+
+
+_KINDS = {"sys": _wire_table(SyscallEvent), "res": _wire_table(ResourceSample), "log": _wire_table(LogRecord)}
 
 
 def format_real(x: float) -> str:
@@ -219,6 +231,12 @@ def _dump_str(s: str) -> str:
     return json.dumps(s, ensure_ascii=False)
 
 
+def _wire_value(value) -> str:
+    if isinstance(value, str):
+        return _dump_str(value)
+    return format_real(value) if isinstance(value, float) else str(value)
+
+
 def serialize_line(record: TelemetryRecord) -> str:
     """Serialize one record to its canonical line (no trailing newline).
 
@@ -231,28 +249,9 @@ def serialize_line(record: TelemetryRecord) -> str:
     if isinstance(record, SyscallEvent):
         row = (record.t_ns, record.tid, record.name, record.args_digest, record.retval)
         return _row_lines(record.job_id, record.pid, (row,))[0]
-    if isinstance(record, ResourceSample):
-        parts = [
-            '"kind":"res"',
-            f'"t_ns":{record.t_ns}',
-            f'"job_id":{_dump_str(record.job_id)}',
-            f'"cpu_pct":{format_real(record.cpu_pct)}',
-            f'"rss_bytes":{record.rss_bytes}',
-            f'"net_rx_bytes":{record.net_rx_bytes}',
-            f'"net_tx_bytes":{record.net_tx_bytes}',
-            f'"io_read_bytes":{record.io_read_bytes}',
-            f'"io_write_bytes":{record.io_write_bytes}',
-        ]
-    else:
-        parts = [
-            '"kind":"log"',
-            f'"t_ns":{record.t_ns}',
-            f'"job_id":{_dump_str(record.job_id)}',
-            f'"source":{_dump_str(record.source)}',
-            f'"severity":"{record.severity}"',
-            f'"message":{_dump_str(record.message)}',
-        ]
-    return "{" + ",".join(parts) + "}"
+    kind = "res" if isinstance(record, ResourceSample) else "log"
+    body = ",".join([f'"{key}":{_wire_value(getattr(record, attr))}' for key, attr in _KINDS[kind][1]])
+    return f'{{"kind":"{kind}",{body}}}'
 
 
 def _field_offset(line: str, key: str) -> int:
@@ -262,30 +261,13 @@ def _field_offset(line: str, key: str) -> int:
     return len(line[:idx].encode("utf-8"))
 
 
-def _fail_field(line: str, key: str, why: str) -> MalformedLine:
-    return MalformedLine(f"field {key!r}: {why}", offset=_field_offset(line, key))
-
-
-def _take_int(obj: dict, line: str, key: str) -> int:
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise _fail_field(line, key, f"expected integer, got {v!r}")
-    return v
-
-
-def _take_str(obj: dict, line: str, key: str) -> str:
-    v = obj[key]
-    if not isinstance(v, str):
-        raise _fail_field(line, key, f"expected string, got {v!r}")
-    return v
-
-
 def parse_line(line: str) -> TelemetryRecord:
     """Decode one trace line into its record.
 
     Accepts any key order but requires the exact field set of the record kind
-    (``ret`` present iff the event is an exit). Raises MalformedLine with the
-    byte offset of the first offending field.
+    (``ret`` present iff the event is an exit). The record checks its own
+    fields, in canonical order. Raises MalformedLine with the byte offset of
+    the first offending field.
     """
     stripped = line.strip()
     if not stripped:
@@ -302,103 +284,27 @@ def parse_line(line: str) -> TelemetryRecord:
     if "kind" not in obj:
         raise MalformedLine("missing field 'kind'")
     kind = obj["kind"]
-    if kind == "sys":
-        expected: tuple[str, ...] = _SYS_FIELDS[:-1]
-        if "ret" in obj:
-            expected = _SYS_FIELDS
-    elif kind == "res":
-        expected = _RES_FIELDS
-    elif kind == "log":
-        expected = _LOG_FIELDS
-    else:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise MalformedLine(f"unknown kind {kind!r}", offset=_field_offset(stripped, "kind"))
-    for key in expected:
-        if key not in obj:
-            raise MalformedLine(f"missing field {key!r}")
-    for key in obj:
-        if key not in expected:
-            raise _fail_field(stripped, key, "unknown field")
-
+    cls, pairs, required, allowed = _KINDS[kind]
+    keys = obj.keys()
+    if keys != required and keys != allowed:
+        for key, _ in pairs:
+            if key in required and key not in obj:
+                raise MalformedLine(f"missing field {key!r}")
+        for key in obj:
+            if key not in allowed:
+                raise MalformedLine(f"field {key!r}: unknown field", offset=_field_offset(stripped, key))
     try:
-        if kind == "sys":
-            # validate in canonical field order so the reported offset is the
-            # first offending field
-            t_ns = _take_int(obj, stripped, "t_ns")
-            job_id = _take_str(obj, stripped, "job_id")
-            pid = _take_int(obj, stripped, "pid")
-            tid = _take_int(obj, stripped, "tid")
-            name = _take_str(obj, stripped, "name")
-            direction = _take_str(obj, stripped, "dir")
-            if direction not in DIRECTIONS:
-                raise _fail_field(stripped, "dir", f"expected 'enter' or 'exit', got {direction!r}")
-            args = _take_str(obj, stripped, "args")
-            if direction == ENTER and "ret" in obj:
-                raise _fail_field(stripped, "ret", "retval forbidden on enter events")
-            if direction == EXIT and "ret" not in obj:
-                raise MalformedLine("missing field 'ret'")
-            return SyscallEvent(
-                t_ns=t_ns,
-                job_id=job_id,
-                pid=pid,
-                tid=tid,
-                name=name,
-                direction=direction,
-                args_digest=args,
-                retval=_take_int(obj, stripped, "ret") if direction == EXIT else None,
-            )
-        if kind == "res":
-            cpu = obj["cpu_pct"]
-            if isinstance(cpu, bool) or not isinstance(cpu, (int, float)):
-                raise _fail_field(stripped, "cpu_pct", f"expected real, got {cpu!r}")
-            return ResourceSample(
-                t_ns=_take_int(obj, stripped, "t_ns"),
-                job_id=_take_str(obj, stripped, "job_id"),
-                cpu_pct=float(cpu),
-                rss_bytes=_take_int(obj, stripped, "rss_bytes"),
-                net_rx_bytes=_take_int(obj, stripped, "net_rx_bytes"),
-                net_tx_bytes=_take_int(obj, stripped, "net_tx_bytes"),
-                io_read_bytes=_take_int(obj, stripped, "io_read_bytes"),
-                io_write_bytes=_take_int(obj, stripped, "io_write_bytes"),
-            )
-        return LogRecord(
-            t_ns=_take_int(obj, stripped, "t_ns"),
-            job_id=_take_str(obj, stripped, "job_id"),
-            source=_take_str(obj, stripped, "source"),
-            severity=_take_str(obj, stripped, "severity"),
-            message=_take_str(obj, stripped, "message"),
-        )
+        record = cls(**{attr: obj.get(key) for key, attr in pairs})
     except InvalidRecord as exc:
-        # locate the offending field by matching the invariant message
-        key = _invariant_key(str(exc), kind)
+        key = _WIRE_KEYS.get(exc.field, exc.field)
+        if key not in obj:
+            raise MalformedLine(f"missing field {key!r}") from None
         raise MalformedLine(str(exc), offset=_field_offset(stripped, key)) from None
-
-
-_INVARIANT_KEYS = {
-    "t_ns": "t_ns",
-    "job_id": "job_id",
-    "pid": "pid",
-    "tid": "tid",
-    "syscall name": "name",
-    "direction": "dir",
-    "args_digest": "args",
-    "retval": "ret",
-    "cpu_pct": "cpu_pct",
-    "rss_bytes": "rss_bytes",
-    "net_rx_bytes": "net_rx_bytes",
-    "net_tx_bytes": "net_tx_bytes",
-    "io_read_bytes": "io_read_bytes",
-    "io_write_bytes": "io_write_bytes",
-    "source": "source",
-    "severity": "severity",
-    "message": "message",
-}
-
-
-def _invariant_key(message: str, kind: str) -> str:
-    for marker, key in _INVARIANT_KEYS.items():
-        if message.startswith(marker):
-            return key
-    return "kind"
+    if obj.get("ret", 0) is None:  # "ret":null on an enter line, which the record reads as no retval
+        raise MalformedLine(_ENTER_RETVAL, offset=_field_offset(stripped, "ret"))
+    return record
 
 
 # --- trace files -------------------------------------------------------------
@@ -455,23 +361,19 @@ def write_trace_rows(path, job_id: str, pid: int, rows: Iterable[tuple]) -> None
 # admits exactly the values SyscallEvent's invariants allow and strict
 # json.loads reads back unchanged: JSON integers of at most 20 digits, pid and
 # tid >= 1, strings without quote, backslash or control character, and the
-# length limits. A line whose tail it matches becomes a record or a column row
-# without re-running the checks; any other line goes through parse_line.
-# Groups: 1 job_id, 2 pid, 3 tid, 4 name, 5 "exit" (empty on enter), 6 args,
-# 7 ret (present iff exit); all empty when the tail fails. _TAIL_KEY is the
-# same pattern capturing only a column row's key: pid, tid, name and "exit".
+# length limits. A line whose tail it matches becomes a column row without
+# re-running the checks; any other line goes through parse_line. Its groups
+# are a column row's key: pid, tid, name and "exit" (empty on enter); all
+# empty when the tail fails.
 _STR = r'[^"\\\x00-\x1f]'
 _INT = r"-?(?:0|[1-9][0-9]{0,19})"
 _POS_INT = r"[1-9][0-9]{0,19}"
 _SYS_HEAD = '{"kind":"sys","t_ns":'
 _LINE = re.compile(rf"{re.escape(_SYS_HEAD)}({_INT})(,[^\n]*)\n|([^\n]*)\n")
-_TAIL, _TAIL_KEY = (
-    re.compile(  # group: "(" captures job_id, args and ret, "(?:" does not
-        rf',"job_id":"{group}{_STR}{{1,{MAX_JOB_ID}}})","pid":({_POS_INT}),"tid":({_POS_INT}),'
-        rf'"name":"([a-z0-9_]{{1,{MAX_NAME}}})","dir":"(?:enter|(?P<exit>exit))","args":"{group}{_STR}{{0,{MAX_ARGS}}})"'
-        rf'(?(exit),"ret":{group}{_INT}))\}}\n|[^\n]*\n'
-    )
-    for group in ("(", "(?:")
+_TAIL = re.compile(
+    rf',"job_id":"{_STR}{{1,{MAX_JOB_ID}}}","pid":({_POS_INT}),"tid":({_POS_INT}),'
+    rf'"name":"([a-z0-9_]{{1,{MAX_NAME}}})","dir":"(?:enter|(?P<exit>exit))","args":"{_STR}{{0,{MAX_ARGS}}}"'
+    rf'(?(exit),"ret":{_INT})\}}\n|[^\n]*\n'
 )
 
 _BLOCK_BYTES = 1 << 16
@@ -497,16 +399,17 @@ def _located(path, lineno: int, exc: MalformedLine) -> MalformedLine:
     return err
 
 
-def _scan(path, tail: re.Pattern, value):
+def _scan(path, value=None):
     """Yield ``(lineno, t, tails, others, known)`` per block of a `.trc` file, from line ``lineno`` on.
 
     ``t``, ``tails`` and ``others`` are the block's _LINE groups, one per
-    line; lines end at "\\n", "\\r\\n" or "\\r", as in text mode. ``known``
-    maps each tail ("" too) to ``value`` of its ``tail`` groups: a tail is
-    checked once per call, by one findall over each block's new tails, and
-    the map is cleared when it would pass _KNOWN_TAILS entries. Bytes that
-    are not UTF-8 raise MalformedLine with their path:lineno and their offset
-    in the line, after the block of the lines before them.
+    line; lines end at "\\n", "\\r\\n" or "\\r", as in text mode. Given
+    ``value``, ``known`` maps each tail ("" too) to ``value`` of its _TAIL
+    groups: a tail is checked once per call, by one findall over each block's
+    new tails, and the map is cleared when it would pass _KNOWN_TAILS
+    entries. Bytes that are not UTF-8 raise MalformedLine with their
+    path:lineno and their offset in the line, after the block of the lines
+    before them.
     """
     known: dict = {}
     lineno = 1
@@ -524,19 +427,20 @@ def _scan(path, tail: re.Pattern, value):
                 if "\r" in text:
                     text = text.replace("\r\n", "\n").replace("\r", "\n")
                 t, tails, others = zip(*_LINE.findall(text if text.endswith("\n") else text + "\n"))
-                new = list(set(tails).difference(known))
-                if len(known) + len(new) > _KNOWN_TAILS:
-                    known.clear()
-                    new = list(set(tails))
-                known.update(zip(new, map(value, tail.findall("\n".join(new) + "\n"))))
+                if value is not None:
+                    new = list(set(tails).difference(known))
+                    if len(known) + len(new) > _KNOWN_TAILS:
+                        known.clear()
+                        new = list(set(tails))
+                    known.update(zip(new, map(value, _TAIL.findall("\n".join(new) + "\n"))))
                 yield lineno, t, tails, others, known
                 lineno += len(t)
             if bad:
                 raise _located(path, lineno, bad)
 
 
-def _parse_slow(path, lineno: int, t: str, tail: str, other: str) -> TelemetryRecord | None:
-    """parse_line of a failed tail's line, rebuilt byte for byte, or of any other line; None if blank, errors at path:lineno."""
+def _parse_at(path, lineno: int, t: str, tail: str, other: str) -> TelemetryRecord | None:
+    """parse_line of a line from its _LINE groups, rebuilt byte for byte; None if blank, errors at path:lineno."""
     line = _SYS_HEAD + t + tail if t else other
     if not line.strip():
         return None
@@ -546,33 +450,16 @@ def _parse_slow(path, lineno: int, t: str, tail: str, other: str) -> TelemetryRe
         raise _located(path, lineno, exc) from None
 
 
-def _event_fields(groups: tuple[str, ...]) -> dict | None:
-    """A SyscallEvent's fields but t_ns from a tail's _TAIL groups; None when it failed."""
-    job_id, pid, tid, name, exit_, args, ret = groups
-    return {  # one string object per distinct job_id and name
-        "job_id": intern(job_id), "pid": int(pid), "tid": int(tid), "name": intern(name),
-        "direction": EXIT if exit_ else ENTER, "args_digest": args, "retval": int(ret) if exit_ else None,
-    } if pid else None
-
-
 def read_trace_file(path) -> list[TelemetryRecord]:
-    """Parse a `.trc` file; MalformedLine is re-raised with the line number attached.
+    """Parse a `.trc` file with parse_line on every non-blank line; MalformedLine is re-raised with the line number attached.
 
-    A line whose tail passed _TAIL becomes a record from its tail's fields,
-    read once per distinct tail, and its own t_ns, without re-running the
-    checks the pattern has proven. Every other non-blank line goes through
-    parse_line, so records and errors are those of parse_line.
+    Lines are split and decoded by the scan read_trace_columns uses, so both
+    readers end lines and locate bad bytes alike.
     """
     out: list[TelemetryRecord] = []
-    new, setattr_ = object.__new__, object.__setattr__
-    for first, t, tails, others, known in _scan(path, _TAIL, _event_fields):
-        for lineno, (t_ns, tail, other) in enumerate(zip(t, tails, others), first):
-            fields = known[tail]
-            if fields is not None:
-                rec = new(SyscallEvent)
-                setattr_(rec, "__dict__", {"t_ns": int(t_ns), **fields})
-                out.append(rec)
-            elif (rec := _parse_slow(path, lineno, t_ns, tail, other)) is not None:
+    for first, t, tails, others, _ in _scan(path):
+        for lineno, row in enumerate(zip(t, tails, others), first):
+            if (rec := _parse_at(path, lineno, *row)) is not None:
                 out.append(rec)
     return out
 
@@ -647,7 +534,7 @@ class TraceColumns:
 
 
 # Row codes while columns are built: a syscall row's code is its number in an
-# Interner of row keys (pid, tid, name, "exit" or ""), _TAIL_KEY's groups.
+# Interner of row keys (pid, tid, name, "exit" or ""), _TAIL's groups.
 # Other codes are negative: a sample's and a log record's is minus its kind.
 _SAMPLE, _LOG, _SLOW, _BLANK = -RES_ROW, -LOG_ROW, -3, -4
 
@@ -694,13 +581,13 @@ def read_trace_columns(path, job_id: str) -> TraceColumns:
     """
     keys, samples, logs, t_ns, blocks = Interner(), [], [], [], []
     keys["", "", "", ""] = _SLOW  # the groups of a failed tail; not in keys.ordered
-    for first, t, tails, others, known in _scan(path, _TAIL_KEY, keys.__getitem__):
+    for first, t, tails, others, known in _scan(path, keys.__getitem__):
         codes = np.fromiter(map(known.__getitem__, tails), dtype=np.int64, count=len(tails))
         slow = np.flatnonzero(codes == _SLOW).tolist()
         if slow:
             t = list(t)
             for i in slow:
-                rec = _parse_slow(path, first + i, t[i], tails[i], others[i])
+                rec = _parse_at(path, first + i, t[i], tails[i], others[i])
                 codes[i], t[i] = (_BLANK, 0) if rec is None else (_record_code(rec, keys, samples, logs), rec.t_ns)
         t_ns.extend(map(int, t))
         blocks.append(codes)

@@ -167,6 +167,22 @@ def test_train_from_feature_csv(workspace, tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("label", ["malicous", "MALICIOUS", ""])
+def test_feature_csv_label_outside_normal_and_malicious_exits_2(workspace, tmp_path, capsys, label):
+    features = tmp_path / "f.csv"
+    run_cli("extract", "--manifest", workspace["manifest"], "--out", str(features))
+    lines = features.read_text().split("\n")
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + label  # the third data row, line 4 of the file
+    features.write_text("\n".join(lines))
+    out = tmp_path / "svm.wmdl"
+    expected = f"{features}:4: label {label!r} is not one of ('normal', 'malicious')"
+    assert run_cli("train", "--kind", "svm", "--features", str(features), "--out", str(out)) == 2
+    assert f"train: {expected}" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+    assert run_cli("eval", "--model", workspace["svm"], "--features", str(features)) == 2
+    assert f"eval: {expected}" in capsys.readouterr().err.splitlines()
+
+
 def test_train_single_class_exits_3(tmp_path):
     corpus = tmp_path / "single"
     assert run_cli("gen-dataset", "--normal", "2", "--malicious", "0",

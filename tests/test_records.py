@@ -102,6 +102,15 @@ def test_parse_bad_field_value_offset():
     assert exc.value.offset == line.encode().index(b'"pid"')
 
 
+def test_parse_reports_the_first_offending_field_in_canonical_order():
+    res = serialize_line(res_sample()).replace('"t_ns":100', '"t_ns":-0.5').replace('"cpu_pct":1', '"cpu_pct":"1"')
+    sys = '{"kind":"sys","t_ns":100,"job_id":"j1","pid":0,"tid":7,"name":"read","dir":"bogus","args":""}'
+    for line, key in ((res, "t_ns"), (sys, "pid")):
+        with pytest.raises(MalformedLine, match=f"^{key} must be") as exc:
+            parse_line(line)
+        assert exc.value.offset == line.encode().index(f'"{key}"'.encode())
+
+
 def test_parse_rejects_non_integer_t_ns():
     with pytest.raises(MalformedLine):
         parse_line('{"kind":"log","t_ns":1.5,"job_id":"j","source":"s","severity":"info","message":"m"}')
@@ -330,7 +339,7 @@ def test_validate_agrees_with_brute_force_on_random_traces():
 # --- the scan: canonical syscall lines without parse_line ---------------------------
 
 def per_line_reference(path):
-    """read_trace_file without the fast path: parse_line on every non-blank line."""
+    """parse_line on every non-blank line of the file read in text mode: the reference for both readers."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -414,7 +423,7 @@ def plain(s: str) -> bool:
 )
 @settings(max_examples=500, deadline=None)
 def test_fast_path_equals_parse_line_property(tmp_path_factory, t_ns, job_id, pid, tid, name, args, retval):
-    """The scan reads a canonical syscall line without parse_line, and to the same record and columns."""
+    """read_trace_columns reads a canonical syscall line without parse_line, to the columns of its record."""
     rec = SyscallEvent(
         t_ns=t_ns, job_id=job_id, pid=pid, tid=tid, name=name,
         direction=ENTER if retval is None else EXIT, args_digest=args, retval=retval,
@@ -422,8 +431,8 @@ def test_fast_path_equals_parse_line_property(tmp_path_factory, t_ns, job_id, pi
     line = serialize_line(rec) + "\n"
     path = tmp_path_factory.getbasetemp() / "property.trc"
     path.write_bytes(line.encode("utf-8"))
+    records = read_trace_file(path)
     with mock.patch("warden.records.parse_line", wraps=parse_line) as spy:
-        records = read_trace_file(path)
         columns = read_columns(path)
     fast = spy.call_count == 0
     assert records == [parse_line(line)] == [rec]
@@ -503,13 +512,14 @@ def test_seed7_corpus_parses_to_equal_records_both_ways(small_corpus, monkeypatc
 
     paths = [os.path.join(small_corpus["dir"], e["file"]) for e in small_corpus["manifest"]["entries"]]
     expected = [per_line_reference(p) for p in paths]
+    assert [read_trace_file(p) for p in paths] == expected
     slow_lines = []
     real_parse_line = records_module.parse_line
     monkeypatch.setattr(records_module, "parse_line", lambda line: slow_lines.append(line) or real_parse_line(line))
-    assert [read_trace_file(p) for p in paths] == expected
+    assert [read_columns(p) for p in paths] == [record_view(records) for records in expected]
     syscalls = sum(isinstance(r, SyscallEvent) for records in expected for r in records)
     assert syscalls > 10000
-    # every syscall line took the fast path; only res and log lines reached parse_line
+    # every syscall line took the tail check; only res and log lines reached parse_line
     assert len(slow_lines) == sum(map(len, expected)) - syscalls
 
 
@@ -721,6 +731,21 @@ def test_a_bad_line_in_a_later_block_is_located_as_parse_line_locates_it(tmp_pat
         assert want[0] == "MalformedLine" and want[3] == lineno and want[1].startswith(f"{path}:{lineno}: ")
 
 
+@pytest.mark.parametrize("line", [ENTER_LINE[:-1] + ',"ret":null}', EXIT_LINE.replace('"ret":-3', '"ret":null')], ids=["enter", "exit"])
+def test_ret_null_is_rejected_at_ret_by_every_reader(tmp_path, line):
+    offset = line.encode().index(b'"ret"')
+    with pytest.raises(MalformedLine) as exc:
+        parse_line(line)
+    assert exc.value.offset == offset
+    path = tmp_path / "ret-null.trc"
+    path.write_text("\n".join([ENTER_LINE, line, EXIT_LINE]) + "\n", encoding="utf-8")
+    for read in (read_trace_file, read_columns):
+        with pytest.raises(MalformedLine) as exc:
+            read(path)
+        assert (exc.value.lineno, exc.value.offset) == (2, offset)
+        assert str(exc.value).startswith(f"{path}:2: ")
+
+
 @pytest.mark.parametrize("read", [read_trace_file, read_columns], ids=["records", "columns"])
 def test_bytes_that_are_not_utf8_in_a_later_block_are_located(tmp_path, read):
     path = tmp_path / "later-binary.trc"
@@ -753,5 +778,5 @@ def test_the_map_of_checked_tails_is_cleared_when_full(tmp_path, monkeypatch):
     monkeypatch.setattr(records_module, "_KNOWN_TAILS", 64)
     path = tmp_path / "distinct.trc"
     write_trace_rows(path, "j1", 7, [(i, 1, "read", f"a{i}", None) for i in range(2000)])
-    sizes = [len(known) for *_, known in records_module._scan(path, records_module._TAIL_KEY, str)]
+    sizes = [len(known) for *_, known in records_module._scan(path, str)]
     assert max(sizes) <= 64 and sizes[-1] < max(sizes)
