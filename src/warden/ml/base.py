@@ -157,9 +157,10 @@ def glorot_uniform(rng, rows: int, cols: int, fan_in: int, fan_out: int) -> np.n
     """Row-major uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out)).
 
     Draw order is fixed (row-major), so matrices are bit-identical per seed.
+    Element k is ``rng.uniform_in(-a, a)`` of the k-th draw, computed for the
+    whole matrix at once by the same float64 operations.
     """
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    flat = np.empty(rows * cols, dtype=np.float64)
-    for i in range(rows * cols):
-        flat[i] = rng.uniform_in(-a, a)
-    return flat.reshape(rows, cols)
+    bits = np.fromiter(iter(rng.next_u64, None), dtype=np.uint64, count=rows * cols)
+    u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (-a + (a - -a) * u).reshape(rows, cols)

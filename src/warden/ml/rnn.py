@@ -15,6 +15,9 @@ from .base import (
 )
 
 
+_BATCH = 16  # sequences per update in fit, and per padded forward pass in scoring
+
+
 class EmptySequence(ValueError):
     """A token sequence with zero length cannot be scored or trained on."""
 
@@ -25,16 +28,14 @@ class RnnClassifier(BaseEstimator):
         h_t = tanh(Wxh e(x_t) + Whh h_{t-1} + bh),  h_0 = 0
         p   = sigmoid(wo . h_T + bo)
 
-    Training is plain SGD with one update per example, gradients computed by
-    full backpropagation through time over the (t_max-truncated) sequence and
-    clipped to a global L2 norm of ``clip``. Only the recurrence runs per
-    token: ``Whh h_{t-1}``, the add and the tanh going forward, and
-    ``dz_t = dh * (1 - h_t^2)`` and ``dh = Whh^T dz_t`` going back. Once per
-    sequence run the input projection ``Wxh e(x_t) + bh`` of every token,
-    ``1 - h_t^2`` of every step, and the gradients of ``Wxh``, ``Whh``,
-    ``bh`` and the embedding rows (one matrix product or sum each over the
-    stacked ``dz_t``). Example order is reshuffled each epoch with the
-    seeded generator; initialization matches the MLP scheme (uniform Glorot,
+    Training is minibatch SGD: each epoch reshuffles the example order with
+    the seeded generator and walks it in batches of ``_BATCH``. Each update
+    is ``lr`` times the sum of the batch's per-example gradients (full BPTT
+    over the t_max-truncated sequence), each clipped to a global L2 norm of
+    ``clip`` on its own. A batch runs as one left-padded ``(T, B)`` array
+    whose mask holds ``h`` at zero on pad steps; only the recurrence runs
+    per time step. Scoring runs the same forward pass in chunks of
+    ``_BATCH``. Initialization matches the MLP scheme (uniform Glorot,
     biases zero), drawn in the fixed order embedding, Wxh, Whh, wo.
     ``epochs=0`` returns the freshly initialized model.
     """
@@ -87,84 +88,107 @@ class RnnClassifier(BaseEstimator):
 
     def fit(self, sequences, y) -> "RnnClassifier":
         seqs = self._check_sequences(sequences)
-        y = check_labels(y, len(seqs))
+        y = check_labels(y, len(seqs)).astype(np.float64)
         require_both_classes(y)
         self._init_params()
         rng = SplitMix64(self.seed + 1)  # separate stream from init
         for _ in range(self.epochs):
             order = list(range(len(seqs)))
             rng.shuffle(order)
-            for i in order:
-                grads = self._example_grads_seq(seqs[i], float(y[i]))
-                self._apply(grads)
+            for start in range(0, len(order), _BATCH):
+                idx = order[start : start + _BATCH]
+                self._step([seqs[i] for i in idx], y[idx])
         return self
 
-    def _apply(self, grads: dict[str, np.ndarray]) -> None:
-        sq = 0.0
-        for g in grads.values():
-            sq += float(np.sum(g * g))
-        norm = np.sqrt(sq)
-        self._descend(grads, self.lr if norm <= self.clip else self.lr * (self.clip / norm))
+    def _step(self, seqs: list[np.ndarray], y: np.ndarray) -> None:
+        """One update: ``lr`` times the sum of the batch's gradients, each clipped on its own."""
+        grads, (ex, tok, rows) = self._grads(seqs, y)
+        emb_sq = np.bincount(ex, weights=np.square(rows).sum(axis=1), minlength=len(seqs))
+        norm = np.sqrt(sum((np.square(g).reshape(len(seqs), -1).sum(axis=1) for g in grads.values()), emb_sq))
+        scale = np.divide(self.clip, norm, out=np.ones_like(norm), where=norm > self.clip)
+        step = {name: np.tensordot(scale, g, axes=1) for name, g in grads.items()}
+        cells = (tok[:, None] * self.embed + np.arange(self.embed)).ravel()
+        step["emb"] = np.bincount(cells, (scale[ex, None] * rows).ravel(), self.emb_.size).reshape(self.emb_.shape)
+        self._descend(step, self.lr)
 
-    def _forward(self, seq: np.ndarray) -> tuple[np.ndarray, float]:
-        """Hidden states for one sequence; returns (hs with h_0 at row 0, logit).
+    def _forward(self, seqs: list[np.ndarray]):
+        """Padded forward pass over a batch; returns (tokens, keep, hs, logits).
 
-        The input projection of every token is one matrix product; only the
-        recurrence ``Whh h_{t-1}`` runs per token, writing into ``hs`` in place.
+        ``tokens`` is ``(T, B)``, each sequence left-padded with token 0 so
+        that every last hidden state is ``hs[T]``; ``hs`` is ``(T + 1, B, H)``
+        with ``h_0`` at row 0. ``keep`` is the ``(P, B, 1)`` 0/1 mask of the
+        first ``P = T - min(len)`` steps, the only ones that can be padding.
+        A pad step's input projection is zeroed, so its ``h`` stays exactly
+        0. The projection of every token is one product; only the recurrence
+        ``h_{t-1} Whh^T`` runs per step, writing into ``hs`` in place.
         """
-        T = seq.shape[0]
-        hs = np.zeros((T + 1, self.hidden), dtype=np.float64)
-        xs = self.emb_[seq] @ self.Wxh_.T
+        lengths = np.array([seq.shape[0] for seq in seqs])
+        T = int(lengths.max())
+        tokens = np.zeros((T, len(seqs)), dtype=np.int64)
+        for b, seq in enumerate(seqs):
+            tokens[T - seq.shape[0] :, b] = seq
+        keep = (np.arange(T - lengths.min())[:, None] >= T - lengths)[:, :, None].astype(np.float64)
+        hs = np.zeros((T + 1, len(seqs), self.hidden), dtype=np.float64)
+        xs = self.emb_[tokens] @ self.Wxh_.T
         xs += self.bh_
-        Whh = self.Whh_
-        dot, add, tanh = np.dot, np.add, np.tanh  # bound once: the loop is call-bound
+        xs[: len(keep)] *= keep
+        WhhT = self.Whh_.T
+        matmul, add, tanh = np.matmul, np.add, np.tanh  # bound once: the loop is call-bound
         for h_prev, h, x in zip(hs[:-1], hs[1:], xs):
-            dot(Whh, h_prev, out=h)
+            matmul(h_prev, WhhT, out=h)
             add(h, x, out=h)
             tanh(h, out=h)
-        z = float(self.wo_ @ hs[T] + self.bo_)
-        return hs, z
+        return tokens, keep, hs, hs[T] @ self.wo_ + self.bo_
 
-    def _example_grads_seq(self, seq: np.ndarray, y: float) -> dict[str, np.ndarray]:
-        """BCE gradient for one sequence w.r.t. every parameter (full BPTT).
+    def _grads(self, seqs: list[np.ndarray], y: np.ndarray):
+        """Each example's BCE gradient by full BPTT: the dense ones batch axis first, and the embedding's.
 
-        The backward loop only carries ``dh`` through the recurrence and keeps
-        each step's pre-activation gradient as a row of ``D``; the weight,
-        bias and embedding gradients are then one product each over ``D``.
+        The embedding's is ``(ex, tok, rows)``: ``rows[k]`` is example ``ex[k]``'s
+        gradient of row ``tok[k]``, one per distinct (example, token) pair, so
+        no array grows with the vocabulary. The backward loop only carries
+        ``dh``, keeping each step's pre-activation gradients as ``D[t]``; each
+        weight gradient is then one batched product over ``D``.
         """
-        hs, z = self._forward(seq)
-        dz = float(sigmoid(np.array([z]))[0] - y)
-        d_wo = dz * hs[-1]
-        d_bo = np.array([dz])
-        D = 1.0 - hs[1:] * hs[1:]  # tanh'(pre-activation); row t becomes dL/d(pre_t)
+        tokens, keep, hs, z = self._forward(seqs)
+        dz = sigmoid(z) - y
+        D = 1.0 - hs[1:] * hs[1:]  # tanh'(pre-activation); D[t, b] becomes dL_b/d(pre_t)
+        D[: len(keep)] *= keep  # nothing flows through a pad step
         Whh = self.Whh_
-        dot, multiply = np.dot, np.multiply
-        dh = dz * self.wo_
+        matmul, multiply = np.matmul, np.multiply
+        dh = dz[:, None] * self.wo_
         for dzt in D[::-1]:
             multiply(dzt, dh, out=dzt)
-            dh = dot(dzt, Whh)  # Whh^T dzt
-        d_emb = np.zeros_like(self.emb_)
-        np.add.at(d_emb, seq, D @ self.Wxh_)  # add.at sums the rows of repeated tokens
-        d_Wxh = D.T @ self.emb_[seq]
-        d_Whh = D.T @ hs[:-1]
-        d_bh = D.sum(axis=0)
-        return {"emb": d_emb, "Wxh": d_Wxh, "Whh": d_Whh, "bh": d_bh, "wo": d_wo, "bo": d_bo}
+            dh = matmul(dzt, Whh)  # dzt Whh, row by row Whh^T dzt
+        (V, E), B = self.emb_.shape, len(seqs)
+        keys, pair = np.unique(np.arange(B) * V + tokens, return_inverse=True)
+        cells = (pair.reshape(-1, 1) * E + np.arange(E)).ravel()
+        rows = np.bincount(cells, weights=(D @ self.Wxh_).ravel(), minlength=len(keys) * E).reshape(-1, E)
+        Db = D.transpose(1, 2, 0)  # (B, H, T)
+        return {
+            "Wxh": Db @ self.emb_[tokens].transpose(1, 0, 2),
+            "Whh": Db @ hs[:-1].transpose(1, 0, 2),
+            "bh": D.sum(axis=0),
+            "wo": dz[:, None] * hs[-1],
+            "bo": dz[:, None],
+        }, (keys // V, keys % V, rows)
 
     def decision_function(self, sequences) -> np.ndarray:
         self._require_fitted()
         seqs = self._check_sequences(sequences)
-        return np.array([self._forward(seq)[1] for seq in seqs], dtype=np.float64)
+        chunks = [self._forward(seqs[i : i + _BATCH])[3] for i in range(0, len(seqs), _BATCH)]
+        return np.concatenate([np.empty(0), *chunks])
 
     def loss(self, sequences, y) -> float:
         return bce_from_logits(self.decision_function(sequences), np.asarray(y, dtype=np.float64))
 
     def example_loss(self, seq, y) -> float:
         self._require_fitted()
-        seq = self._check_sequences([seq])[0]
-        _, z = self._forward(seq)
-        return bce_from_logits(np.array([z]), np.array([float(y)]))
+        z = self._forward(self._check_sequences([seq]))[3]
+        return bce_from_logits(z, np.array([float(y)]))
 
     def example_grads(self, seq, y) -> dict[str, np.ndarray]:
         self._require_fitted()
-        seq = self._check_sequences([seq])[0]
-        return self._example_grads_seq(seq, float(y))
+        grads, (_, tok, rows) = self._grads(self._check_sequences([seq]), np.array([float(y)]))
+        d_emb = np.zeros_like(self.emb_)
+        d_emb[tok] = rows
+        return {"emb": d_emb, **{name: g[0] for name, g in grads.items()}}

@@ -142,7 +142,10 @@ class ResourceSample:
         _check_job_id(self.job_id)
         if isinstance(self.cpu_pct, bool) or not isinstance(self.cpu_pct, (int, float)):
             raise InvalidRecord(f"cpu_pct must be a real number, got {self.cpu_pct!r}", "cpu_pct")
-        cpu = float(self.cpu_pct)
+        try:
+            cpu = float(self.cpu_pct)
+        except OverflowError:  # an integer beyond float's range
+            cpu = float("inf")
         if cpu != cpu or cpu in (float("inf"), float("-inf")) or cpu < 0.0:
             raise InvalidRecord(f"cpu_pct must be finite and >= 0, got {self.cpu_pct!r}", "cpu_pct")
         object.__setattr__(self, "cpu_pct", _quantize_real(cpu))
@@ -255,10 +258,9 @@ def serialize_line(record: TelemetryRecord) -> str:
 
 
 def _field_offset(line: str, key: str) -> int:
-    idx = line.find(f'"{key}"')
-    if idx < 0:
-        return 0
-    return len(line[:idx].encode("utf-8"))
+    """Byte offset of ``"key":`` in the line; a string value equal to the key is not a match."""
+    match = re.search(f'"{re.escape(key)}"\\s*:', line)
+    return len(line[: match.start()].encode("utf-8")) if match else 0
 
 
 def parse_line(line: str) -> TelemetryRecord:
@@ -297,13 +299,16 @@ def parse_line(line: str) -> TelemetryRecord:
                 raise MalformedLine(f"field {key!r}: unknown field", offset=_field_offset(stripped, key))
     try:
         record = cls(**{attr: obj.get(key) for key, attr in pairs})
+        if obj.get("ret", 0) is None:  # "ret":null on an enter line, which the record reads as no retval
+            raise InvalidRecord(_ENTER_RETVAL, "retval")
     except InvalidRecord as exc:
         key = _WIRE_KEYS.get(exc.field, exc.field)
         if key not in obj:
             raise MalformedLine(f"missing field {key!r}") from None
-        raise MalformedLine(str(exc), offset=_field_offset(stripped, key)) from None
-    if obj.get("ret", 0) is None:  # "ret":null on an enter line, which the record reads as no retval
-        raise MalformedLine(_ENTER_RETVAL, offset=_field_offset(stripped, "ret"))
+        message = str(exc)
+        if message.startswith(exc.field):  # the record names its attribute; the line has the wire key
+            message = key + message[len(exc.field) :]
+        raise MalformedLine(message, offset=_field_offset(stripped, key)) from None
     return record
 
 

@@ -402,6 +402,20 @@ def test_extract_reports_bytes_that_are_not_utf8_with_path_and_line(workspace, t
     assert f"extract: malformed input: {binary}:6: invalid UTF-8: invalid start byte" in err.splitlines()
 
 
+def test_extract_reports_a_cpu_pct_beyond_float_range_as_malformed(tmp_path, capsys):
+    line = ('{"kind":"res","t_ns":1,"job_id":"huge","cpu_pct":1' + "0" * 400
+            + ',"rss_bytes":0,"net_rx_bytes":0,"net_tx_bytes":0,"io_read_bytes":0,"io_write_bytes":0}')
+    (tmp_path / "huge.trc").write_text(line + "\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [{"job_id": "huge", "label": "normal", "file": "huge.trc"}]}))
+    code = run_cli("extract", "--manifest", str(manifest), "--out", str(tmp_path / "features.csv"))
+    _, err = capsys.readouterr()
+    assert code == 2
+    problems = [line for line in err.splitlines() if line.startswith("extract: ")]
+    assert problems[0].startswith(f"extract: malformed input: {tmp_path / 'huge.trc'}:1: cpu_pct must be finite")
+    assert "Traceback" not in err
+
+
 def test_detect_rnn_model_rejected(workspace, tmp_path):
     rnn_path = tmp_path / "rnn.wmdl"
     assert run_cli("train", "--kind", "rnn", "--manifest", workspace["manifest"],

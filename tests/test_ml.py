@@ -19,6 +19,7 @@ from warden.ml import (
     split_indices,
 )
 from warden.features import DimensionMismatch
+from warden.ml.base import glorot_uniform
 
 
 def blobs(seed, n=200, dim=5, center=3.0, sigma=0.3):
@@ -31,6 +32,18 @@ def blobs(seed, n=200, dim=5, center=3.0, sigma=0.3):
         X.append([c + sigma * rng.gauss() for _ in range(dim)])
         y.append(label)
     return np.array(X), np.array(y)
+
+
+@pytest.mark.parametrize("seed, rows, cols", [(0, 1, 1), (1, 1, 32), (7, 32, 16), (42, 256, 16), (3, 5, 0)])
+def test_glorot_uniform_equals_the_per_element_draws(seed, rows, cols):
+    fan_in, fan_out = cols + 3, rows + 1
+    rng, scalar = SplitMix64(seed), SplitMix64(seed)
+    a = np.sqrt(6.0 / (fan_in + fan_out))
+    expected = np.array([scalar.uniform_in(-a, a) for _ in range(rows * cols)], dtype=np.float64)
+    got = glorot_uniform(rng, rows, cols, fan_in=fan_in, fan_out=fan_out)
+    assert got.shape == (rows, cols)
+    assert got.tobytes() == expected.reshape(rows, cols).tobytes()
+    assert rng.next_u64() == scalar.next_u64()  # exactly rows * cols draws were taken
 
 
 # --- SVM -----------------------------------------------------------------------

@@ -5,7 +5,8 @@ and the per-event n-gram loop. The feature CSV of `warden extract` and the
 RNN token sequences must not change when the way a trace is read or
 windowed changes. The `warden train` model files and `warden eval` metrics
 were hashed when the CLI still restated every estimator default; they must
-not change with where a default is kept.
+not change with where a default is kept. The RNN's two model files and its
+ROC were re-hashed when it moved from per-example to minibatch training.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ TRAIN_SHA256 = {
     ("svm", "all"): "420da23feed8ebf34f7204b4de50ef6de71edc505eb5f3d713ceeb4337523d9a",
     ("mlp", "default"): "98c9e35283752596e63b2eecbf5aaa3236b5c7d7a0f4b17d32cec0c9b6dc3d6e",
     ("mlp", "all"): "347f147b2a4e7b3f5b23639cba741c01bd767dcdbeed4c5c31f007d8f49d854a",
-    ("rnn", "default"): "fbf0aa06aa9016b1d9e7e862b8812bade19a3c6523a9395dc61a32a10373b51e",
-    ("rnn", "all"): "00d6515865525e2c7ec35362f09146e4dd439d1ea41906413f890335ed0740cf",
+    ("rnn", "default"): "a7b21e5514fd308e91b54006bb8b2a22053f518bca3d8e1941e593b610180832",
+    ("rnn", "all"): "b3ecf6063243031df251fd0b707410b919ba2a5f15449ec3029218421f31e0d6",
 }
 # (--metrics-out, --roc-out) of `warden eval` on each default model
 EVAL_SHA256 = {
@@ -56,7 +57,7 @@ EVAL_SHA256 = {
         "e164447819d06e60d7ca7f0d3311accc1ec1ca42f33c5c90764b0227d8733cce"),
     ("rnn", "manifest"): (
         "56875571ecfd8cece8aae27fbd7a77ff312fc160cf3f81efc94614383407b219",
-        "c1eb437c72b7d57733b0e80c8c160599af5454cc3132202a45963c0d76a279ef"),
+        "8f0fee719ba149d2394cbe3ac3e56774b363c02422acdea34ddefb8a7025d1fb"),
     ("svm", "features"): (
         "c800cfb10bce4bfa220216f5fe81ae14df7c7606cb63dce0df185e74f42b40ed",
         "08779fd0fd11f7569c4526225acc8e5ba9e8275523f64bcaae46feffe3b83fc2"),

@@ -111,6 +111,25 @@ def test_parse_reports_the_first_offending_field_in_canonical_order():
         assert exc.value.offset == line.encode().index(f'"{key}"'.encode())
 
 
+def test_parse_rejects_a_cpu_pct_beyond_float_range_at_cpu_pct():
+    line = serialize_line(res_sample()).replace('"cpu_pct":1', '"cpu_pct":1' + "0" * 400)
+    with pytest.raises(MalformedLine, match="^cpu_pct must be finite") as exc:
+        parse_line(line)
+    assert exc.value.offset == line.encode().index(b'"cpu_pct"')
+
+
+def test_parse_locates_a_field_by_its_key_not_by_an_equal_value():
+    line = ('{"kind":"sys","t_ns":100,"job_id":"j1","pid":7,"tid":7,"name":"args","dir":"enter","args":"'
+            + "a" * 257 + '"}')
+    with pytest.raises(MalformedLine, match="^args must be a string") as exc:
+        parse_line(line)
+    assert exc.value.offset == line.encode().index(b'"args":')
+    spaced = line.replace('"args":"a', '"args" :"a')
+    with pytest.raises(MalformedLine) as exc:
+        parse_line(spaced)
+    assert exc.value.offset == spaced.encode().index(b'"args" :')
+
+
 def test_parse_rejects_non_integer_t_ns():
     with pytest.raises(MalformedLine):
         parse_line('{"kind":"log","t_ns":1.5,"job_id":"j","source":"s","severity":"info","message":"m"}')
