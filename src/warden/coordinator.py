@@ -20,6 +20,7 @@ import http.client
 import json
 import os
 import random
+import sys
 import threading
 import time
 import urllib.parse
@@ -390,6 +391,11 @@ class _Server(ThreadingHTTPServer):
     # class attributes: the constructor binds and listens, so setting them afterwards is too late
     request_queue_size = LISTEN_BACKLOG
     daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        """A client that resets or drops its connection is routine: no traceback. Any other error is reported as before."""
+        if not isinstance(sys.exc_info()[1], (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)):
+            super().handle_error(request, client_address)
 
 
 def make_server(listen: str, ledger_path) -> tuple[ThreadingHTTPServer, CoordinatorService]:

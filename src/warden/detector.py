@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 from .coordinator import Rejected
-from .features import FeatureConfig, FeatureVector, Window, Windower, window_vector
+from .features import FeatureVector, Window, Windower, window_vector
 from .ml.io import ModelBundle
 from .records import format_real
 from .sandbox import JobHandle, KillReason, LimitTracker, SandboxPolicy
@@ -259,7 +259,6 @@ def run_pipeline(
     handle: JobHandle,
     bundle: ModelBundle,
     detector_config: DetectorConfig,
-    feature_config: FeatureConfig | None = None,
     client=None,
     node_id: str = "local",
     spool: AlertSpool | list[Alert] | None = None,
@@ -267,10 +266,12 @@ def run_pipeline(
 ) -> PipelineResult:
     """Consume one job's telemetry stream of TraceColumns chunks to completion.
 
-    Per window, as soon as it closes: extract, scale, score, smooth, act. A Terminate
-    decision stops the job via the sandbox exactly once; the pipeline then
-    scores no further window and raises no further alert, but still reads
-    the stream to its end. When ``policy`` is given, CPU/memory/network
+    Windows follow ``bundle.feature_config``, the configuration the model was
+    trained on. Per window, as soon as it closes: extract, scale, score,
+    smooth, act. A Terminate decision stops the job via the sandbox exactly
+    once; the pipeline then scores no further window and raises no further
+    alert, but still reads the stream to its end, since a producer blocks
+    while the stream is full. When ``policy`` is given, CPU/memory/network
     violations are forwarded as RaiseAlert-severity alerts (ids
     ``<job>/pv<i>``) without terminating. Delivery failures fall back to the
     spool (an AlertSpool, or a list to collect them) and never crash the
@@ -279,7 +280,7 @@ def run_pipeline(
     """
     if bundle is None:
         raise ModelMissing("run_pipeline requires a loaded model bundle")
-    config = feature_config or bundle.feature_config
+    config = bundle.feature_config
     windower = Windower(config, handle.job_id)
     state = DetectorState()
     result = PipelineResult()

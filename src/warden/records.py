@@ -71,11 +71,26 @@ class UnsortedInput(ValueError):
         self.position = position
 
 
+_SHOWN_CHARS = 40  # the most of an offending value that an error message shows
+
+
+def _shown(value) -> str:
+    """repr of an offending value for an error message, cut to _SHOWN_CHARS characters.
+
+    Called only on the raise path. An integer too long to show whole is
+    described by its size, which needs no conversion to decimal.
+    """
+    if isinstance(value, int) and value.bit_length() > 4 * _SHOWN_CHARS:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else f"{text[:_SHOWN_CHARS]}... ({len(text)} chars)"
+
+
 def _check_int(name: str, value, minimum=None) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidRecord(f"{name} must be an integer, got {value!r}", name)
+        raise InvalidRecord(f"{name} must be an integer, got {_shown(value)}", name)
     if minimum is not None and value < minimum:
-        raise InvalidRecord(f"{name} must be >= {minimum}, got {value}", name)
+        raise InvalidRecord(f"{name} must be >= {minimum}, got {_shown(value)}", name)
 
 
 def _check_job_id(job_id) -> None:
@@ -102,9 +117,9 @@ class SyscallEvent:
         _check_int("pid", self.pid, minimum=1)
         _check_int("tid", self.tid, minimum=1)
         if not isinstance(self.name, str) or not SYSCALL_NAME_RE.fullmatch(self.name):
-            raise InvalidRecord(f"syscall name must match [a-z0-9_]+ (1-{MAX_NAME} chars), got {self.name!r}", "name")
+            raise InvalidRecord(f"syscall name must match [a-z0-9_]+ (1-{MAX_NAME} chars), got {_shown(self.name)}", "name")
         if self.direction not in DIRECTIONS:
-            raise InvalidRecord(f"direction must be 'enter' or 'exit', got {self.direction!r}", "direction")
+            raise InvalidRecord(f"direction must be 'enter' or 'exit', got {_shown(self.direction)}", "direction")
         if not isinstance(self.args_digest, str) or len(self.args_digest) > MAX_ARGS:
             raise InvalidRecord(f"args_digest must be a string of at most {MAX_ARGS} chars", "args_digest")
         if self.direction == EXIT:
@@ -141,13 +156,13 @@ class ResourceSample:
         _check_int("t_ns", self.t_ns)
         _check_job_id(self.job_id)
         if isinstance(self.cpu_pct, bool) or not isinstance(self.cpu_pct, (int, float)):
-            raise InvalidRecord(f"cpu_pct must be a real number, got {self.cpu_pct!r}", "cpu_pct")
+            raise InvalidRecord(f"cpu_pct must be a real number, got {_shown(self.cpu_pct)}", "cpu_pct")
         try:
             cpu = float(self.cpu_pct)
         except OverflowError:  # an integer beyond float's range
             cpu = float("inf")
         if cpu != cpu or cpu in (float("inf"), float("-inf")) or cpu < 0.0:
-            raise InvalidRecord(f"cpu_pct must be finite and >= 0, got {self.cpu_pct!r}", "cpu_pct")
+            raise InvalidRecord(f"cpu_pct must be finite and >= 0, got {_shown(self.cpu_pct)}", "cpu_pct")
         object.__setattr__(self, "cpu_pct", _quantize_real(cpu))
         _check_int("rss_bytes", self.rss_bytes, minimum=0)
         _check_int("net_rx_bytes", self.net_rx_bytes, minimum=0)
@@ -172,7 +187,7 @@ class LogRecord:
         if not isinstance(self.source, str) or len(self.source) > MAX_SOURCE:
             raise InvalidRecord(f"source must be a string of at most {MAX_SOURCE} chars", "source")
         if self.severity not in SEVERITIES:
-            raise InvalidRecord(f"severity must be one of {SEVERITIES}, got {self.severity!r}", "severity")
+            raise InvalidRecord(f"severity must be one of {SEVERITIES}, got {_shown(self.severity)}", "severity")
         if not isinstance(self.message, str) or len(self.message) > MAX_MESSAGE:
             raise InvalidRecord(f"message must be a string of at most {MAX_MESSAGE} chars", "message")
         if "\n" in self.message:
@@ -199,7 +214,7 @@ class LabeledTrace:
     def __post_init__(self):
         _check_job_id(self.job_id)
         if self.label not in LABELS:
-            raise InvalidRecord(f"label must be one of {LABELS}, got {self.label!r}", "label")
+            raise InvalidRecord(f"label must be one of {LABELS}, got {_shown(self.label)}", "label")
         if not isinstance(self.profile_name, str):
             raise InvalidRecord("profile_name must be a string", "profile_name")
         object.__setattr__(self, "records", tuple(self.records))
@@ -287,7 +302,7 @@ def parse_line(line: str) -> TelemetryRecord:
         raise MalformedLine("missing field 'kind'")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise MalformedLine(f"unknown kind {kind!r}", offset=_field_offset(stripped, "kind"))
+        raise MalformedLine(f"unknown kind {_shown(kind)}", offset=_field_offset(stripped, "kind"))
     cls, pairs, required, allowed = _KINDS[kind]
     keys = obj.keys()
     if keys != required and keys != allowed:
@@ -296,7 +311,7 @@ def parse_line(line: str) -> TelemetryRecord:
                 raise MalformedLine(f"missing field {key!r}")
         for key in obj:
             if key not in allowed:
-                raise MalformedLine(f"field {key!r}: unknown field", offset=_field_offset(stripped, key))
+                raise MalformedLine(f"field {_shown(key)}: unknown field", offset=_field_offset(stripped, key))
     try:
         record = cls(**{attr: obj.get(key) for key, attr in pairs})
         if obj.get("ret", 0) is None:  # "ret":null on an enter line, which the record reads as no retval

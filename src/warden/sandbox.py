@@ -7,8 +7,8 @@ syscall (via /proc/<pid>/syscall, where available). The replay backend
 streams a recorded `.trc` file and is fully deterministic; the detection
 pipeline consumes both through the same telemetry-stream interface.
 
-Limit enforcement is split deliberately: a wallclock breach records a
-violation and terminates the job here, while CPU/memory/network breaches
+Limit enforcement is split deliberately: a wallclock breach ends the job
+here with kill reason WALLCLOCK_EXCEEDED, while CPU/memory/network breaches
 only surface as violation records for the detector to weigh.
 """
 
@@ -19,8 +19,10 @@ import enum
 import os
 import platform
 import re
+import shutil
 import signal
 import subprocess
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,6 +40,12 @@ from .records import (
 
 KILL_GRACE_S = 2.0
 REPLAY_CHUNK_RECORDS = 512  # rows per stream hand-off when replaying faster than recorded gaps
+# rows a job's stream buffers before its producer blocks; a replay's bound
+# holds a whole online-detect trace (under about 15k rows), so that replay
+# never waits for the consumer
+REPLAY_STREAM_ROWS = 100000
+PROCESS_STREAM_ROWS = 10000
+SYSCALL_POLL_S = 0.05  # how often a live job's current syscall is sampled
 
 
 class KillReason(enum.IntEnum):
@@ -215,57 +223,35 @@ class TelemetryStream:
     """Bounded stream of row chunks from one or more producer threads to one consumer.
 
     A chunk is TraceColumns (what the backends put), or any sequence that
-    slices by rows; ``put_many`` hands one over. ``maxsize`` bounds the
-    buffered rows (0 or less: unbounded). When it is reached, a producer
-    either blocks until the consumer catches up (default) or drops the oldest
-    buffered rows, counted in ``dropped``. Iteration yields the chunks in put
-    order and ends after the buffered ones once the stream is closed; chunks
-    put after ``close`` are ignored.
+    slices by rows; ``put_many`` hands one over. At most ``maxsize`` rows
+    (at least 1) are buffered: a producer that finds the stream full blocks
+    until the consumer makes room, so no row is lost. Iteration yields the
+    chunks in put order and ends after the buffered ones once the stream is
+    closed; chunks put after ``close`` are ignored, and ``close`` releases a
+    blocked producer.
     """
 
-    def __init__(self, maxsize: int = 10000, overflow: str = "block"):
-        if overflow not in ("block", "drop_oldest"):
-            raise ValueError("overflow must be 'block' or 'drop_oldest'")
+    def __init__(self, maxsize: int):
+        if maxsize < 1:
+            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self._maxsize = maxsize
-        self._overflow = overflow
         self._chunks: collections.deque = collections.deque()
         self._size = 0  # rows in self._chunks
         self._cond = threading.Condition()
         self._closed = False
-        self.dropped = 0  # rows discarded by drop_oldest
 
     def put_many(self, chunk) -> None:
         with self._cond:
             while len(chunk) and not self._closed:
-                if self._maxsize <= 0 or self._overflow == "drop_oldest":
-                    self._append(chunk)
-                    self._drop_oldest()
-                    return
                 room = self._maxsize - self._size
                 if room <= 0:
                     self._cond.wait()
                     continue
-                self._append(chunk[:room])
+                part = chunk[:room]
+                self._chunks.append(part)
+                self._size += len(part)
+                self._cond.notify_all()
                 chunk = chunk[room:]
-
-    def _append(self, chunk) -> None:
-        self._chunks.append(chunk)
-        self._size += len(chunk)
-        self._cond.notify_all()
-
-    def _drop_oldest(self) -> None:
-        excess = self._size - self._maxsize if self._maxsize > 0 else 0
-        while excess > 0:
-            head = self._chunks[0]
-            if len(head) <= excess:
-                self._chunks.popleft()
-                dropped = len(head)
-            else:
-                self._chunks[0] = head[excess:]
-                dropped = excess
-            self._size -= dropped
-            self.dropped += dropped
-            excess -= dropped
 
     def close(self) -> None:
         with self._cond:
@@ -297,8 +283,8 @@ class JobHandle:
     def __init__(self, job_id: str, stream: TelemetryStream, backend: "ExecutionBackend"):
         self.job_id = job_id
         self.telemetry = stream
-        self.violations: list[PolicyViolation] = []
         self._backend = backend
+        self._stop = threading.Event()  # set when the backend should stop feeding the stream
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._status = JobStatus.pending()
@@ -380,20 +366,17 @@ class ReplayBackend(ExecutionBackend):
     one before every delay, so it still delivers each row on time.
     """
 
-    def __init__(self, trace_path, speed: float = 0.0, stream_maxsize: int = 100000, overflow: str = "block"):
+    def __init__(self, trace_path, speed: float = 0.0):
         super().__init__()
         self.trace_path = str(trace_path)
         self.speed = speed
-        self._stream_maxsize = stream_maxsize
-        self._overflow = overflow
 
     def _launch(self, descriptor: JobDescriptor) -> JobHandle:
         if not os.path.exists(self.trace_path):
             raise ReplaySourceMissing(f"no trace at {self.trace_path}")
         columns = read_trace_columns(self.trace_path, descriptor.job_id)
-        stream = TelemetryStream(maxsize=self._stream_maxsize, overflow=self._overflow)
+        stream = TelemetryStream(REPLAY_STREAM_ROWS)
         handle = JobHandle(descriptor.job_id, stream, self)
-        handle._stop = threading.Event()
 
         def run():
             handle._set_running()
@@ -474,24 +457,17 @@ class ProcessBackend(ExecutionBackend):
     Isolation notes (documented limitations): memory is limited via
     RLIMIT_AS, CPU share is not throttled (breaches surface as violations),
     fs_hidden_paths is advisory (environment scrubbing plus a private working
-    directory), and per-process network counters are not observable from
+    directory, removed when the job ends), and per-process network counters are not observable from
     /proc, so live ResourceSamples carry zero network deltas.
     """
 
-    def __init__(self, sample_interval_ms: int = 1000, syscall_poll_ms: int = 50,
-                 stream_maxsize: int = 10000, overflow: str = "block", workdir_root=None):
+    def __init__(self, sample_interval_ms: int = 1000):
         super().__init__()
         self.sample_interval_ms = sample_interval_ms
-        self.syscall_poll_ms = syscall_poll_ms
-        self._stream_maxsize = stream_maxsize
-        self._overflow = overflow
-        self._workdir_root = workdir_root
 
     def _launch(self, descriptor: JobDescriptor) -> JobHandle:
-        import tempfile
-
         policy = descriptor.policy
-        workdir = tempfile.mkdtemp(prefix=f"warden-{descriptor.job_id}-", dir=self._workdir_root)
+        workdir = tempfile.mkdtemp(prefix=f"warden-{descriptor.job_id}-")
         env = dict(descriptor.env)
 
         def preexec():
@@ -513,14 +489,12 @@ class ProcessBackend(ExecutionBackend):
                 preexec_fn=preexec,
             )
         except (OSError, ValueError) as exc:
+            shutil.rmtree(workdir, ignore_errors=True)
             raise SpawnFailure(f"cannot spawn {descriptor.command!r}: {exc}") from None
 
-        stream = TelemetryStream(maxsize=self._stream_maxsize, overflow=self._overflow)
-        handle = JobHandle(descriptor.job_id, stream, self)
+        handle = JobHandle(descriptor.job_id, TelemetryStream(PROCESS_STREAM_ROWS), self)
         handle._proc = proc
-        handle._policy = policy
-        handle._stop = threading.Event()
-        handle._t_start_ns = time.time_ns()
+        handle._workdir = workdir
         handle._set_running()
 
         threads = [
@@ -530,29 +504,13 @@ class ProcessBackend(ExecutionBackend):
             threading.Thread(target=self._waiter, args=(handle,), daemon=True),
         ]
         handle._threads = threads
-        if policy.wallclock_limit_s > 0:
-            timer = threading.Timer(policy.wallclock_limit_s, self._wallclock_kill, args=(handle,))
-            timer.daemon = True
-            timer.start()
-            handle._timer = timer
+        # launch has validated the policy, so the limit is positive
+        handle._timer = threading.Timer(policy.wallclock_limit_s, handle.terminate, args=(KillReason.WALLCLOCK_EXCEEDED,))
+        handle._timer.daemon = True
+        handle._timer.start()
         for t in threads:
             t.start()
         return handle
-
-    def _wallclock_kill(self, handle: JobHandle) -> None:
-        if handle.status().terminal:
-            return
-        now = time.time_ns()
-        handle.violations.append(
-            PolicyViolation(
-                handle.job_id,
-                now,
-                "Wallclock",
-                (now - handle._t_start_ns) / 1e9,
-                handle._policy.wallclock_limit_s,
-            )
-        )
-        self._terminate(handle, KillReason.WALLCLOCK_EXCEEDED)
 
     def _pipe_reader(self, handle: JobHandle, pipe, source: str, severity: str) -> None:
         try:
@@ -591,13 +549,11 @@ class ProcessBackend(ExecutionBackend):
         """Per-interval resource samples plus sampled current-syscall events."""
         pid = handle._proc.pid
         interval = self.sample_interval_ms / 1000.0
-        poll = max(self.syscall_poll_ms / 1000.0, 0.005)
         prev_ticks = None
         last_sample = time.monotonic()
         can_sample_syscall = syscall_sampling_supported()
-        last_syscall_key = None
         while not handle._stop.is_set() and handle._proc.poll() is None:
-            time.sleep(poll)
+            time.sleep(SYSCALL_POLL_S)
             now_ns = time.time_ns()
             if can_sample_syscall:
                 try:
@@ -650,10 +606,9 @@ class ProcessBackend(ExecutionBackend):
         handle._set_terminal(JobStatus.completed(rc))
         for t in handle._threads[:2]:  # let pipe readers drain
             t.join(timeout=2.0)
-        handle.telemetry.close()
-        timer = getattr(handle, "_timer", None)
-        if timer is not None:
-            timer.cancel()
+        shutil.rmtree(handle._workdir, ignore_errors=True)
+        handle.telemetry.close()  # after the removal, so a consumer that reads to the end finds it gone
+        handle._timer.cancel()
 
     def _terminate(self, handle: JobHandle, reason: KillReason) -> JobStatus:
         status = handle.status()
@@ -693,8 +648,7 @@ def _put(handle: JobHandle, record: TelemetryRecord) -> None:
     handle.telemetry.put_many(TraceColumns.from_records((record,), handle.job_id))
 
 
-def replay_job(trace_path, job_id: str, speed: float = 0.0, policy: SandboxPolicy | None = None) -> JobHandle:
+def replay_job(trace_path, job_id: str, speed: float = 0.0) -> JobHandle:
     """Convenience: launch a replay of one trace file under a default policy."""
-    backend = ReplayBackend(trace_path, speed=speed)
-    return backend.launch(JobDescriptor(job_id=job_id, command=("replay",), policy=policy or SandboxPolicy()))
+    return ReplayBackend(trace_path, speed=speed).launch(JobDescriptor(job_id=job_id, command=("replay",)))
 

@@ -7,6 +7,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -271,6 +272,26 @@ def test_body_shorter_than_content_length_is_closed_within_the_timeout(live, mon
     assert reply == b""  # closed without an answer, well before the client's 5-s timeout
     assert time.monotonic() - start < 4.0
     assert live["service"].state.nodes == {}
+
+
+def test_a_client_reset_mid_body_prints_no_traceback(live, monkeypatch, capsys):
+    server = live["server"]
+    handled = threading.Event()
+    shutdown_request = server.shutdown_request
+
+    def shutdown_and_note(request):  # runs after the handler and any handle_error
+        shutdown_request(request)
+        handled.set()
+
+    monkeypatch.setattr(server, "shutdown_request", shutdown_and_note)
+    sock = socket.create_connection(live["address"], timeout=5.0)
+    sock.sendall(b"POST /v1/nodes HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\n\r\n{")
+    time.sleep(0.2)  # the server reads the headers and waits for the rest of the body
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()  # a zero linger time sends a reset
+    assert handled.wait(5.0)
+    assert "Traceback" not in capsys.readouterr().err
+    assert live["client"].health() == {"status": "ok", "ledger_seq": 0}
 
 
 def test_health_reports_ledger_seq(live):

@@ -12,6 +12,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from warden import sandbox
 from warden.coordinator import LEDGER_ENV_VAR
 from warden.detector import DetectorConfig, ResponseAction, run_pipeline
 from warden.features import FeatureConfig, Scaler
@@ -40,9 +41,14 @@ def permissive_bundle(config: FeatureConfig, score: float = 0.95) -> ModelBundle
     return ModelBundle(kind="svm", model=svm, feature_config=config, scaler=scaler, model_id="permissive")
 
 
+@pytest.fixture()
+def fast_syscall_poll(monkeypatch):
+    monkeypatch.setattr(sandbox, "SYSCALL_POLL_S", 0.03)
+
+
 @needs_proc_syscall
-def test_live_job_emits_sampled_syscalls_and_resources():
-    backend = ProcessBackend(sample_interval_ms=300, syscall_poll_ms=30)
+def test_live_job_emits_sampled_syscalls_and_resources(fast_syscall_poll):
+    backend = ProcessBackend(sample_interval_ms=300)
     handle = backend.launch(
         JobDescriptor(job_id="live-telemetry", command=("/bin/sleep", "2"))
     )
@@ -59,10 +65,10 @@ def test_live_job_emits_sampled_syscalls_and_resources():
 
 
 @needs_proc_syscall
-def test_live_detection_alerts_and_kills():
+def test_live_detection_alerts_and_kills(fast_syscall_poll):
     config = FeatureConfig(window_s=1.0, hop_s=1.0)
     bundle = permissive_bundle(config)
-    backend = ProcessBackend(sample_interval_ms=300, syscall_poll_ms=30)
+    backend = ProcessBackend(sample_interval_ms=300)
     handle = backend.launch(
         JobDescriptor(
             job_id="live-detect",

@@ -118,6 +118,25 @@ def test_parse_rejects_a_cpu_pct_beyond_float_range_at_cpu_pct():
     assert exc.value.offset == line.encode().index(b'"cpu_pct"')
 
 
+# the wire key an error message must name, and a line with a long value there
+LONG_VALUE_LINES = {
+    "cpu_pct": serialize_line(res_sample()).replace('"cpu_pct":1', '"cpu_pct":1' + "0" * 400),
+    "pid": '{"kind":"sys","t_ns":1,"job_id":"j1","pid":-' + "7" * 3000 + ',"tid":7,"name":"read","dir":"enter","args":""}',
+    "name": '{"kind":"sys","t_ns":1,"job_id":"j1","pid":7,"tid":7,"name":"' + "A" * 5000 + '","dir":"enter","args":""}',
+    "severity": '{"kind":"log","t_ns":1,"job_id":"j","source":"s","severity":"' + "x" * 5000 + '","message":"m"}',
+    "kind": '{"kind":"' + "k" * 5000 + '","t_ns":1}',
+    "unknown field": '{"kind":"log","t_ns":1,"job_id":"j","source":"s","severity":"info","message":"m","' + "e" * 5000 + '":1}',
+}
+
+
+@pytest.mark.parametrize("key", LONG_VALUE_LINES)
+def test_an_error_message_shows_a_short_part_of_a_long_value(key):
+    with pytest.raises(MalformedLine) as exc:
+        parse_line(LONG_VALUE_LINES[key])
+    assert len(str(exc.value)) <= 200
+    assert key in str(exc.value)
+
+
 def test_parse_locates_a_field_by_its_key_not_by_an_equal_value():
     line = ('{"kind":"sys","t_ns":100,"job_id":"j1","pid":7,"tid":7,"name":"args","dir":"enter","args":"'
             + "a" * 257 + '"}')
