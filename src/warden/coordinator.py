@@ -28,6 +28,8 @@ import zlib
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .records import _shown
+
 DEFAULT_LIMIT = 100
 MAX_LIMIT = 1000
 LISTEN_BACKLOG = 128  # socketserver's default of 5 resets bursts of concurrent clients
@@ -330,7 +332,7 @@ class _Handler(BaseHTTPRequestHandler):
         header = self.headers.get("Content-Length", "0")
         if not (header.isascii() and header.isdigit()):
             self.close_connection = True  # the body's end is unknown
-            return 400, {"error": f"Content-Length must be a non-negative integer, got {header!r}"}
+            return 400, {"error": f"Content-Length must be a non-negative integer, got {_shown(header)}"}
         length = int(header)
         if length > MAX_BODY_BYTES:
             self.close_connection = True  # the body is left unread

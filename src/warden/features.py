@@ -6,6 +6,12 @@ syscall names (FNV-1a-64 feature hashing, n-grams never cross thread
 boundaries) followed by 12 resource-usage statistics. Extraction is a pure
 function of (trace, config) with a fixed floating-point summation order, so
 outputs are byte-identical across runs and platforms.
+
+Each windower keeps, per n-gram order above 1, a dense table of the bucket of
+every gram seen so far, indexed by name ids, so a window's bigram or trigram
+buckets come from one gather. The table is a bounded cache (at most 2**18
+entries per order) in front of ``_GramBuckets``, the only source of bucket
+values, and does not change a byte of the output.
 """
 
 from __future__ import annotations
@@ -157,6 +163,8 @@ class _GramBuckets(dict):
         return bucket
 
 
+_TABLE_BITS = 18  # each n-gram order's bucket table holds at most 2**18 entries
+
 _INT64_MAX = 2**63 - 1
 
 
@@ -209,6 +217,7 @@ class Windower:
         self._id_maps = None  # (names, threads, name map, thread map) of the last chunk's tables
         self._unigrams = np.zeros(0, dtype=np.int64)  # bucket of each name id
         self._grams = _GramBuckets(self._names.ordered, config.hash_dim)  # longer orders
+        self._tables: dict[int, np.ndarray] = {}  # order n -> cache of self._grams, see _gram_buckets
 
     def push_columns(self, chunk: TraceColumns):
         """Buffer a chunk of rows; yield each window it closes, in window order, as soon as it closes.
@@ -312,14 +321,45 @@ class Windower:
             else:
                 m = max(len(names) - n + 1, 0)
                 starts = np.flatnonzero(threads[:m] == threads[n - 1 : n - 1 + m])
-                grams = zip(*(names[starts + j].tolist() for j in range(n)))
-                buckets = np.fromiter(map(self._grams.__getitem__, grams), dtype=np.int64, count=len(starts))
+                buckets = self._gram_buckets(n, [names[starts + j] for j in range(n)])
             counts += np.bincount(buckets, minlength=dim)
             total += len(buckets)
         vec = counts.astype(np.float64)
         if total:
             vec /= float(total)
         return vec
+
+    def _gram_buckets(self, n: int, ids: list[np.ndarray]) -> np.ndarray:
+        """Buckets of the n-grams whose j-th name ids are ``ids[j]``, in no particular order.
+
+        The order-n table is a dense cache in front of ``self._grams``: entry
+        ``[a, b(, c)]`` holds the bucket of that gram once seen, -1 before.
+        Its side is the power of two at or above the number of names seen, up
+        to a reach of 2**(18 // n) names (512 for bigrams, 64 for trigrams); a
+        grown table starts empty. Unseen entries are filled in one batch from
+        ``self._grams``; a gram naming an id beyond the side is looked up
+        there one by one.
+        """
+        side = min(1 << (_TABLE_BITS // n), 1 << (len(self._names) - 1).bit_length())
+        table = self._tables.get(n)
+        if table is None or len(table) < side:
+            self._tables[n] = table = np.full((side,) * n, -1, dtype=np.int64)
+        far = None
+        if len(self._names) > side:
+            near = np.logical_and.reduce([i < side for i in ids])
+            far, ids = [i[~near] for i in ids], [i[near] for i in ids]
+        buckets = table[tuple(ids)]
+        unseen = buckets < 0
+        if unseen.any():
+            keys = np.unique(np.ravel_multi_index(tuple(i[unseen] for i in ids), table.shape))
+            grams = zip(*(i.tolist() for i in np.unravel_index(keys, table.shape)))
+            table.flat[keys] = [self._grams[gram] for gram in grams]
+            buckets = table[tuple(ids)]
+        if far is None:
+            return buckets
+        grams = zip(*(i.tolist() for i in far))
+        far_buckets = np.fromiter(map(self._grams.__getitem__, grams), dtype=np.int64, count=len(far[0]))
+        return np.concatenate([buckets, far_buckets])
 
     def _drop_consumed(self) -> None:
         """Forget records no later window holds, keeping the carry-in sample."""
@@ -364,34 +404,29 @@ def resource_features(samples, window: Window) -> np.ndarray:
     if not in_window:
         return out
 
-    cpu = np.array([s.cpu_pct for s in in_window], dtype=np.float64)
-    rss = np.array([s.rss_bytes / 2.0**20 for s in in_window], dtype=np.float64)
-    out[0] = cpu.mean()
-    out[1] = cpu.std()
-    out[2] = cpu.max()
-    out[3] = rss.mean()
-    out[4] = rss.std()
-    out[5] = rss.max()
+    # one row per quantity: reducing along axis 1 sums each contiguous row pairwise, as np.mean/np.std sum a 1-D array
+    cpu_rss = np.array([[s.cpu_pct for s in in_window], [s.rss_bytes / 2.0**20 for s in in_window]], dtype=np.float64)
+    out[0:6:3] = cpu_rss.mean(axis=1)
+    out[1:6:3] = cpu_rss.std(axis=1)
+    out[2:6:3] = cpu_rss.max(axis=1)
 
-    rx_rates: list[float] = []
-    tx_rates: list[float] = []
-    io_r_rates: list[float] = []
-    io_w_rates: list[float] = []
+    rates: list[tuple[float, float, float, float]] = []  # Python arithmetic: counters may pass int64
     for prev, cur in zip(samples, samples[1:]):
         dt = (cur.t_ns - prev.t_ns) / 1e9
         if dt == 0.0:
             continue
-        rx_rates.append((cur.net_rx_bytes - prev.net_rx_bytes) / dt)
-        tx_rates.append((cur.net_tx_bytes - prev.net_tx_bytes) / dt)
-        io_r_rates.append((cur.io_read_bytes - prev.io_read_bytes) / dt)
-        io_w_rates.append((cur.io_write_bytes - prev.io_write_bytes) / dt)
-    if rx_rates:
-        out[6] = float(np.mean(rx_rates))
-        out[7] = float(np.max(rx_rates))
-        out[8] = float(np.mean(tx_rates))
-        out[9] = float(np.max(tx_rates))
-        out[10] = float(np.mean(io_r_rates))
-        out[11] = float(np.mean(io_w_rates))
+        rates.append(
+            (
+                (cur.net_rx_bytes - prev.net_rx_bytes) / dt,
+                (cur.net_tx_bytes - prev.net_tx_bytes) / dt,
+                (cur.io_read_bytes - prev.io_read_bytes) / dt,
+                (cur.io_write_bytes - prev.io_write_bytes) / dt,
+            )
+        )
+    if rates:
+        rx_tx_read_write = np.array(list(zip(*rates)), dtype=np.float64)
+        mean, peak = rx_tx_read_write.mean(axis=1), rx_tx_read_write[:2].max(axis=1)
+        out[6:12] = mean[0], peak[0], mean[1], peak[1], mean[2], mean[3]
     return out
 
 

@@ -257,6 +257,14 @@ def test_bad_content_length_is_400_and_registers_nothing(live):
     assert live["service"].state.nodes == {}
 
 
+def test_a_long_bad_content_length_gets_a_short_400(live):
+    reply = raw_post_nodes(live["address"], b"a" * 60_000, b'{"hostname":"h"}')
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:200]
+    _, _, body = reply.partition(b"\r\n\r\n")
+    assert 0 < len(body) < 1024
+    assert json.loads(body)["error"].startswith("Content-Length must be a non-negative integer, got 'aaaa")
+
+
 def test_oversized_content_length_is_413(live):
     reply = raw_post_nodes(live["address"], str(MAX_BODY_BYTES + 1).encode(), b'{"hostname":"h"}')
     assert reply.startswith(b"HTTP/1.1 413 "), reply

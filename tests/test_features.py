@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from warden.features import (
     FeatureVector,
     Scaler,
     Window,
+    Windower,
     extract,
     feature_matrix,
     hash_bucket,
@@ -299,6 +301,39 @@ def test_chunked_windower_equals_the_reference_windower(rows, cuts, trigrams):
             assert reference_windower.comparable(got) == expected, (feed, separate_tables)
 
 
+def many_names(names: int, events: int) -> list:
+    """Enter events 1/8 s apart in two threads; every fourth brings a new name until ``names`` are seen."""
+    rng = random.Random(names)
+    records = []
+    for i in range(events):
+        seen = min(names, i // 4 + 1)
+        name = f"s{i // 4}" if i % 4 == 0 and i // 4 < names else f"s{rng.randrange(seen)}"
+        records.append(sys_at(i * S // 8, name, tid=1 + (i % 5 == 0)))
+    return records
+
+
+@pytest.mark.parametrize(
+    "config, names",
+    [(CFG, 600), (FeatureConfig(ngram_orders=(1, 2, 3), hash_dim=64, hop_s=3.0), 80)],
+    ids=["bigrams past 512 names", "trigrams past 64 names"],
+)
+def test_gram_tables_growing_mid_trace_and_past_their_reach_equal_the_reference(config, names):
+    records = many_names(names, events=4 * names + 400)
+    expected = reference_windower.comparable(reference_windows(records, config))
+    n = max(config.ngram_orders)
+    windower = Windower(config, "j1")
+    got, sides = [], []
+    for a in range(0, len(records), 100):  # each chunk numbers its names afresh
+        got += windower.push_columns(TraceColumns.from_records(records[a : a + 100], "j1"))
+        sides.append(len(windower._tables[n]))
+    got += windower.finish()
+    assert reference_windower.comparable(got) == expected
+    reach = 2 ** (18 // n)
+    assert len(windower._names) > reach  # some grams lie beyond the table
+    assert sides[0] < reach and sides[-1] == reach  # the table grew mid-trace, up to its reach
+    assert all(table.size <= 2**18 for table in windower._tables.values())
+
+
 def test_trace_columns_slices_carry_their_samples_and_logs():
     records = COLUMN_CASES["late records"] + [log_at(40 * S), res_at(41 * S, 7)]
     whole = TraceColumns.from_records(records, "j1")
@@ -438,6 +473,26 @@ def test_resource_layout_statistics():
     assert out[2] == 30.0
     assert out[3] == pytest.approx(2.0)
     assert out[5] == 3.0
+
+
+def test_resource_counters_near_2_70_keep_their_exact_deltas():
+    # int64 cannot hold these counters, and float64 (spacing 2**18 at 2**70) loses their deltas
+    big = 2**70
+    samples = [
+        rs(4.0, rss=big, rx=big, io_r=big + 7),  # carry-in: a rate baseline only
+        rs(5.0, cpu=10.0, rss=big, rx=big + 3_000_000, io_r=big + 1_000_007),
+        rs(7.0, cpu=30.0, rss=big + 2**40, rx=big + 13_000_000, io_r=big + 1_000_008),
+    ]
+    out = resource_features(samples, win(5, 15))
+    mib = 2.0**50  # 2**70 bytes
+    assert out.tolist() == [
+        20.0, 10.0, 30.0,  # cpu mean, population std, max
+        mib + 2**19, 2.0**19, mib + 2**20,  # rss in MiB
+        4e6, 5e6,  # rx: 3e6 B over 1 s, 1e7 B over 2 s
+        0.0, 0.0,  # tx
+        (1e6 + 0.5) / 2,  # io read: 1e6 B over 1 s, 1 B over 2 s
+        0.0,  # io write
+    ]
 
 
 # --- extract -----------------------------------------------------------------------
