@@ -172,7 +172,7 @@ def _before(sorted_t: np.ndarray, t: int) -> int:
     """How many of the sorted timestamps lie before ``t``; exact also for a ``t`` past int64."""
     if t > _INT64_MAX and sorted_t.dtype != object:
         return len(sorted_t)
-    return int(np.searchsorted(sorted_t, t))
+    return int(sorted_t.searchsorted(t))
 
 
 def _buffered(ts: np.ndarray, values: np.ndarray, new_ts: np.ndarray, new_values: np.ndarray, in_order: bool):

@@ -16,11 +16,14 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warden import coordinator
 from warden.coordinator import (
     IDLE_CONNECTIONS,
     MAX_BODY_BYTES,
+    MAX_LIMIT,
     REQUEST_TIMEOUT_S,
     RETRY_DELAYS_S,
     CoordinatorClient,
@@ -142,6 +145,19 @@ def test_ingest_invalid_score_422(live):
     with pytest.raises(Rejected) as exc:
         client._request("POST", "/v1/alerts", {**bad, "node_id": node})
     assert exc.value.status == 422
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("job_id", ["job-1"]), ("t_ns", True), ("window_index", False), ("model_id", {"m": 1}), ("rule", None), ("action", 3)],
+)
+def test_alert_field_of_the_wrong_type_is_422_and_not_stored(tmp_path, field, value):
+    service = CoordinatorService(tmp_path / "ledger.log")
+    _, node = service.register_node("host-a")
+    status, body = service.ingest_alert(node["node_id"], {**alert_body(1), field: value})
+    service.close()
+    assert status == 422 and field in body["error"]
+    assert not [e for e in read_ledger(tmp_path / "ledger.log") if e["event"] == "alert"]
 
 
 def test_server_error_is_unavailable(live, monkeypatch):
@@ -346,21 +362,94 @@ class RecordingWriter:
         pass
 
 
-@pytest.mark.parametrize("close_connection", [False, True])
-def test_each_reply_leaves_in_one_write(close_connection):
+def sent_reply(status, body, close_connection=False) -> bytes:
+    """The one write _Handler._send makes for a reply."""
     handler = coordinator._Handler.__new__(coordinator._Handler)  # no socket: _send only writes
     handler.request_version = "HTTP/1.1"
     handler.requestline = "GET /v1/health HTTP/1.1"
     handler.close_connection = close_connection
+    handler.wfile = RecordingWriter()
+    handler._send(status, body)
+    [reply] = handler.wfile.writes
+    return reply
+
+
+@pytest.mark.parametrize("close_connection", [False, True])
+def test_each_reply_leaves_in_one_write(close_connection):
     for status, body in ((200, {"status": "ok", "ledger_seq": 0}), (404, {"error": "no route for GET /x"})):
-        handler.wfile = RecordingWriter()
-        handler._send(status, body)
-        [reply] = handler.wfile.writes
+        reply = sent_reply(status, body, close_connection)
         head, _, payload = reply.partition(b"\r\n\r\n")
         assert head.startswith(f"HTTP/1.1 {status} ".encode())
         assert payload == (json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n").encode()
         assert f"\r\nContent-Length: {len(payload)}".encode() in head
         assert (b"\r\nConnection: close" in head) == close_connection
+
+
+def sent_body(status, body) -> bytes:
+    """The body _Handler._send writes, checked against the canonical encoding of the same dict."""
+    payload = sent_reply(status, body).partition(b"\r\n\r\n")[2]
+    assert payload == (coordinator._canonical(body) + "\n").encode("utf-8")
+    return payload
+
+
+def page_bodies(service, limit, **filters) -> list[bytes]:
+    """Every page of one filter, with since_seq moved on by each page's next_seq."""
+    bodies, cursor = [], 0
+    while True:
+        status, page = service.list_alerts(since_seq=cursor, limit=limit, **filters)
+        assert status == 200
+        bodies.append(sent_body(status, page))
+        if len(page["alerts"]) < limit:
+            return bodies
+        cursor = page["next_seq"]
+
+
+TEXT = st.text(alphabet=st.sampled_from("ab/-é日本\u2028\x00\"\\🜁"), max_size=5)
+ALERT = st.fixed_dictionaries(
+    {
+        "alert_id": TEXT.filter(bool),
+        "job_id": st.sampled_from(["job-1", "jöb-2", "作业-3"]),
+        "t_ns": st.integers(0, 2**63 - 1),
+        "window_index": st.integers(0, 10**6),
+        "score": st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1])),
+        "model_id": TEXT,
+        "rule": TEXT,
+        "action": TEXT,
+    }
+)
+
+
+def every_page(service) -> list[list[bytes]]:
+    filters = [{}, {"job_id": "jöb-2"}, {"node_id": "node-2"}, {"job_id": "job-1", "node_id": "node-1"}]
+    return [page_bodies(service, limit, **f) for limit in (1, MAX_LIMIT) for f in filters]
+
+
+@given(posts=st.lists(st.tuples(st.sampled_from(["node-1", "node-2"]), ALERT), min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_alert_replies_are_the_canonical_encoding_of_their_bodies(tmp_path_factory, posts):
+    """201 and dedup 200 replies, and pages by job and by node at limit 1 and MAX_LIMIT, before and after a restart."""
+    ledger = tmp_path_factory.mktemp("replies") / "ledger.log"
+    first = {}  # (node_id, alert_id) -> (the alert first posted, its 201 reply body)
+    service = CoordinatorService(ledger)
+    try:
+        service.register_node("host-a")
+        service.register_node("host-b")
+        for node_id, alert in posts:
+            status, body = service.ingest_alert(node_id, alert)
+            payload = sent_body(status, body)
+            key = (node_id, alert["alert_id"])
+            assert status == (200 if key in first else 201)
+            assert first.setdefault(key, (alert, payload))[1] == payload
+        live_pages = every_page(service)
+    finally:
+        service.close()
+    service = CoordinatorService(ledger)
+    try:
+        assert every_page(service) == live_pages
+        for (node_id, _), (alert, payload) in first.items():
+            assert sent_body(*service.ingest_alert(node_id, alert)) == payload
+    finally:
+        service.close()
 
 
 def test_post_after_the_server_dropped_an_idle_connection_succeeds(live, monkeypatch):
