@@ -34,7 +34,7 @@ from .detector import (
     FingerprintMismatch,
     ResponseAction,
     flush_spool,
-    parse_alert_line,
+    read_alert_log,
     run_pipeline,
     serialize_alert_line,
 )
@@ -525,10 +525,10 @@ def cmd_report(args) -> int:
                         rows.append(parts)
         alerts = []
         for path in args.alerts or []:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        alerts.append(parse_alert_line(line))
+            for alert in read_alert_log(path):
+                if isinstance(alert, ValueError):
+                    raise alert
+                alerts.append(alert)
     except (OSError, ValueError) as exc:
         return _fail("report", exc)
 

@@ -8,6 +8,14 @@ Alert ingest deduplicates on (node_id, alert_id), which gives node agents
 safe at-least-once retry semantics. Request bodies are capped in size and
 every socket read times out, so a client cannot pin a server thread.
 
+ALERT_FIELDS is the one definition of an alert's fields: ingest judges each
+body against it before taking the lock (a missing, mistyped or non-UTF-8
+field, node_id included, is a 422 naming the field; a bad hostname is a
+400), and warden.detector writes and reads `.alog` lines through it. If an
+append raises, the file may hold part or all of a line the state lacks, so
+that write and every later one gets a 503 until a restart recovers from
+the file (fail-stop).
+
 Each stored alert keeps, next to its dict, the canonical text whose CRC32
 its ledger line carries, as computed when it was appended or recovered. The
 201 and dedup 200 replies of an alert ingest and every page of alerts are
@@ -27,9 +35,11 @@ import http.client
 import json
 import os
 import random
+import re
 import sys
 import threading
 import time
+import traceback
 import urllib.parse
 import zlib
 from dataclasses import dataclass
@@ -152,7 +162,36 @@ class NodeRecord:
         }
 
 
-_ALERT_FIELDS = ("alert_id", "job_id", "t_ns", "window_index", "score", "model_id", "rule", "action")
+# each alert field's wire key and kind, in `.alog` key order: str, "id" (a non-empty str), int, or "score" (in [0, 1])
+ALERT_FIELDS = (("alert_id", "id"), ("node_id", str), ("job_id", str), ("t_ns", int), ("window_index", int),
+                ("score", "score"), ("model_id", str), ("rule", str), ("action", str))
+_KIND_TEXT = {str: "a UTF-8 string", "id": "a non-empty UTF-8 string", int: "an integer", "score": "a number in [0, 1]"}
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a str holding one cannot be encoded as UTF-8
+
+
+def field_problem(key: str, value, kind) -> str | None:
+    """Why ``value`` cannot be field ``key`` of ALERT_FIELDS kind ``kind``, or None. A bool is not a number."""
+    if kind == "score":
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, str) and (kind is str or value != "") and (value.isascii() or not _SURROGATE.search(value))
+    return None if ok else f"{key} must be {_KIND_TEXT[kind]}, got {_shown(value)}"
+
+
+def alert_problem(alert) -> str | None:
+    """What is wrong with the first ALERT_FIELDS field that ``alert`` lacks or holds badly; None if nothing is."""
+    if not isinstance(alert, dict):
+        return "alert must be an object"
+    for key, kind in ALERT_FIELDS:
+        if key not in alert:
+            return f"missing field {key!r}"
+        if problem := field_problem(key, alert[key], kind):
+            return problem
+    return None
+
+
 _RETIRED_EVENTS = ("command", "ack")  # a removed command channel's events: no-ops, so older ledgers recover
 
 
@@ -237,44 +276,55 @@ class CoordinatorService:
         if os.path.exists(self.ledger_path):
             _cut_torn_tail(self.ledger_path)
         self._fh = open(self.ledger_path, "ab")
+        self._failure: str | None = None  # set by the first append that raised; writes stop until a restart
 
     def close(self) -> None:
         with self._lock:
             self._fh.close()
 
-    def _append(self, event: dict) -> None:
-        """Durably append one event: written, flushed and fsynced before return."""
-        text, line = _ledger_line(event)
-        self._fh.write((line + "\n").encode("utf-8"))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self.state.apply(event, text)
+    def _append(self, event: dict) -> tuple[int, dict] | None:
+        """Durably append one event: written, flushed and fsynced, then applied; None on success.
+
+        After any exception the file may hold part or all of a line the state
+        lacks, and a later append would reuse its seq, so this append and
+        every later one answer 503 until a restart recovers from the file.
+        """
+        text, line = _ledger_line(event)  # raises before anything is written if the event cannot be encoded
+        if self._failure is None:
+            try:
+                self._fh.write((line + "\n").encode("utf-8"))
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+                self.state.apply(event, text)
+                return None
+            except Exception as exc:
+                self._failure = f"ledger append failed ({exc}); no write is taken until the coordinator restarts"
+                print(f"coordinator: {self._failure}", file=sys.stderr)
+                traceback.print_exc()
+        return 503, {"error": self._failure}
 
     # --- operations; each returns (http_status, body_dict) -------------------
 
     def register_node(self, hostname: str, idempotency_key: str | None = None) -> tuple[int, dict]:
-        if not hostname or not isinstance(hostname, str):
-            return 400, {"error": "hostname must be a non-empty string"}
+        if problem := field_problem("hostname", hostname, "id"):
+            return 400, {"error": problem}
         with self._lock:
             if idempotency_key and idempotency_key in self.state.idempotency:
                 node_id = self.state.idempotency[idempotency_key]
                 return 200, self.state.nodes[node_id].to_dict()
-            self.state.node_counter += 1
-            node_id = f"node-{self.state.node_counter}"
-            self._append(
-                {
-                    "event": "node",
-                    "node_id": node_id,
-                    "hostname": hostname,
-                    "t_ns": time.time_ns(),
-                    "idempotency_key": idempotency_key,
-                }
-            )
-            return 201, self.state.nodes[node_id].to_dict()
+            node_id = f"node-{self.state.node_counter + 1}"  # apply() advances the counter
+            event = {
+                "event": "node",
+                "node_id": node_id,
+                "hostname": hostname,
+                "t_ns": time.time_ns(),
+                "idempotency_key": idempotency_key,
+            }
+            return self._append(event) or (201, self.state.nodes[node_id].to_dict())
 
     def ingest_alert(self, node_id: str, alert: dict) -> tuple[int, dict]:
-        problem = self._check_alert(alert)
-        if problem:
+        values = {**alert, "node_id": node_id} if isinstance(alert, dict) else alert
+        if problem := alert_problem(values):
             return 422, {"error": problem}
         with self._lock:
             if node_id not in self.state.nodes:
@@ -288,30 +338,9 @@ class CoordinatorService:
                 "seq": self.state.next_seq,
                 "node_id": node_id,
                 "received_t_ns": time.time_ns(),
-                **{k: alert[k] for k in _ALERT_FIELDS},
+                **{k: values[k] for k, _ in ALERT_FIELDS},
             }
-            self._append(event)
-            return 201, _with_text(self.state.alerts[-1], self.state.texts[-1])
-
-    @staticmethod
-    def _check_alert(alert: dict) -> str | None:
-        if not isinstance(alert, dict):
-            return "alert body must be an object"
-        for fieldname in _ALERT_FIELDS:
-            if fieldname not in alert:
-                return f"missing field {fieldname!r}"
-        if not isinstance(alert["alert_id"], str) or not alert["alert_id"]:
-            return "alert_id must be a non-empty string"
-        score = alert["score"]
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not 0.0 <= float(score) <= 1.0:
-            return f"score must be in [0, 1], got {score!r}"
-        for fieldname in ("job_id", "model_id", "rule", "action"):
-            if not isinstance(alert[fieldname], str):
-                return f"{fieldname} must be a string"
-        for fieldname in ("t_ns", "window_index"):
-            if not isinstance(alert[fieldname], int) or isinstance(alert[fieldname], bool):
-                return f"{fieldname} must be an integer"
-        return None
+            return self._append(event) or (201, _with_text(self.state.alerts[-1], self.state.texts[-1]))
 
     def list_alerts(
         self,
@@ -426,8 +455,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             )
         if parts == ["v1", "alerts"]:
-            node_id = body.get("node_id", "")
-            return self._send(*self.service.ingest_alert(node_id, body))
+            return self._send(*self.service.ingest_alert(body.get("node_id"), body))
         return self._send(404, {"error": f"no route for POST {parsed.path}"})
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import enum
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .coordinator import Rejected
+from .coordinator import ALERT_FIELDS, Rejected, alert_problem
 from .features import FeatureVector, Window, Windower, window_vector
 from .ml.io import ModelBundle
-from .records import format_real
+from .records import _wire_value
 from .sandbox import JobHandle, KillReason, LimitTracker, SandboxPolicy
 
 
@@ -131,55 +132,43 @@ class Alert:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         object.__setattr__(self, "score", round(float(self.score), 6))
 
-
-_ALERT_KEYS = ("alert_id", "node_id", "job_id", "t_ns", "window_index", "score", "model_id", "rule", "action")
+    @property
+    def action(self) -> str:  # the wire name of action_taken, as ALERT_FIELDS calls it
+        return self.action_taken.wire
 
 
 def alert_to_dict(alert: Alert) -> dict:
-    return {
-        "alert_id": alert.alert_id,
-        "node_id": alert.node_id,
-        "job_id": alert.job_id,
-        "t_ns": alert.t_ns,
-        "window_index": alert.window_index,
-        "score": alert.score,
-        "model_id": alert.model_id,
-        "rule": alert.rule,
-        "action": alert.action_taken.wire,
-    }
+    return {key: getattr(alert, key) for key, _ in ALERT_FIELDS}
 
 
 def alert_from_dict(data: dict) -> Alert:
-    return Alert(
-        alert_id=data["alert_id"],
-        node_id=data["node_id"],
-        job_id=data["job_id"],
-        t_ns=data["t_ns"],
-        window_index=data["window_index"],
-        score=data["score"],
-        model_id=data["model_id"],
-        rule=data["rule"],
-        action_taken=ResponseAction.from_wire(data["action"]),
-    )
+    """The alert ``data`` holds; ValueError names the first field that is missing or of the wrong kind."""
+    if problem := alert_problem(data):
+        raise ValueError(problem)
+    values = {key: data[key] for key, _ in ALERT_FIELDS}
+    action = ResponseAction.from_wire(values.pop("action"))
+    return Alert(**values, action_taken=action)
 
 
 def serialize_alert_line(alert: Alert) -> str:
-    """Canonical `.alog` line (fixed key order, canonical score formatting)."""
-    d = alert_to_dict(alert)
-    parts = []
-    for key in _ALERT_KEYS:
-        value = d[key]
-        if key == "score":
-            parts.append(f'"{key}":{format_real(value)}')
-        elif isinstance(value, int):
-            parts.append(f'"{key}":{value}')
-        else:
-            parts.append(f'"{key}":{json.dumps(value, ensure_ascii=False)}')
-    return "{" + ",".join(parts) + "}"
+    """Canonical `.alog` line (ALERT_FIELDS key order, canonical score formatting)."""
+    return "{" + ",".join(f'"{key}":{_wire_value(getattr(alert, key))}' for key, _ in ALERT_FIELDS) + "}"
 
 
 def parse_alert_line(line: str) -> Alert:
     return alert_from_dict(json.loads(line))
+
+
+def read_alert_log(path) -> Iterator[Alert | ValueError]:
+    """Each non-blank line's Alert, or for a line that holds none (torn, not JSON, a bad field)
+    a ValueError naming ``path:lineno`` and what is wrong."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if line := raw.strip():
+                try:
+                    yield parse_alert_line(line.decode("utf-8"))
+                except ValueError as exc:
+                    yield ValueError(f"{path}:{lineno}: {exc}")
 
 
 # --- scoring and the per-job pipeline --------------------------------------------
@@ -211,14 +200,10 @@ class AlertSpool:
             fh.write(serialize_alert_line(alert) + "\n")
 
     def drain(self) -> list[Alert]:
+        """The spooled alerts; a line that holds none (such as a torn last line) is skipped."""
         if not os.path.exists(self.path):
             return []
-        alerts = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    alerts.append(parse_alert_line(line))
-        return alerts
+        return [alert for alert in read_alert_log(self.path) if isinstance(alert, Alert)]
 
     def clear(self) -> None:
         if os.path.exists(self.path):
@@ -229,9 +214,10 @@ def flush_spool(spool: AlertSpool, client, node_id: str) -> int:
     """Redeliver spooled alerts; server-side id dedup makes retries harmless.
 
     An alert the coordinator rejects (Rejected) is skipped, since
-    resending it cannot succeed. Returns the number delivered; the spool is
-    cleared only when every alert was delivered or rejected, so a transport
-    failure keeps it whole for the next flush.
+    resending it cannot succeed, and so is a spool line that holds no alert
+    (torn, not JSON, or a missing or mistyped field). Returns the number
+    delivered; the spool is cleared only when every alert was delivered or
+    rejected, so a transport failure keeps it whole for the next flush.
     """
     alerts = spool.drain()
     delivered = 0

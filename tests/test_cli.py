@@ -454,6 +454,29 @@ def test_detect_unreachable_coordinator_spools(workspace, tmp_path, capsys):
     assert spool.exists() and spool.read_text().strip()
 
 
+def test_detect_flushes_a_spool_with_a_torn_last_line(workspace, tmp_path, capsys):
+    from warden.coordinator import make_server
+
+    miner = trace_path(workspace, lambda e: e["profile"] == "cryptominer")
+    spool = tmp_path / "spool.alog"
+    spool.write_text(ALERT_LINE + "\n" + '{"alert_id":"b","node', encoding="utf-8")
+    server, service = make_server("127.0.0.1:0", tmp_path / "ledger.log")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        assert run_cli("detect", miner, "--model", workspace["mlp"],
+                       "--coordinator", url, "--spool", str(spool), "--hostname", "cli-node") == 10
+        capsys.readouterr()
+        ids = [a["alert_id"] for a in service.list_alerts(limit=1000)[1]["alerts"]]
+        assert ids[0] == "j/1" and len(ids) > 1  # the spooled alert first, then the live ones
+        assert not spool.exists()
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
 def test_detect_delivers_and_spool_flushes_with_dedup(workspace, tmp_path, capsys):
     from warden.coordinator import make_server
 
@@ -662,6 +685,30 @@ def test_report_alert_summaries_sorted(workspace, tmp_path, capsys):
     assert run_cli("report", "--alerts", str(spool)) == 0
     out = capsys.readouterr().out
     assert "alert(s)" in out and "max action terminate" in out
+
+
+ALERT_LINE = (
+    '{"alert_id":"j/1","node_id":"n1","job_id":"j","t_ns":1,"window_index":1,"score":0.9,'
+    '"model_id":"m","rule":"k-of-n:3/5","action":"raise_alert"}'
+)
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        (ALERT_LINE.replace('"node_id":"n1",', ""), "missing field 'node_id'"),
+        (ALERT_LINE.replace('"job_id":"j"', '"job_id":["j"]'), "job_id must be a UTF-8 string"),
+        ('{"alert_id":"b","node', "Unterminated string"),
+    ],
+    ids=["missing node_id", "list job_id", "torn"],
+)
+def test_report_bad_alert_line_exits_2_naming_line_and_field(tmp_path, capsys, line, problem):
+    log = tmp_path / "alerts.alog"
+    log.write_text(ALERT_LINE + "\n" + line + "\n", encoding="utf-8")
+    assert run_cli("report", "--alerts", str(log)) == 2
+    captured = capsys.readouterr()
+    assert f"report: {log}:2: {problem}" in captured.err
+    assert "Traceback" not in captured.err and "alerts" not in captured.out
 
 
 def test_report_malformed_metrics_exits_2(tmp_path):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import http.client
 import json
 import os
+import pathlib
 import signal
 import socket
 import struct
@@ -149,7 +151,8 @@ def test_ingest_invalid_score_422(live):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("job_id", ["job-1"]), ("t_ns", True), ("window_index", False), ("model_id", {"m": 1}), ("rule", None), ("action", 3)],
+    [("job_id", ["job-1"]), ("t_ns", True), ("window_index", False), ("model_id", {"m": 1}), ("rule", None), ("action", 3),
+     pytest.param("score", 10**400, id="score-beyond-float-range")],
 )
 def test_alert_field_of_the_wrong_type_is_422_and_not_stored(tmp_path, field, value):
     service = CoordinatorService(tmp_path / "ledger.log")
@@ -158,6 +161,60 @@ def test_alert_field_of_the_wrong_type_is_422_and_not_stored(tmp_path, field, va
     service.close()
     assert status == 422 and field in body["error"]
     assert not [e for e in read_ledger(tmp_path / "ledger.log") if e["event"] == "alert"]
+
+
+def raw_post(address, path: str, body: dict) -> tuple[int, dict]:
+    """(status, reply) of one POST through http.client; the body is sent as ASCII JSON, escapes kept."""
+    connection = http.client.HTTPConnection(*address, timeout=5.0)
+    try:
+        connection.request("POST", path, body=json.dumps(body), headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+# bodies that once got no reply: the server thread raised and closed the connection
+UNREPLIED = [
+    ("list node_id", "/v1/alerts", {**alert_body(1), "node_id": ["node-1"]}, 422, "node_id"),
+    ("lone surrogate in an alert string", "/v1/alerts", {**alert_body(1), "node_id": "node-1", "job_id": "\ud800"},
+     422, "job_id"),
+    ("lone surrogate in alert_id", "/v1/alerts", {**alert_body(1), "node_id": "node-1", "alert_id": "a\udfff"},
+     422, "alert_id"),
+    ("lone surrogate in hostname", "/v1/nodes", {"hostname": "h\ud800"}, 400, "hostname"),
+]
+
+
+@pytest.mark.parametrize("path, body, status, field", [case[1:] for case in UNREPLIED], ids=[c[0] for c in UNREPLIED])
+def test_body_that_got_no_reply_is_answered_over_http_and_appends_nothing(live, path, body, status, field):
+    live["client"].register("host-a")
+    ledger = pathlib.Path(live["ledger"])
+    before = ledger.read_bytes()
+    reply_status, reply = raw_post(live["address"], path, body)
+    assert reply_status == status and reply["error"].startswith(field), reply
+    assert ledger.read_bytes() == before
+    assert live["client"].register("host-b") == "node-2"  # the server still answers; no node number skipped
+
+
+@pytest.mark.parametrize("path, body, status, field", [case[1:] for case in UNREPLIED], ids=[c[0] for c in UNREPLIED])
+def test_body_that_got_no_reply_is_answered_in_process_and_appends_nothing(tmp_path, path, body, status, field):
+    service = CoordinatorService(tmp_path / "ledger.log")
+    service.register_node("host-a")
+    before = (tmp_path / "ledger.log").read_bytes()
+    if path == "/v1/nodes":
+        reply_status, reply = service.register_node(body["hostname"])
+    else:
+        reply_status, reply = service.ingest_alert(body["node_id"], body)
+    assert reply_status == status and reply["error"].startswith(field), reply
+    assert (tmp_path / "ledger.log").read_bytes() == before
+    assert service.register_node("host-b")[1]["node_id"] == "node-2"
+    service.close()
+
+
+def test_alert_without_node_id_over_http_is_422_naming_it(live):
+    live["client"].register("host-a")
+    status, reply = raw_post(live["address"], "/v1/alerts", alert_body(1))
+    assert status == 422 and reply["error"].startswith("node_id")
 
 
 def test_server_error_is_unavailable(live, monkeypatch):
@@ -694,6 +751,101 @@ def test_restart_after_torn_tail_keeps_later_acks(tmp_path):
     service.close()
     state = recover(ledger)
     assert [a["alert_id"] for a in state.alerts] == ["job-1/0", "job-1/1", "job-1/2"]
+
+
+class FlushFailsOnce:
+    """A ledger file handle whose next flush raises ENOSPC, leaving the line in its write buffer."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.failed = False
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def flush(self):
+        if not self.failed:
+            self.failed = True
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.fh.flush()
+
+
+def fsync_fails_once(monkeypatch):
+    fsync = os.fsync
+    calls = []
+
+    def failing(fd):
+        calls.append(fd)
+        if len(calls) == 1:
+            raise OSError(errno.EIO, "Input/output error")
+        fsync(fd)
+
+    monkeypatch.setattr(coordinator.os, "fsync", failing)
+
+
+@pytest.mark.parametrize("fault", ["EIO at fsync", "ENOSPC at flush"])
+def test_a_failed_append_stops_writes_until_restart_and_the_ledger_recovers(tmp_path, monkeypatch, capsys, fault):
+    ledger = tmp_path / "ledger.log"
+    service = CoordinatorService(ledger)
+    service.register_node("host-a")
+    sent, acked = [], []
+
+    def post(i):
+        sent.append(f"job-1/{i}")
+        status, body = service.ingest_alert("node-1", alert_body(i))
+        if status == 201:
+            acked.append(body["alert_id"])
+        return status
+
+    assert post(0) == 201
+    if fault == "EIO at fsync":
+        fsync_fails_once(monkeypatch)
+    else:
+        service._fh = FlushFailsOnce(service._fh)
+    assert post(1) == 503  # the failed append itself
+    assert "coordinator: ledger append failed" in capsys.readouterr().err
+    assert [post(1), post(2)] == [503, 503]  # a retry and a new alert: no write until a restart
+    status, body = service.register_node("host-b")
+    assert status == 503 and "ledger append failed" in body["error"]
+    assert service.ingest_alert("node-1", alert_body(0))[0] == 200  # reads still answer
+    assert service.state.node_counter == 1 and list(service.state.nodes) == ["node-1"]
+    service.close()
+    monkeypatch.undo()
+
+    restarted = CoordinatorService(ledger)
+    recovered = [a["alert_id"] for a in restarted.state.alerts]
+    assert set(acked) <= set(recovered) <= set(sent)
+    assert [a["seq"] for a in restarted.state.alerts] == list(range(1, len(recovered) + 1))
+    status, body = restarted.ingest_alert("node-1", alert_body(3))
+    assert status == 201 and body["seq"] == len(recovered) + 1
+    restarted.close()
+    assert [a["alert_id"] for a in recover(ledger).alerts] == recovered + ["job-1/3"]
+
+
+def test_a_failed_registration_takes_no_node_number(tmp_path, monkeypatch):
+    service = CoordinatorService(tmp_path / "ledger.log")
+    service.register_node("host-a")
+    fsync_fails_once(monkeypatch)
+    assert service.register_node("host-b")[0] == 503
+    assert service.state.node_counter == 1 and list(service.state.nodes) == ["node-1"]
+    service.close()
+
+
+def test_ledger_lines_of_a_registration_and_an_ingest_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(coordinator.time, "time_ns", lambda: 1792346339000000123)
+    service = CoordinatorService(tmp_path / "ledger.log")
+    assert service.register_node("höst-a", "key-ü")[0] == 201
+    alert = {"alert_id": "jöb-ü/7", "job_id": "jöb-ü", "t_ns": 2**64 + 5, "window_index": 7, "score": 0.123457,
+             "model_id": "mlp-€", "rule": "k-of-n:3/5", "action": "terminate"}
+    assert service.ingest_alert("node-1", alert)[0] == 201
+    service.close()
+    assert (tmp_path / "ledger.log").read_text(encoding="utf-8") == (
+        '{"crc":"9a988285","event":"node","hostname":"höst-a","idempotency_key":"key-ü","node_id":"node-1",'
+        '"t_ns":1792346339000000123}\n'
+        '{"action":"terminate","alert_id":"jöb-ü/7","crc":"820e0a9a","event":"alert","job_id":"jöb-ü",'
+        '"model_id":"mlp-€","node_id":"node-1","received_t_ns":1792346339000000123,"rule":"k-of-n:3/5",'
+        '"score":0.123457,"seq":1,"t_ns":18446744073709551621,"window_index":7}\n'
+    )
 
 
 def test_listen_backlog_holds_a_burst_of_connections(tmp_path):

@@ -18,6 +18,7 @@ from warden.detector import (
     DetectorState,
     FingerprintMismatch,
     ResponseAction,
+    alert_to_dict,
     decide_action,
     flush_spool,
     parse_alert_line,
@@ -140,6 +141,49 @@ def test_alert_line_round_trip():
     line = serialize_alert_line(alert)
     assert "\n" not in line
     assert parse_alert_line(line) == alert
+
+
+def test_alert_line_bytes_are_pinned():
+    alert = Alert(
+        alert_id="jöb-ü/7", node_id="node-✓", job_id="jöb-ü", t_ns=2**64 + 5, window_index=7,
+        score=0.1234565, model_id="mlp-€", rule="k-of-n:3/5", action_taken=ResponseAction.TERMINATE,
+    )
+    assert serialize_alert_line(alert) == (
+        '{"alert_id":"jöb-ü/7","node_id":"node-✓","job_id":"jöb-ü","t_ns":18446744073709551621,"window_index":7,'
+        '"score":0.123456,"model_id":"mlp-€","rule":"k-of-n:3/5","action":"terminate"}'
+    )
+    assert alert_to_dict(alert)["action"] == "terminate"
+
+
+GOOD_LINE = (
+    '{"alert_id":"j/1","node_id":"n1","job_id":"j","t_ns":1,"window_index":1,"score":0.9,'
+    '"model_id":"m","rule":"k-of-n:3/5","action":"raise_alert"}'
+)
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ('{"alert_id":"b","node', "Unterminated string"),
+        ("[1]", "alert must be an object"),
+        (GOOD_LINE.replace('"job_id":"j",', ""), "missing field 'job_id'"),
+        (GOOD_LINE.replace('"job_id":"j"', '"job_id":["j"]'), "job_id must be a UTF-8 string"),
+        (GOOD_LINE.replace('"t_ns":1', '"t_ns":true'), "t_ns must be an integer"),
+        (GOOD_LINE.replace('"rule":"k-of-n:3/5"', '"rule":"\\ud800"'), "rule must be a UTF-8 string"),
+        (GOOD_LINE.replace('"score":0.9', '"score":1.5'), "score must be a number in [0, 1]"),
+        (GOOD_LINE.replace("raise_alert", "reboot"), "unknown action 'reboot'"),
+    ],
+    ids=["torn", "not an object", "missing field", "list job_id", "bool t_ns", "lone surrogate", "score above 1",
+         "unknown action"],
+)
+def test_read_alert_log_names_the_path_line_and_field_of_a_bad_line(tmp_path, line, problem):
+    from warden.detector import read_alert_log
+
+    path = tmp_path / "alerts.alog"
+    path.write_text(GOOD_LINE + "\n\n" + line + "\n" + GOOD_LINE + "\n", encoding="utf-8")
+    first, bad, last = read_alert_log(path)
+    assert first == last == parse_alert_line(GOOD_LINE)
+    assert isinstance(bad, ValueError) and str(bad).startswith(f"{path}:3: {problem}"), bad
 
 
 # --- windowing ----------------------------------------------------------------------
@@ -353,6 +397,20 @@ def test_flush_spool_redelivers_then_clears(small_bundle, tmp_path):
     client = FlakyClient(fail=0)
     assert flush_spool(spool, client, "n1") == 1
     assert client.delivered == [("n1", "j/1")]
+    assert spool.drain() == []
+
+
+def test_flush_spool_skips_torn_and_bad_lines_and_delivers_the_rest(tmp_path):
+    spool = AlertSpool(tmp_path / "spool.alog")
+    spool.append(parse_alert_line(GOOD_LINE))
+    with open(spool.path, "a", encoding="utf-8") as fh:
+        fh.write(GOOD_LINE.replace('"job_id":"j"', '"job_id":["j"]') + "\n")
+    spool.append(parse_alert_line(GOOD_LINE.replace("j/1", "j/2")))
+    with open(spool.path, "a", encoding="utf-8") as fh:
+        fh.write('{"alert_id":"b","node')  # torn last line
+    client = FlakyClient(fail=0)
+    assert flush_spool(spool, client, "n1") == 2
+    assert client.delivered == [("n1", "j/1"), ("n1", "j/2")]
     assert spool.drain() == []
 
 
