@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .coordinator import LEDGER_ENV_VAR, CoordinatorClient, CoordinatorUnavailable, Rejected, serve_forever
+from .coordinator import LEDGER_ENV_VAR, CoordinatorClient, CoordinatorUnavailable, Rejected, field_problem, serve_forever
 from .datagen import ScenarioSpec, gen_dataset
 from .detector import (
     Alert,
@@ -397,6 +397,8 @@ def _detect_traces(args, bundle, detector_config, client, node_id) -> int:
     def detect_one(trace_path: str):
         """(result, spooled alerts, None), or (None, None, the error) for an unreadable trace."""
         job_id = os.path.splitext(os.path.basename(trace_path))[0]
+        if problem := field_problem("job_id", job_id, "id"):  # a name with bytes that are not UTF-8, say
+            return None, None, ValueError(f"{trace_path!r}: {problem}")
         try:
             handle = replay_job(trace_path, job_id, speed=args.replay_speed)
         except (SandboxError, OSError, ValueError) as exc:

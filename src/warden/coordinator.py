@@ -23,19 +23,25 @@ assembled from those texts, byte for byte what encoding the reply's dict
 would give, so no reply re-encodes a stored alert. This costs about 0.3 KB
 per stored alert next to the roughly 1.7 KB its dict and values take.
 
-Connections are persistent (HTTP/1.1 keep-alive): the server sends each reply
-in one write and drops a connection after REQUEST_TIMEOUT_S of silence, and
-CoordinatorClient pools idle connections and resends only idempotent requests
+Connections are persistent (HTTP/1.1 keep-alive). Both ends frame messages
+(RFC 9112) with a few readline calls, not the stdlib's email header parser.
+The server reads a request line and at most 100 header lines, answers a
+request with Transfer-Encoding (501) or two different Content-Length values
+(400) and then closes the connection, sends each reply in one write, and
+drops a connection after REQUEST_TIMEOUT_S of silence. CoordinatorClient
+sends each request in one write, reads only replies framed by
+Content-Length, pools idle connections and resends only idempotent requests
 after a reset (see its docstring).
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
 import re
+import socket
+import ssl
 import sys
 import threading
 import time
@@ -54,6 +60,8 @@ MAX_BODY_BYTES = 1 << 20  # one alert is a few hundred bytes
 REQUEST_TIMEOUT_S = 10.0  # per socket read or write on the server side; also how long an idle connection lives
 IDLE_CONNECTIONS = 8  # per client; each one parked holds a server thread
 RETRY_DELAYS_S = (0.01, 0.04)  # bounds of the jittered sleeps before the two resends of an idempotent request
+_MAX_LINE = 65536  # bytes in a request, status or header line, as http.server and http.client allow
+_MAX_FIELDS = 100  # header lines in a request or a reply, as http.server and http.client allow
 
 LEDGER_ENV_VAR = "WARDEN_LEDGER_PATH"
 
@@ -373,17 +381,96 @@ class CoordinatorService:
         return 200, _with_text({"alerts": records, "next_seq": next_seq}, text)
 
     def health(self) -> tuple[int, dict]:
+        """200 "ok", or 503 "failed" with the failure once an append has failed (fail-stop)."""
         with self._lock:
+            if self._failure is not None:
+                return 503, {"status": "failed", "error": self._failure, "ledger_seq": len(self.state.alerts)}
             return 200, {"status": "ok", "ledger_seq": len(self.state.alerts)}
+
+
+class _BadHead(ValueError):
+    """A message head this module does not read; status is what the server answers to it."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _read_fields(rfile) -> dict[str, str]:
+    """The header fields after a start line, up to the blank line (RFC 9112 section 5).
+
+    Names are lower-cased. A repeated field's values are joined with ", "
+    (RFC 9110 section 5.3), so two different Content-Length values read as
+    one that is not a number.
+    """
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _BadHead(431, "Line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name != name.strip():  # no colon, space before it, or a folded line
+            raise _BadHead(400, f"Bad header line ({_shown(line)})")
+        name, value = name.lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise _BadHead(431, f"more than {_MAX_FIELDS} header lines")
+
+
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    default_request_version = "HTTP/1.0"  # not the stdlib's HTTP/0.9, whose error replies have no status line
     timeout = REQUEST_TIMEOUT_S  # a stalled client times out instead of pinning its thread
     service: CoordinatorService = None  # injected by make_server
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
+
+    def parse_request(self) -> bool:
+        """Read the request line and header fields with readline instead of the stdlib's email parser.
+
+        The answers are the stdlib's: 400 for a malformed request line, 505
+        for HTTP/2 and later, 431 for a header line over _MAX_LINE bytes or
+        more than _MAX_FIELDS of them; HTTP/1.0 without `Connection:
+        keep-alive`, or any `Connection: close`, closes the connection, and
+        `Expect: 100-continue` gets an interim 100. Also a 400 for a header
+        line without a colon, and 501 for Transfer-Encoding: this server
+        reads Content-Length bodies only, and an unread body would be read
+        as the next request. Every refusal closes the connection.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+        if version is None:
+            self.send_error(400, f"Bad request syntax ({_shown(self.requestline)})")
+            return False
+        number = int(version[1]), int(version[2])
+        if number >= (2, 0):
+            self.send_error(505, f"Invalid HTTP version ({words[2]})")
+            return False
+        self.command, self.path, self.request_version = words
+        try:
+            self.headers = _read_fields(self.rfile)
+        except _BadHead as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        if "transfer-encoding" in self.headers:
+            self.send_error(501, "Transfer-Encoding is not supported; send Content-Length")
+            return False
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (number < (1, 1) and connection != "keep-alive")
+        if self.headers.get("expect", "").lower() == "100-continue" and number >= (1, 1):
+            return self.handle_expect_100()
+        return True
 
     def _send(self, status: int, body: dict) -> None:
         text = body.text if isinstance(body, _Text) else _canonical(body)
@@ -400,7 +487,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> tuple[int, dict]:
         """(200, the JSON object sent) or (4xx, an error body)."""
-        header = self.headers.get("Content-Length", "0")
+        header = self.headers.get("content-length", "0")
         if not (header.isascii() and header.isdigit()):
             self.close_connection = True  # the body's end is unknown
             return 400, {"error": f"Content-Length must be a non-negative integer, got {_shown(header)}"}
@@ -451,7 +538,7 @@ class _Handler(BaseHTTPRequestHandler):
         if parts == ["v1", "nodes"]:
             return self._send(
                 *self.service.register_node(
-                    body.get("hostname", ""), self.headers.get("Idempotency-Key")
+                    body.get("hostname", ""), self.headers.get("idempotency-key")
                 )
             )
         if parts == ["v1", "alerts"]:
@@ -489,6 +576,68 @@ def serve_forever(listen: str, ledger_path) -> None:
         service.close()
 
 
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) (\d{3})(?: [^\r\n]*)?\r?\n")
+
+
+class _Connection:
+    """One HTTP/1.1 connection of CoordinatorClient: a socket with TCP_NODELAY and one buffered reader.
+
+    A request goes out in one sendall. A reply is read as its status line,
+    its header fields and then Content-Length bytes of body; a reply framed
+    any other way (chunked, or delimited by the close) raises ValueError.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float, tls: bool):
+        self.host, self.port, self.timeout, self.tls = host, port, timeout, tls
+        self.sock = self.reader = None
+
+    def connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.tls:
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=self.host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock, self.reader = sock, sock.makefile("rb")
+
+    def send(self, request: bytes) -> None:
+        if self.sock is None:
+            self.connect()
+        self.sock.sendall(request)
+
+    def read_reply(self) -> tuple[int, bool, bytes]:
+        """(status, whether the server closes the connection after this reply, body).
+
+        An end of stream before the status line raises ConnectionResetError,
+        as the server dropping an idle connection does.
+        """
+        line = self.reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError("connection closed before the reply")
+        status = _STATUS_LINE.fullmatch(line)
+        if status is None:
+            raise ValueError(f"garbled status line {_shown(line)}")
+        fields = _read_fields(self.reader)
+        if "transfer-encoding" in fields:
+            raise ValueError(f"reply with Transfer-Encoding {_shown(fields['transfer-encoding'])}")
+        length = fields.get("content-length", "")
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"reply without a valid Content-Length ({_shown(length)})")
+        body = self.reader.read(int(length))
+        if len(body) < int(length):
+            raise ValueError(f"reply body of {len(body)} bytes, short of its Content-Length {length}")
+        closes = status[1] != b"1" or "close" in fields.get("connection", "").lower()
+        return int(status[2]), closes, body
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = self.reader = None
+
+
 class CoordinatorClient:
     """Small HTTP client for node agents and the CLI; one instance may be shared by threads.
 
@@ -497,20 +646,22 @@ class CoordinatorClient:
     Idempotency-Key) that meets a reset or a dropped connection, such as a
     pooled one the server closed after REQUEST_TIMEOUT_S of silence, is resent
     at most twice, each time on a fresh connection after a short jittered
-    sleep. A refused connection or a timeout is not resent. A registration
-    without a key goes out once, on a fresh connection.
+    sleep. A refused connection, a timeout or a reply this client does not
+    read (a garbled status line, a chunked body, no Content-Length, a body
+    cut short) is not resent. A registration without a key goes out once, on
+    a fresh connection. A reply with `Connection: close`, or an HTTP/1.0
+    reply, closes its connection instead of parking it.
     """
 
     def __init__(self, base_url: str, timeout: float = 5.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         parts = urllib.parse.urlsplit(self.base_url)
-        self._connection_class = (
-            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-        )
+        self._tls = parts.scheme == "https"
+        self._address = (parts.hostname or "", parts.port or (443 if self._tls else 80))
         self._netloc = parts.netloc
         self._prefix = parts.path
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
 
     def close(self) -> None:
@@ -520,57 +671,65 @@ class CoordinatorClient:
         for connection in idle:
             connection.close()
 
-    def _connection(self, fresh: bool) -> http.client.HTTPConnection:
+    def _connection(self, fresh: bool) -> _Connection:
         if not fresh:
             with self._lock:
                 if self._idle:
                     return self._idle.pop()
-        return self._connection_class(self._netloc, timeout=self.timeout)
+        return _Connection(*self._address, self.timeout, self._tls)
 
-    def _park(self, connection: http.client.HTTPConnection) -> None:
+    def _park(self, connection: _Connection) -> None:
         with self._lock:
             if len(self._idle) < IDLE_CONNECTIONS:
                 self._idle.append(connection)
                 return
         connection.close()
 
-    def _exchange(self, method: str, path: str, data, headers: dict, idempotent: bool):
+    def _exchange(self, method: str, path: str, request: bytes, idempotent: bool):
         """(status, body bytes), resending an idempotent request after a reset."""
         delays = iter(RETRY_DELAYS_S if idempotent else ())
         fresh = not idempotent
         while True:
             connection = self._connection(fresh)
             try:
-                connection.request(method, self._prefix + path, body=data, headers=headers)
-                response = connection.getresponse()
-                payload = response.read()
+                connection.send(request)  # a fresh connection connects here
+                status, closes, payload = connection.read_reply()
             except (ConnectionResetError, ConnectionAbortedError, BrokenPipeError) as exc:
-                connection.close()  # RemoteDisconnected is a ConnectionResetError
+                connection.close()
                 delay = next(delays, None)
                 if delay is None:
                     raise CoordinatorUnavailable(f"{method} {self.base_url}{path}: {exc}") from None
                 time.sleep(random.uniform(0.0, delay))
                 fresh = True
                 continue
-            except (http.client.HTTPException, OSError) as exc:
+            except (OSError, ValueError) as exc:
                 connection.close()
                 raise CoordinatorUnavailable(f"{method} {self.base_url}{path}: {exc}") from None
-            if response.will_close:
+            if closes:
                 connection.close()
             else:
                 self._park(connection)
-            return response.status, payload
+            return status, payload
 
     def _request(self, method: str, path: str, body: dict | None = None, headers: dict | None = None,
                  idempotent: bool = True):
         """(status, reply body) of a 2xx reply.
 
         Raises Rejected on a 4xx reply and CoordinatorUnavailable on a
-        transport failure or any other status.
+        transport failure or any other status. A header value holding a CR
+        or LF raises ValueError before anything is sent.
         """
-        data = _canonical(body).encode("utf-8") if body is not None else None
-        headers = {"Content-Type": "application/json", **(headers or {})}
-        status, payload = self._exchange(method, path, data, headers, idempotent)
+        head = f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+        for name, value in (headers or {}).items():
+            if "\r" in value or "\n" in value:
+                raise ValueError(f"invalid header value {_shown(value)}")
+            head += f"{name}: {value}\r\n"
+        data = b""
+        if body is not None:
+            data = _canonical(body).encode("utf-8")
+            head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+        request = (head + "\r\n").encode("latin-1") + data
+        status, payload = self._exchange(method, path, request, idempotent)
         if 200 <= status < 300:
             return status, json.loads(payload.decode("utf-8"))
         text = payload.decode("utf-8", errors="replace")

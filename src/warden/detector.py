@@ -195,9 +195,15 @@ class AlertSpool:
         self.path = str(path)
 
     def append(self, alert: Alert) -> None:
+        """Add one line; after a torn last line it starts a new one, so the torn bytes stay a line drain skips."""
+        line = (serialize_alert_line(alert) + "\n").encode("utf-8")
         os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
-        with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(serialize_alert_line(alert) + "\n")
+        with open(self.path, "a+b") as fh:
+            if fh.tell():  # append mode starts at the end
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
 
     def drain(self) -> list[Alert]:
         """The spooled alerts; a line that holds none (such as a torn last line) is skipped."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import threading
 import time
 
@@ -377,6 +378,22 @@ def test_detect_reports_each_unreadable_trace_on_one_line(workspace, tmp_path, c
     assert problems[0].startswith(f"detect: malformed input: {bad}:4: ")
     assert problems[1] == f"detect: no trace at {nope}"
     assert out == good_out
+
+
+def test_detect_refuses_a_trace_whose_name_is_not_utf8_and_goes_on(workspace, tmp_path, capsys):
+    miner = trace_path(workspace, lambda e: e["profile"] == "cryptominer")
+    named = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"miner-\xff.trc"))  # job id "miner-\udcff"
+    shutil.copyfile(miner, named)
+    spool = tmp_path / "spool.alog"
+    assert run_cli("detect", miner, "--model", workspace["mlp"], "--spool", str(tmp_path / "alone.alog")) == 10
+    alone_out = capsys.readouterr().out
+    code = run_cli("detect", named, miner, "--model", workspace["mlp"], "--spool", str(spool))
+    out, err = capsys.readouterr()
+    assert code == 2
+    problems = [line for line in err.splitlines() if not line.startswith("warden ")]
+    assert problems == [f"detect: {named!r}: job_id must be a non-empty UTF-8 string, got 'miner-\\udcff'"]
+    assert out == alone_out  # the other trace goes on; nothing is printed for the refused one
+    assert spool.read_bytes() == (tmp_path / "alone.alog").read_bytes()
 
 
 def test_detect_reports_bytes_that_are_not_utf8_with_path_and_line(workspace, tmp_path, capsys):

@@ -132,8 +132,8 @@ def test_post_alert_transport_failure_is_unavailable(tmp_path, monkeypatch):
     server.server_close()
     service.close()
     connects = []
-    connect = http.client.HTTPConnection.connect
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", lambda c: connects.append(c) or connect(c))
+    connect = coordinator._Connection.connect
+    monkeypatch.setattr(coordinator._Connection, "connect", lambda c: connects.append(c) or connect(c))
     with pytest.raises(CoordinatorUnavailable):
         CoordinatorClient(f"http://127.0.0.1:{port}", timeout=2.0).post_alert("node-1", alert_body(1))
     assert len(connects) == 1  # a refused connection is not resent
@@ -383,6 +383,18 @@ def test_health_reports_ledger_seq(live):
     assert client.health()["ledger_seq"] == 1
 
 
+def test_health_shows_the_fail_stop(live, monkeypatch):
+    client, service = live["client"], live["service"]
+    node = client.register("host-a")
+    fsync_fails_once(monkeypatch)
+    with pytest.raises(CoordinatorUnavailable):
+        client.post_alert(node, alert_body(1))  # 503
+    assert service.health() == (503, {"status": "failed", "error": service._failure, "ledger_seq": 0})
+    assert "ledger append failed" in service._failure
+    with pytest.raises(CoordinatorUnavailable, match="503.*failed"):
+        client.health()
+
+
 # --- persistent connections ---------------------------------------------------------
 
 def count_connections(monkeypatch, server) -> list:
@@ -573,11 +585,11 @@ def fail_exchanges(monkeypatch, error) -> list:
     """Make every reply read raise error; returns the connections that tried, one per attempt."""
     attempts = []
 
-    def getresponse(connection):
+    def read_reply(connection):
         attempts.append(connection)
         raise error
 
-    monkeypatch.setattr(http.client.HTTPConnection, "getresponse", getresponse)
+    monkeypatch.setattr(coordinator._Connection, "read_reply", read_reply)
     return attempts
 
 
@@ -594,7 +606,7 @@ def test_idempotent_request_is_resent_twice_on_fresh_connections(live, monkeypat
     client = live["client"]
     assert client.health()["status"] == "ok"  # parks a connection for the first attempt
     parked = list(client._idle)
-    attempts = fail_exchanges(monkeypatch, http.client.RemoteDisconnected("closed"))
+    attempts = fail_exchanges(monkeypatch, ConnectionResetError("connection closed before the reply"))
     for request in (
         lambda: client.register("host-a", idempotency_key="host-a"),
         lambda: client.post_alert("node-1", alert_body(1)),
@@ -610,7 +622,7 @@ def test_idempotent_request_is_resent_twice_on_fresh_connections(live, monkeypat
     assert parked and not client._idle  # a failed connection is never parked
 
 
-@pytest.mark.parametrize("error", [TimeoutError("timed out"), http.client.BadStatusLine("junk")])
+@pytest.mark.parametrize("error", [TimeoutError("timed out"), ValueError("garbled status line b'junk'")])
 def test_timeout_or_garbled_reply_is_not_resent(live, monkeypatch, error):
     attempts = fail_exchanges(monkeypatch, error)
     with pytest.raises(CoordinatorUnavailable):
@@ -635,6 +647,220 @@ def test_shared_client_under_thread_churn(live):
     assert 0 < len(client._idle) <= IDLE_CONNECTIONS
     client.close()
     assert client._idle == []
+
+
+# --- HTTP/1.1 framing, server side (raw sockets) --------------------------------------
+
+def raw_exchange(address, request: bytes) -> bytes:
+    """Send raw request bytes; the reply bytes up to the server's close (a 5-s wait for it fails the test)."""
+    reply = b""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:  # a server that refuses a request may close with bytes of it unread
+            pass
+    return reply
+
+
+def nodes_request(body: bytes, fields: bytes) -> bytes:
+    return b"POST /v1/nodes HTTP/1.1\r\nHost: test\r\n" + fields + b"\r\n" + body
+
+
+HOSTNAME = b'{"hostname":"h"}'
+
+
+@pytest.mark.parametrize("line", [b"GET /v1/health", b"POST /v1/nodes", b"GET /v1/health HTTP/1.1 extra",
+                                  b"GET /v1/health HTTP/one", b"GET /v1/health HTTP/\xb2.1"])
+def test_a_malformed_request_line_is_400_and_closed(live, line):
+    reply = raw_exchange(live["address"], line + b"\r\nHost: test\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 400 ") and b"\r\nConnection: close\r\n" in reply, reply
+
+
+def test_http_2_is_505(live):
+    reply = raw_exchange(live["address"], b"GET /v1/health HTTP/2.0\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 505 "), reply
+
+
+def test_a_header_line_over_64_kib_is_431(live):
+    reply = raw_exchange(live["address"], b"GET /v1/health HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 431 "), reply[:200]
+
+
+@pytest.mark.parametrize("count, status", [(100, b"200"), (101, b"431")])
+def test_more_than_100_header_lines_is_431(live, count, status):
+    fields = b"".join(b"X-Field-%d: v\r\n" % i for i in range(count - 1)) + b"Connection: close\r\n"
+    reply = raw_exchange(live["address"], b"GET /v1/health HTTP/1.1\r\n" + fields + b"\r\n")
+    assert reply.startswith(b"HTTP/1.1 " + status + b" "), reply[:200]
+
+
+@pytest.mark.parametrize("line", [b"no colon here", b"Content-Length : 16", b" folded: line"])
+def test_a_header_line_without_a_colon_or_with_space_before_it_is_400(live, line):
+    reply = raw_exchange(live["address"], nodes_request(HOSTNAME, b"Content-Length: 16\r\n" + line + b"\r\n"))
+    assert reply.startswith(b"HTTP/1.1 400 "), reply
+    assert live["service"].state.nodes == {}
+
+
+def test_http_1_0_closes_unless_keep_alive(live):
+    reply = raw_exchange(live["address"], b"GET /v1/health HTTP/1.0\r\n\r\nGET /v1/health HTTP/1.0\r\n\r\n")
+    assert reply.count(b"HTTP/1.1 200 ") == 1 and b"\r\nConnection: close\r\n" in reply
+    reply = raw_exchange(live["address"], b"GET /v1/health HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+                                          b"GET /v1/health HTTP/1.0\r\n\r\n")
+    assert reply.count(b"HTTP/1.1 200 ") == 2
+
+
+def test_connection_close_is_honoured(live):
+    reply = raw_exchange(live["address"], b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n"
+                                          b"GET /v1/health HTTP/1.1\r\n\r\n")
+    assert reply.count(b"HTTP/1.1 200 ") == 1 and b"\r\nConnection: close\r\n" in reply
+
+
+def test_expect_100_continue_gets_an_interim_100(live):
+    reply = raw_exchange(live["address"], nodes_request(
+        HOSTNAME, b"Content-Length: 16\r\nExpect: 100-continue\r\nConnection: close\r\n"))
+    assert reply.startswith(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 201 "), reply
+
+
+def test_field_names_are_read_in_any_case(live):
+    reply = raw_exchange(live["address"], nodes_request(
+        HOSTNAME, b"cOnTeNt-LeNgTh: 16\r\nidempotency-KEY: key-1\r\nCONNECTION: close\r\n"))
+    assert reply.startswith(b"HTTP/1.1 201 "), reply
+    assert live["service"].state.idempotency == {"key-1": "node-1"}
+
+
+def test_two_different_content_lengths_are_400_and_closed(live):
+    request = nodes_request(HOSTNAME + b"GET /v1/health HTTP/1.1\r\n\r\n", b"Content-Length: 16\r\nContent-Length: 43\r\n")
+    reply = raw_exchange(live["address"], request)
+    assert reply.startswith(b"HTTP/1.1 400 ") and b"\r\nConnection: close\r\n" in reply, reply
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert live["service"].state.nodes == {}
+
+
+def test_transfer_encoding_is_501_and_closed(live):
+    # were the chunked body left unread, its bytes would be read as the next request
+    request = nodes_request(b"10\r\n" + HOSTNAME + b"\r\n0\r\n\r\n", b"Transfer-Encoding: chunked\r\n")
+    reply = raw_exchange(live["address"], request)
+    assert reply.startswith(b"HTTP/1.1 501 ") and b"\r\nConnection: close\r\n" in reply, reply
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert live["service"].state.nodes == {}
+
+
+def test_no_request_or_reply_goes_through_the_email_header_parser(live, monkeypatch):
+    def parse_headers(*args, **kwargs):
+        raise AssertionError("email header parser called")
+
+    monkeypatch.setattr(http.client, "parse_headers", parse_headers)  # http.server's parser, and http.client's
+    client = live["client"]
+    node = client.register("host-a", idempotency_key="key-ü")
+    assert client.post_alert(node, alert_body(1))[0] is True
+    assert [a["alert_id"] for a in client.list_alerts()["alerts"]] == ["job-1/1"]
+    assert client.health() == {"status": "ok", "ledger_seq": 1}
+    assert live["service"].state.idempotency == {"key-ü": node}  # header values travel as Latin-1
+
+
+# --- HTTP/1.1 framing, client side (a server of canned replies) -----------------------
+
+class CannedServer:
+    """Reads each request and answers it with ``reply``, then closes that connection; counts connections."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+
+    def _serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            conn.settimeout(5.0)
+            with conn, conn.makefile("rb") as reader:
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    length = int(value) if name.lower() == b"content-length" else length
+                reader.read(length)
+                conn.sendall(self.reply)
+
+    def close(self):
+        self.stop.set()
+        self.thread.join(timeout=5.0)
+        assert not self.thread.is_alive()
+        self.listener.close()
+
+
+@pytest.fixture()
+def canned():
+    servers = []
+
+    def start(reply: bytes) -> CannedServer:
+        servers.append(CannedServer(reply))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+HEALTH = b'{"ledger_seq":0,"status":"ok"}\n'
+
+
+@pytest.mark.parametrize("reply", [
+    pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1f\r\n" + HEALTH + b"\r\n0\r\n\r\n", id="chunked"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + HEALTH, id="no-content-length"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + HEALTH, id="short-body"),
+    pytest.param(b"junk\r\n\r\n", id="garbled-status-line"),
+])
+def test_a_reply_the_client_does_not_read_is_unavailable_and_not_resent(canned, reply):
+    server = canned(reply)
+    client = CoordinatorClient(server.url, timeout=2.0)
+    with pytest.raises(CoordinatorUnavailable):
+        client.health()
+    assert server.accepted == 1
+    assert client._idle == []
+
+
+def test_end_of_stream_before_the_status_line_is_resent_twice(canned, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(coordinator.time, "sleep", sleeps.append)
+    server = canned(b"")
+    client = CoordinatorClient(server.url, timeout=2.0)
+    with pytest.raises(CoordinatorUnavailable):
+        client.health()
+    assert server.accepted == 3 and len(sleeps) == 2
+    with pytest.raises(CoordinatorUnavailable):
+        client.register("host-a")  # no idempotency key: sent once
+    assert server.accepted == 4 and len(sleeps) == 2
+
+
+@pytest.mark.parametrize("head, parked", [
+    (b"HTTP/1.1 200 OK\r\n", True),
+    (b"HTTP/1.1 200 OK\r\nConnection: close\r\n", False),
+    (b"HTTP/1.0 200 OK\r\n", False),
+])
+def test_a_closing_or_http_1_0_reply_is_not_parked(canned, head, parked):
+    server = canned(head + b"Content-Length: %d\r\n\r\n" % len(HEALTH) + HEALTH)
+    client = CoordinatorClient(server.url, timeout=2.0)
+    assert client.health() == {"status": "ok", "ledger_seq": 0}
+    assert len(client._idle) == parked
+    client.close()
+
+
+@pytest.mark.parametrize("key", ["k\r\nX-Injected: 1", "k\n", "k\r"])
+def test_a_header_value_with_cr_or_lf_raises_before_any_io(monkeypatch, key):
+    connects = []
+    monkeypatch.setattr(coordinator._Connection, "connect", lambda c: connects.append(c))
+    with pytest.raises(ValueError, match="invalid header value"):
+        CoordinatorClient("http://127.0.0.1:1").register("host-a", idempotency_key=key)
+    assert connects == []
 
 
 # --- recovery -----------------------------------------------------------------------

@@ -414,6 +414,19 @@ def test_flush_spool_skips_torn_and_bad_lines_and_delivers_the_rest(tmp_path):
     assert spool.drain() == []
 
 
+def test_an_alert_spooled_after_a_torn_last_line_starts_a_line_of_its_own(tmp_path):
+    spool = AlertSpool(tmp_path / "spool.alog")
+    torn = '{"alert_id":"b","node'
+    (tmp_path / "spool.alog").write_text(torn, encoding="utf-8")
+    first, second = parse_alert_line(GOOD_LINE), parse_alert_line(GOOD_LINE.replace("j/1", "j/2"))
+    spool.append(first)
+    assert spool.drain() == [first]
+    spool.append(second)
+    assert spool.drain() == [first, second]
+    assert (tmp_path / "spool.alog").read_text(encoding="utf-8") == "\n".join(
+        [torn, GOOD_LINE, GOOD_LINE.replace("j/1", "j/2"), ""])
+
+
 def test_pipeline_policy_violations_forwarded_as_alerts(small_bundle, tmp_path):
     from warden.sandbox import SandboxPolicy
 
