@@ -278,3 +278,85 @@ def test_corpus_bytes_are_pinned(tmp_path, name):
     gen_dataset(spec, tmp_path)
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in sorted(os.listdir(tmp_path))}
     assert got == expected
+
+
+# sha256 of corpus files computed with the per-event generator loop that
+# tests/reference_datagen.py keeps, before the core drew its events from one array
+LOOP_CORPUS_SHA256 = {
+    # 2 and 4 threads
+    "batch-compute-and-cryptominer": (
+        ScenarioSpec(n_normal=2, n_malicious=2, duration_s=20.0, seed=13,
+                     profile_mix={"batch-compute": 1.0, "cryptominer": 1.0}),
+        {
+            "malicious-cryptominer-0002.trc": "b9e3715074d8a3cde6975d55295b82093b8684f13ff6e60079a7d028417692c2",
+            "malicious-cryptominer-0003.trc": "d72006a152e000bfc299c1d3d92fa6aacd7442a37b135b37761e01b078feb61f",
+            "manifest.json": "f2dfc0d509e060f450cd41eccfc90fc4142881d2460b7f9af5417f2f7c8a8755",
+            "normal-batch-compute-0000.trc": "f524db1bdfc2c87e6b0e8fed3620734cd476b2b6ad24f8a65152694d4f542352",
+            "normal-batch-compute-0001.trc": "882f0e40db062a3f00f1e8a50d08c35c1decde574d163cf57d4a8d9fd7a127e4",
+        },
+    ),
+    # shorter than one sample period: no resource samples
+    "half-second": (
+        ScenarioSpec(n_normal=2, n_malicious=4, duration_s=0.5, seed=3),
+        {
+            "malicious-ddos-flood-0005.trc": "4835ee5f26cb4bb40841748af34cee6619cc3579792c70a6bbc4d2b494cc5f92",
+            "malicious-scanner-0002.trc": "7c78dac8c3e55fe8651cf6c6c1a9f7ab89d807d1392c2ebc46ba5a006e47e3e9",
+            "malicious-scanner-0003.trc": "7abcda9845e434dc5b91c31b8127b18f63370dec9cb1a4a99691500b91cffdb8",
+            "malicious-scanner-0004.trc": "2034671911d4fba3eb34cf29e085577708db63a08d515adb6e092efe5c5f0314",
+            "manifest.json": "eed68b04c157d43c92d358b189eb76cd4ba571d82546fe901dff8fbc42c7537d",
+            "normal-data-transfer-0000.trc": "f226cc8de9132e5cba9e1e83df27a8adad53734adc49a166b1aea5eb04a39885",
+            "normal-data-transfer-0001.trc": "acaaa9ff0cee3c803254ae81bef544d22d72b74504888351a1e2ff5bd7b196c1",
+        },
+    ),
+    # a duration that is not a whole number of sample periods
+    "seven-and-a-half-seconds": (
+        ScenarioSpec(n_normal=2, n_malicious=4, duration_s=7.5, seed=8),
+        {
+            "malicious-cryptominer-0002.trc": "9e59a3b313355ddeade539edb8537ec750d704fbffe76799c37ebc84c7f4ae7c",
+            "malicious-ddos-flood-0003.trc": "d22ee13fb97a84a10266e1856946760105d7488a1e940a354fa20034529ab6db",
+            "malicious-priv-escalation-0004.trc": "22925aa23c0d169e555c9190fc16e2bfbe5fe689f7085edd7c7a285b74458d5a",
+            "malicious-scanner-0005.trc": "4e9d6157d10fe9f76122509f38e7d7e0784d803dba4638f3b3827d353134d03d",
+            "manifest.json": "23505b12a482fffc0623500a452f2a778c6d32dfec5a88eb12aa03ada335caab",
+            "normal-data-transfer-0000.trc": "f67fb43c30e9fb85ba510e7f390a3f0006577c50ab3a757bacdebfb047b519c8",
+            "normal-data-transfer-0001.trc": "1d7dd45b819a0ad159c068a9c4cfb440984884ea3d05673e220ddad0e5e78bfe",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_CORPUS_SHA256))
+def test_more_corpus_bytes_are_pinned(tmp_path, name):
+    spec, expected = LOOP_CORPUS_SHA256[name]
+    gen_dataset(spec, tmp_path)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in sorted(os.listdir(tmp_path))}
+    assert got == expected
+
+
+# no log lines, 8 threads, zero-weight transitions, fail probabilities 0, 0.5 and 1
+QUIET_THREADS = _profile(
+    name="quiet-threads",
+    syscall_vocab=("open", "read", "futex", "connect"),
+    transition=((0.0, 0.5, 0.5, 0.0), (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 1.0), (0.6, 0.0, 0.4, 0.0)),
+    rate_events_per_s=90.0,
+    cpu_envelope=(40.0, 3.0),
+    rss_envelope=(32 * MIB, 4096),
+    net_tx_rate=((2.0, 500.0), (1.0, 0.0)),
+    net_rx_rate=((1.0, 100.0),),
+    log_lines_per_s=0.0,
+    n_threads=8,
+    args_choices={"open": ("/etc/hosts", "/tmp/x"), "connect": ()},
+    fail_retval={"futex": (1.0, -11), "read": (0.0, -5), "connect": (0.5, -111)},
+)
+QUIET_THREADS_SHA256 = {
+    "malicious-quiet-threads-0000.trc": "162f333a1886c5fc1e9d287b8eef939fe5fb4b54cd90da2b2849072ecd384fe5",
+    "malicious-quiet-threads-0001.trc": "37c2f387503175e2c5f1e7d28b33ca3d50328ee192d7416ab61a479672617dfa",
+    "manifest.json": "e3a3f0c7d451663d7f8d176e7b928ceb74cc9542e78e29e1ab1c4bc36cc7c04b",
+}
+
+
+def test_custom_profile_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(datagen, "profiles_by_name", lambda: {QUIET_THREADS.name: QUIET_THREADS})
+    spec = ScenarioSpec(n_normal=0, n_malicious=2, duration_s=9.0, seed=17, profile_mix={QUIET_THREADS.name: 1.0})
+    gen_dataset(spec, tmp_path)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in sorted(os.listdir(tmp_path))}
+    assert got == QUIET_THREADS_SHA256
