@@ -26,12 +26,12 @@ per stored alert next to the roughly 1.7 KB its dict and values take.
 Connections are persistent (HTTP/1.1 keep-alive). Both ends frame messages
 (RFC 9112) with a few readline calls, not the stdlib's email header parser.
 The server reads a request line and at most 100 header lines, answers a
-request with Transfer-Encoding (501) or two different Content-Length values
-(400) and then closes the connection, sends each reply in one write, and
-drops a connection after REQUEST_TIMEOUT_S of silence. CoordinatorClient
-sends each request in one write, reads only replies framed by
-Content-Length, pools idle connections and resends only idempotent requests
-after a reset (see its docstring).
+request with Transfer-Encoding (501), two different Content-Length values
+(400) or a GET with a body (400) and then closes the connection, sends each
+reply in one write, and drops a connection after REQUEST_TIMEOUT_S of
+silence. CoordinatorClient sends each request in one write, reads only
+replies framed by Content-Length, pools idle connections and resends only
+idempotent requests after a reset (see its docstring).
 """
 
 from __future__ import annotations
@@ -507,6 +507,9 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, obj
 
     def do_GET(self):
+        if self.headers.get("content-length", "0") != "0":
+            self.close_connection = True  # the body is left unread: kept, it would be read as the next request
+            return self._send(400, {"error": "a GET request must not carry a body"})
         parsed = urllib.parse.urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
         if parts == ["v1", "health"]:

@@ -9,22 +9,38 @@ background of probing syscalls, which makes the two classes separable by
 construction and the ML acceptance thresholds meaningful.
 
 Generation is byte-deterministic in (profile, duration, job_id, seed): all
-randomness flows through one splitmix64 stream consumed in a fixed order.
-One generator core produces a trace's time-sorted rows, and two views read
-them: ``gen_dataset`` hands the rows to ``records.write_trace_rows``, which
-writes each syscall row straight to its canonical ``.trc`` line, and
-``gen_trace`` returns the rows as records. A profile's checks cover every
-field a syscall row takes from it, so the rows need no per-event validation.
+randomness comes from the splitmix64 stream of the trace's seed, and every
+draw has a fixed offset in it. Draw 0 picks the pid and draw 1 the first
+state. Each syscall event then takes a run of draws from its own offset:
+its interval, its next state, its tid, its args (none, one choice, or three
+for a synthesized ip:port), a fail draw if its name can fail, and its
+service time. The run's length depends only on the event's syscall name, so
+the chain walk, which finds each event's offset, is the one sequential step.
+It runs over one array drawn counter-wise (``hashing.splitmix64_outputs``),
+and every other syscall field is a numpy gather at known offsets. The draw
+after the interval that ends the trace starts the resource samples and then
+the log lines, which are scalar loops over a ``SplitMix64`` placed there.
+
+One generator core produces a trace's rows sorted by time, each syscall row
+a code into the trace's distinct (tid, name, args, retval) keys, and two
+views read them: ``gen_dataset`` hands them to ``records.write_coded_rows``,
+which formats each key's line tail once, and ``gen_trace`` returns them as
+records. A profile's checks cover every field a syscall row takes from it,
+so the rows need no per-event validation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import accumulate
 
-from .hashing import SplitMix64, derive_seed, derive_tagged_seed
+import numpy as np
+
+from .hashing import SplitMix64, derive_seed, derive_tagged_seed, splitmix64_outputs
 from .records import (
     ENTER,
     EXIT,
@@ -35,11 +51,12 @@ from .records import (
     LogRecord,
     ResourceSample,
     SyscallEvent,
-    write_trace_rows,
+    write_coded_rows,
 )
 
 SAMPLE_PERIOD_S = 1.0
 JITTER_FRAC = 0.05
+MAX_THREADS = 2**32  # keeps every tid an int64
 
 
 class InvalidProfile(ValueError):
@@ -114,8 +131,8 @@ class BehaviorProfile:
             for dur, rate in segs:
                 if dur <= 0 or rate < 0:
                     raise InvalidProfile("net rate segments need positive duration, rate >= 0")
-        if self.n_threads < 1:
-            raise InvalidProfile("n_threads must be >= 1")
+        if not 1 <= self.n_threads <= MAX_THREADS:
+            raise InvalidProfile(f"n_threads must be in [1, {MAX_THREADS}]")
 
 
 @dataclass(frozen=True)
@@ -289,12 +306,44 @@ _LOG_TEMPLATES = {
 }
 
 
-def _trace_rows(profile: BehaviorProfile, duration_s: float, job_id: str, seed: int) -> tuple[int, list[tuple]]:
-    """The generator core: a trace's pid and its rows, sorted by time.
+def _expected_events(rate: float, duration_s: float) -> int:
+    """A first length for the chain walk: the mean event count plus four standard deviations."""
+    mean = rate * duration_s
+    return int(mean + 4.0 * math.sqrt(mean)) + 8
 
-    A syscall row is ``(t_ns, tid, name, args, retval)`` with retval None on
-    enter; a resource sample or log line is ``(t_ns, record)``. Equal times
-    keep generation order: syscalls, then samples, then logs.
+
+def _walk(rows: list, steps: list, state: int, uniforms: list, n: int) -> tuple[list, list, int]:
+    """n steps of the Markov chain from ``state``: each event's state and the offset of its first draw.
+
+    An event's draws start at its offset o: the interval, then the next state
+    from the uniform ``uniforms[o]`` (which is draw o + 1: the list skips the
+    first interval), then tid, args, fail and service draws, which ``steps``
+    counts per state. ``rows`` holds each transition row's running sums, the
+    sums ``SplitMix64.weighted_index`` forms, so ``bisect_right`` picks the
+    index it picks. Returns the states, the offsets and the offset after the
+    last event.
+    """
+    last = len(steps) - 1
+    table = [(sums, sums[-1]) for sums in rows]
+    states = [0] * n
+    offsets = [0] * n
+    o = 0
+    for i in range(n):
+        sums, total = table[state]
+        state = states[i] = bisect_right(sums, uniforms[o] * total, 0, last)
+        offsets[i] = o
+        o += steps[state]
+    return states, offsets, o
+
+
+def _trace_rows(profile: BehaviorProfile, duration_s: float, job_id: str, seed: int) -> tuple:
+    """The generator core: a trace's pid and its rows, sorted by time, as codes.
+
+    Returns ``(pid, t_ns, codes, keys, others)``: row i is the syscall key
+    ``keys[codes[i]]``, a ``(tid, name, args, retval)`` tuple with retval None
+    on enter, at ``t_ns[i]``, or the resource sample or log record
+    ``others[-1 - codes[i]]``. Equal times keep generation order: each
+    event's enter and exit, then samples, then logs.
     """
     if duration_s <= 0:
         raise InvalidProfile("duration_s must be positive")
@@ -302,50 +351,85 @@ def _trace_rows(profile: BehaviorProfile, duration_s: float, job_id: str, seed: 
     pid = 1000 + rng.randrange(9000)
     duration_ns = int(duration_s * 1e9)
 
-    rows: list[tuple] = []
-    records: list = []  # resource samples and logs
-
     # --- syscall enter/exit pairs driven by the Markov chain -----------------
     vocab = profile.syscall_vocab
     weights0 = [sum(row[j] for row in profile.transition) / len(vocab) for j in range(len(vocab))]
     state = rng.weighted_index(weights0)
-    t = 0.0
-    read_counts: dict[int, int] = {}  # second index -> read-ish enters (drives io counters)
-    write_counts: dict[int, int] = {}
+    # draws per event: interval, state, tid, args (none, a choice, or three for
+    # a synthesized ip:port), a fail draw for a name that can fail, service time
+    n_args = [0 if name not in profile.args_choices else 1 if profile.args_choices[name] else 3 for name in vocab]
+    can_fail = [name in profile.fail_retval for name in vocab]
+    steps = [4 + a + f for a, f in zip(n_args, can_fail)]
+    row_sums = [list(accumulate(row)) for row in profile.transition]
+    n = _expected_events(profile.rate_events_per_s, duration_s)
     while True:
-        t += rng.expovariate(profile.rate_events_per_s)
-        if t >= duration_s:
+        # draw k of this array is draw 2 + k of the trace's stream
+        draws = splitmix64_outputs(seed, 2, n * max(steps) + 1)
+        uniforms = (draws >> np.uint64(11)) * 2.0**-53
+        states, offsets, end = _walk(row_sums, steps, state, uniforms[1:].tolist(), n)
+        offsets.append(end)  # the interval draw after the last event walked
+        of = np.array(offsets)
+        gaps = list(map(math.log, (1.0 - uniforms[of]).tolist()))
+        t = np.add.accumulate(-np.array(gaps) / profile.rate_events_per_s)  # in the order of t += gap
+        count = int(t.searchsorted(duration_s))  # events before the first time past the trace's end
+        if count <= n:
             break
-        state = rng.weighted_index(profile.transition[state])
-        name = vocab[state]
-        tid = pid + rng.randrange(profile.n_threads)
-        t_ns = int(t * 1e9)
-        args = ""
-        if name in profile.args_choices:
+        n = 2 * n + 1
+    rng = SplitMix64(seed, 2 + offsets[count] + 1)  # samples and logs draw after the interval that ended the trace
+    t = t[:count]
+    st = np.array(states[:count], dtype=np.int64)
+    of = of[:count]
+    t_ns = (t * 1e9).astype(np.int64)
+    tid = pid + (draws[of + 2] % np.uint64(profile.n_threads)).astype(np.int64)
+    args = [""]  # args strings; arg_id indexes them
+    arg_id = np.zeros(count, dtype=np.int64)
+    failed = np.zeros(count, dtype=bool)
+    for s, name in enumerate(vocab):
+        if not (n_args[s] or can_fail[s]):
+            continue
+        mine = st == s
+        at = of[mine] + 3
+        if n_args[s] == 1:
             choices = profile.args_choices[name]
-            if choices:
-                args = choices[rng.randrange(len(choices))]
-            else:
-                args = f"10.0.{rng.randrange(256)}.{rng.randrange(256)}:{rng.randrange(65536)}"
-        retval = 0
-        if name in profile.fail_retval:
-            prob, bad = profile.fail_retval[name]
-            if rng.uniform() < prob:
-                retval = bad
-        service_ns = 1000 + rng.randrange(49000)
-        rows.append((t_ns, tid, name, args, None))
-        rows.append((min(t_ns + service_ns, duration_ns - 1), tid, name, args, retval))
-        sec = int(t)
-        if name in ("read", "recvfrom"):
-            read_counts[sec] = read_counts.get(sec, 0) + 1
-        elif name in ("write", "sendto"):
-            write_counts[sec] = write_counts.get(sec, 0) + 1
+            arg_id[mine] = len(args) + (draws[at] % np.uint64(len(choices))).astype(np.int64)
+            args += choices
+        elif n_args[s] == 3:
+            ip = (
+                (draws[at] % np.uint64(256)) << np.uint64(24)
+                | (draws[at + 1] % np.uint64(256)) << np.uint64(16)
+                | draws[at + 2] % np.uint64(65536)
+            )
+            distinct, inverse = np.unique(ip.astype(np.int64), return_inverse=True)
+            arg_id[mine] = len(args) + inverse
+            args += [f"10.0.{v >> 24}.{v >> 16 & 255}:{v & 65535}" for v in distinct.tolist()]
+        if can_fail[s]:
+            failed[mine] = uniforms[at + n_args[s]] < profile.fail_retval[name][0]
+    service_ns = 1000 + (draws[of + np.array(steps)[st] - 1] % np.uint64(49000)).astype(np.int64)
+
+    # each event's enter row, then its exit row; one key per distinct (tid, name, args, retval)
+    row_t = np.stack([t_ns, np.minimum(t_ns + service_ns, duration_ns - 1)], axis=1).ravel()
+    row_kind = np.stack([np.zeros(count, dtype=np.int64), 1 + failed], axis=1).ravel()  # enter, exit, failed exit
+    _, tid_id = np.unique(tid, return_inverse=True)  # dense, so the key stays within int64
+    event_key = (tid_id * len(vocab) + st) * len(args) + arg_id
+    _, first, codes = np.unique(np.repeat(event_key, 2) * 3 + row_kind, return_index=True, return_inverse=True)
+    i = first >> 1  # the event of each key's first row
+    bad = [profile.fail_retval[name][1] if f else None for name, f in zip(vocab, can_fail)]
+    keys = [
+        (tid, vocab[s], args[a], None if kind == 0 else 0 if kind == 1 else bad[s])
+        for tid, s, a, kind in zip(tid[i].tolist(), st[i].tolist(), arg_id[i].tolist(), row_kind[first].tolist())
+    ]
 
     # --- resource samples every second ---------------------------------------
+    sec = t.astype(np.int64)
+    n_samples = int(duration_s // SAMPLE_PERIOD_S)
+    reads = np.isin(st, [s for s, name in enumerate(vocab) if name in ("read", "recvfrom")])
+    writes = np.isin(st, [s for s, name in enumerate(vocab) if name in ("write", "sendto")])
+    read_counts = np.bincount(sec[reads], minlength=n_samples).tolist()  # read-ish enters per second
+    write_counts = np.bincount(sec[writes], minlength=n_samples).tolist()
+    others: list = []
     cpu_mean, cpu_std = profile.cpu_envelope
     rss_base, rss_growth = profile.rss_envelope
     rx = tx = io_r = io_w = 0
-    n_samples = int(duration_s // SAMPLE_PERIOD_S)
     for s in range(1, n_samples + 1):
         t_s = s * SAMPLE_PERIOD_S
         cpu = max(0.0, rng.gauss(cpu_mean, cpu_std))
@@ -354,9 +438,9 @@ def _trace_rows(profile: BehaviorProfile, duration_s: float, job_id: str, seed: 
         rx += max(0, int(_rate_at(profile.net_rx_rate, t_s - SAMPLE_PERIOD_S) * SAMPLE_PERIOD_S * jitter))
         jitter = 1.0 + rng.uniform_in(-JITTER_FRAC, JITTER_FRAC)
         tx += max(0, int(_rate_at(profile.net_tx_rate, t_s - SAMPLE_PERIOD_S) * SAMPLE_PERIOD_S * jitter))
-        io_r += read_counts.get(s - 1, 0) * 8192
-        io_w += write_counts.get(s - 1, 0) * 4096
-        records.append(
+        io_r += read_counts[s - 1] * 8192
+        io_w += write_counts[s - 1] * 4096
+        others.append(
             ResourceSample(
                 t_ns=int(t_s * 1e9) if t_s < duration_s else duration_ns - 1,
                 job_id=job_id,
@@ -372,17 +456,17 @@ def _trace_rows(profile: BehaviorProfile, duration_s: float, job_id: str, seed: 
     # --- log lines ------------------------------------------------------------
     if profile.log_lines_per_s > 0:
         templates = _LOG_TEMPLATES[profile.label]
-        t = 0.0
+        t_log = 0.0
         ln = 0
         while True:
-            t += rng.expovariate(profile.log_lines_per_s)
-            if t >= duration_s:
+            t_log += rng.expovariate(profile.log_lines_per_s)
+            if t_log >= duration_s:
                 break
             severity, text = templates[rng.randrange(len(templates))]
             ln += 1
-            records.append(
+            others.append(
                 LogRecord(
-                    t_ns=int(t * 1e9),
+                    t_ns=int(t_log * 1e9),
                     job_id=job_id,
                     source=profile.name,
                     severity=severity,
@@ -390,19 +474,17 @@ def _trace_rows(profile: BehaviorProfile, duration_s: float, job_id: str, seed: 
                 )
             )
 
-    rows += [(r.t_ns, r) for r in records]
-    rows.sort(key=itemgetter(0))  # Python sort is stable: equal times keep gen order
-    return pid, rows
+    all_t = np.concatenate([row_t, np.array([r.t_ns for r in others], dtype=np.int64)])
+    all_codes = np.concatenate([codes, -1 - np.arange(len(others))])
+    order = all_t.argsort(kind="stable")  # equal times keep generation order
+    return pid, all_t[order].tolist(), all_codes[order].tolist(), keys, others
 
 
 def gen_trace(profile: BehaviorProfile, duration_s: float, job_id: str, seed: int) -> LabeledTrace:
     """Generate one labeled trace: time-ordered, one job_id, cumulative counters that never go down."""
-    pid, rows = _trace_rows(profile, duration_s, job_id, seed)
-    records = [
-        row[1] if len(row) == 2
-        else SyscallEvent(row[0], job_id, pid, row[1], row[2], ENTER if row[4] is None else EXIT, row[3], row[4])
-        for row in rows
-    ]
+    pid, t_ns, codes, keys, others = _trace_rows(profile, duration_s, job_id, seed)
+    fields = [(tid, name, ENTER if retval is None else EXIT, args, retval) for tid, name, args, retval in keys]
+    records = [SyscallEvent(t, job_id, pid, *fields[c]) if c >= 0 else others[-1 - c] for t, c in zip(t_ns, codes)]
     return LabeledTrace(job_id=job_id, label=profile.label, profile_name=profile.name, records=tuple(records))
 
 
@@ -440,9 +522,9 @@ def gen_dataset(spec: ScenarioSpec, out_dir) -> dict:
         names = by_label[label]
         name = names[choice_rng.weighted_index([mix[n] for n in names])]
         job_id = f"job-{index:04d}"
-        pid, rows = _trace_rows(profiles[name], spec.duration_s, job_id, trace_seed)
+        pid, t_ns, codes, keys, others = _trace_rows(profiles[name], spec.duration_s, job_id, trace_seed)
         filename = f"{label}-{name}-{index:04d}.trc"
-        write_trace_rows(os.path.join(out_dir, filename), job_id, pid, rows)
+        write_coded_rows(os.path.join(out_dir, filename), job_id, pid, t_ns, codes, keys, others)
         entries.append({"file": filename, "job_id": job_id, "label": label, "profile": name, "seed": trace_seed})
 
     manifest = {"seed": spec.seed, "duration_s": spec.duration_s, "entries": entries}

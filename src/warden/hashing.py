@@ -56,35 +56,43 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 
 _BLOCK = 4096
-# k * gamma mod 2**64 for k = 1.._BLOCK: the state offsets of one block
-_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
-def _splitmix64_blocks(state: int):
-    """The splitmix64 outputs after ``state``, as lists of _BLOCK ints.
+def splitmix64_outputs(seed: int, start: int, n: int) -> np.ndarray:
+    """Outputs ``start`` .. ``start + n - 1`` of the splitmix64 stream from ``seed``, as uint64s.
 
+    splitmix64 is counter-based: output k is mix(seed + (k + 1) * gamma), so
+    any stretch of the stream costs one vectorised mix with no stepping.
     Only array arithmetic is used: it wraps mod 2**64 without the overflow
     warning that numpy scalar arithmetic raises.
     """
+    z = np.arange(start + 1, start + 1 + n, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _splitmix64_blocks(seed: int, start: int):
+    """The splitmix64 outputs from ``start`` on, as lists of _BLOCK ints."""
     while True:
-        z = _STEPS + np.uint64(state)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        yield z.tolist()
-        state = (state + _BLOCK * _GAMMA) & MASK64
+        yield splitmix64_outputs(seed, start, _BLOCK).tolist()
+        start += _BLOCK
 
 
 class SplitMix64:
     """Deterministic PRNG over the splitmix64 recurrence.
 
-    splitmix64 is counter-based: output k is mix(seed + k * gamma) (Steele,
-    Lea and Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA
-    2014). So ``next_u64()`` serves outputs from a buffer that one vectorised
-    uint64 mix fills _BLOCK outputs at a time, with exactly the bits of
-    stepping ``splitmix64``.
+    splitmix64 is counter-based (Steele, Lea and Flood, "Fast Splittable
+    Pseudorandom Number Generators", OOPSLA 2014), so ``next_u64()`` serves
+    outputs from a buffer that ``splitmix64_outputs`` fills _BLOCK outputs at
+    a time, with exactly the bits of stepping ``splitmix64``. A generator
+    made with ``start=k`` begins at output k: it draws what one that skipped
+    k draws would.
 
     Every float is derived from a whole 64-bit output, and every method
     consumes a fixed number of draws (gauss may loop only on the measure-zero
@@ -93,8 +101,8 @@ class SplitMix64:
 
     __slots__ = ("next_u64",)
 
-    def __init__(self, seed: int):
-        self.next_u64 = chain.from_iterable(_splitmix64_blocks(seed & MASK64)).__next__
+    def __init__(self, seed: int, start: int = 0):
+        self.next_u64 = chain.from_iterable(_splitmix64_blocks(seed, start)).__next__
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""

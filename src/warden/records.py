@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from json.encoder import encode_basestring
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
@@ -245,8 +246,8 @@ def format_real(x: float) -> str:
     return s
 
 
-def _dump_str(s: str) -> str:
-    return json.dumps(s, ensure_ascii=False)
+# json.dumps(s, ensure_ascii=False) for a str, without building an encoder per call
+_dump_str = encode_basestring
 
 
 def _wire_value(value) -> str:
@@ -265,8 +266,8 @@ def serialize_line(record: TelemetryRecord) -> str:
         raise InvalidRecord(f"not a telemetry record: {type(record).__name__}")
     record.__post_init__()  # re-check invariants; construction normally guarantees them
     if isinstance(record, SyscallEvent):
-        row = (record.t_ns, record.tid, record.name, record.args_digest, record.retval)
-        return _row_lines(record.job_id, record.pid, (row,))[0]
+        key = (record.tid, record.name, record.args_digest, record.retval)
+        return f"{_SYS_HEAD}{record.t_ns}{_sys_tails(record.job_id, record.pid, (key,))[0]}"
     kind = "res" if isinstance(record, ResourceSample) else "log"
     body = ",".join([f'"{key}":{_wire_value(getattr(record, attr))}' for key, attr in _KINDS[kind][1]])
     return f'{{"kind":"{kind}",{body}}}'
@@ -337,37 +338,32 @@ def write_trace_file(path, records: Iterable[TelemetryRecord]) -> None:
             fh.write("\n")
 
 
-def _row_lines(job_id: str, pid: int, rows: Iterable[tuple]) -> list[str]:
-    """One job's rows as canonical lines (no newlines); the one place that spells out a sys line.
+def _sys_tails(job_id: str, pid: int, keys: Iterable[tuple]) -> list[str]:
+    """Each syscall key's canonical line after its t_ns; the one place that spells out a sys line.
 
-    A syscall row ``(t_ns, tid, name, args, retval)``, retval None on enter,
-    becomes its line without a SyscallEvent: the caller guarantees that its
-    fields meet SyscallEvent's invariants. job_id and pid are formatted once,
-    and each distinct args string is JSON-encoded once. Any other row is
-    ``(t_ns, record)`` and goes through serialize_line.
+    A key is ``(tid, name, args, retval)``, retval None on enter; its line is
+    ``_SYS_HEAD + str(t_ns) + tail``. No SyscallEvent is built: the caller
+    guarantees that the fields meet SyscallEvent's invariants. job_id and pid
+    are formatted once.
     """
     ids = f'"job_id":{_dump_str(job_id)},"pid":{pid}'
-    quoted: dict[str, str] = {}
-    lines = []
-    append = lines.append
-    for row in rows:
-        if len(row) == 2:
-            append(serialize_line(row[1]))
-            continue
-        t_ns, tid, name, args, retval = row
-        encoded = quoted.get(args)
-        if encoded is None:
-            encoded = quoted[args] = _dump_str(args)
-        if retval is None:
-            append(f'{{"kind":"sys","t_ns":{t_ns},{ids},"tid":{tid},"name":"{name}","dir":"enter","args":{encoded}}}')
-        else:
-            append(f'{{"kind":"sys","t_ns":{t_ns},{ids},"tid":{tid},"name":"{name}","dir":"exit","args":{encoded},"ret":{retval}}}')
-    return lines
+    return [
+        f',{ids},"tid":{tid},"name":"{name}","dir":"enter","args":{_dump_str(args)}}}' if retval is None
+        else f',{ids},"tid":{tid},"name":"{name}","dir":"exit","args":{_dump_str(args)},"ret":{retval}}}'
+        for tid, name, args, retval in keys
+    ]
 
 
-def write_trace_rows(path, job_id: str, pid: int, rows: Iterable[tuple]) -> None:
-    """Write one job's rows (see _row_lines), byte for byte what write_trace_file gives for the same records."""
-    lines = _row_lines(job_id, pid, rows)
+def write_coded_rows(path, job_id: str, pid: int, t_ns: Iterable[int], codes: Iterable[int], keys: list, others: list) -> None:
+    """Write one job's rows in the order given, byte for byte what write_trace_file gives for the same records.
+
+    Row i is the syscall key ``keys[codes[i]]`` (see _sys_tails) at
+    ``t_ns[i]``, or the record ``others[-1 - codes[i]]`` when the code is
+    negative; each key's line tail is formatted once.
+    """
+    tails = _sys_tails(job_id, pid, keys)
+    other = [serialize_line(r) for r in others]
+    lines = [f"{_SYS_HEAD}{t}{tails[c]}" if c >= 0 else other[-1 - c] for t, c in zip(t_ns, codes)]
     lines.append("")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))

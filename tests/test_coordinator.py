@@ -746,6 +746,18 @@ def test_transfer_encoding_is_501_and_closed(live):
     assert live["service"].state.nodes == {}
 
 
+def test_a_get_with_a_body_is_400_and_closed(live):
+    # were the body left unread, the POST inside it would be served as the next request
+    smuggled = nodes_request(HOSTNAME, b"Content-Length: %d\r\n" % len(HOSTNAME))
+    request = b"GET /v1/health HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n" % len(smuggled) + smuggled
+    reply = raw_exchange(live["address"], request)
+    assert reply.startswith(b"HTTP/1.1 400 ") and b"\r\nConnection: close\r\n" in reply, reply
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert live["service"].state.nodes == {}
+    empty = b"GET /v1/health HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+    assert raw_exchange(live["address"], empty).startswith(b"HTTP/1.1 200 ")
+
+
 def test_no_request_or_reply_goes_through_the_email_header_parser(live, monkeypatch):
     def parse_headers(*args, **kwargs):
         raise AssertionError("email header parser called")

@@ -198,6 +198,12 @@ def test_profile_rejects_bad_fail_retval(entry):
         _profile(fail_retval={"open": entry})
 
 
+@pytest.mark.parametrize("n_threads", [0, -1, datagen.MAX_THREADS + 1])
+def test_profile_rejects_thread_counts_outside_the_tid_range(n_threads):
+    with pytest.raises(InvalidProfile, match="n_threads"):
+        _profile(n_threads=n_threads)
+
+
 def test_profile_accepts_longest_name_and_args():
     _profile(syscall_vocab=("read", "x" * 32), args_choices={"read": ("a" * MAX_ARGS, "")}, fail_retval={"read": (1, -2)})
 

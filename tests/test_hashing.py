@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from warden.hashing import MASK64, SplitMix64, derive_seed, fnv1a64, splitmix64
+from warden.hashing import _BLOCK, MASK64, SplitMix64, derive_seed, fnv1a64, splitmix64, splitmix64_outputs
 
 
 class ScalarSplitMix64(SplitMix64):
@@ -131,3 +132,26 @@ def test_interleaved_methods_equal_scalar_recurrence(seed):
             oracle.shuffle(ys)
             assert xs == ys, step
     assert fast.next_u64() == oracle.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 1, MASK64, 0x9E3779B97F4A7C15])
+@pytest.mark.parametrize("start,n", [(0, 5), (0, 2 * _BLOCK + 3), (_BLOCK - 3, 7), (3 * _BLOCK + 11, _BLOCK + 2), (5, 0)])
+def test_counter_outputs_equal_stepping_splitmix64(seed, start, n):
+    state = seed
+    stepped = []
+    for _ in range(start + n):
+        state, out = splitmix64(state)
+        stepped.append(out)
+    outputs = splitmix64_outputs(seed, start, n)
+    assert outputs.dtype == np.uint64 and outputs.tolist() == stepped[start:]
+
+
+@pytest.mark.parametrize("seed", [0, MASK64])
+@pytest.mark.parametrize("start", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 5, 3 * _BLOCK + 1])
+def test_a_generator_started_at_an_offset_equals_one_that_skipped_the_draws(seed, start):
+    skipped = SplitMix64(seed)
+    for _ in range(start):
+        skipped.next_u64()
+    offset = SplitMix64(seed, start)
+    assert [offset.next_u64() for _ in range(2 * _BLOCK + 9)] == [skipped.next_u64() for _ in range(2 * _BLOCK + 9)]
+    assert offset.gauss(1.0, 2.0) == skipped.gauss(1.0, 2.0) and offset.uniform() == skipped.uniform()

@@ -31,9 +31,10 @@ from warden.records import (
     read_trace_columns,
     read_trace_file,
     serialize_line,
+    write_coded_rows,
     write_trace_file,
-    write_trace_rows,
 )
+from reference_datagen import write_trace_rows
 from trace_validation import validate_trace
 
 
@@ -199,6 +200,24 @@ def test_write_trace_rows_equals_write_trace_file(tmp_path):
     assert (tmp_path / "b.trc").read_bytes() == (tmp_path / "a.trc").read_bytes()
     assert list(read_trace_file(tmp_path / "b.trc")) == records
     write_trace_rows(tmp_path / "empty.trc", "j1", 7, [])
+    assert (tmp_path / "empty.trc").read_bytes() == b""
+
+
+def test_write_coded_rows_equals_write_trace_file(tmp_path):
+    odd = 'say "hi" C:\\x\ttab résumé ☃'
+    keys = [(9, "open", odd, None), (9, "open", odd, -13), (7, "read", "", 0)]
+    others = [res_sample(t_ns=2, cpu_pct=12.5), LogRecord(t_ns=4, job_id="j1", source="stdout", severity="warn", message='"x"\ty')]
+    t_ns, codes = [1, 2, 2, 3, 4, 5], [0, 1, -1, 2, -2, 0]
+    records = [
+        SyscallEvent(t, "j1", 7, keys[c][0], keys[c][1], ENTER if keys[c][3] is None else EXIT, keys[c][2], keys[c][3])
+        if c >= 0 else others[-1 - c]
+        for t, c in zip(t_ns, codes)
+    ]
+    write_trace_file(tmp_path / "a.trc", records)
+    write_coded_rows(tmp_path / "b.trc", "j1", 7, t_ns, codes, keys, others)
+    assert (tmp_path / "b.trc").read_bytes() == (tmp_path / "a.trc").read_bytes()
+    assert list(read_trace_file(tmp_path / "b.trc")) == records
+    write_coded_rows(tmp_path / "empty.trc", "j1", 7, [], [], [], [])
     assert (tmp_path / "empty.trc").read_bytes() == b""
 
 
