@@ -25,12 +25,13 @@ per stored alert next to the roughly 1.7 KB its dict and values take.
 
 Connections are persistent (HTTP/1.1 keep-alive). Both ends frame messages
 (RFC 9112) with a few readline calls, not the stdlib's email header parser.
-The server reads a request line and at most 100 header lines, answers a
-request with Transfer-Encoding (501), two different Content-Length values
-(400) or a GET with a body (400) and then closes the connection, sends each
-reply in one write, and drops a connection after REQUEST_TIMEOUT_S of
-silence. CoordinatorClient sends each request in one write, reads only
-replies framed by Content-Length, pools idle connections and resends only
+The server is one request loop per connection on socketserver (see
+_Handler): it closes the connection after each refusal and after
+REQUEST_TIMEOUT_S of silence. Every reply, a refusal included, is one
+write: Date, Content-Type, Content-Length, `Connection: close` when it
+closes the connection, and a JSON body.
+CoordinatorClient sends each request in one write, reads only replies
+framed by Content-Length, pools idle connections and resends only
 idempotent requests after a reset (see its docstring).
 """
 
@@ -41,6 +42,7 @@ import os
 import random
 import re
 import socket
+import socketserver
 import ssl
 import sys
 import threading
@@ -49,7 +51,8 @@ import traceback
 import urllib.parse
 import zlib
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 
 from .records import _shown
 
@@ -421,69 +424,101 @@ def _read_fields(rfile) -> dict[str, str]:
 _VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    default_request_version = "HTTP/1.0"  # not the stdlib's HTTP/0.9, whose error replies have no status line
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: its requests are read and answered in turn (RFC 9112).
+
+    A request line that cannot be read is a 400 (414 over _MAX_LINE bytes),
+    HTTP/2 and later a 505, a header line over _MAX_LINE bytes or more than
+    _MAX_FIELDS of them a 431, a header line without a colon a 400, a method
+    other than GET and POST a 501, Transfer-Encoding a 501 (only
+    Content-Length bodies are read), a Content-Length that is not one number
+    a 400, one over MAX_BODY_BYTES a 413, and a GET with a body a 400. Every
+    refusal closes the connection, so no unread body is read as the next
+    request; so do HTTP/1.0 without `Connection: keep-alive` and any
+    `Connection: close`. `Expect: 100-continue` gets an interim 100.
+    """
+
     timeout = REQUEST_TIMEOUT_S  # a stalled client times out instead of pinning its thread
     service: CoordinatorService = None  # injected by make_server
 
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
+    def handle(self) -> None:
+        """Serve requests until a reply closes the connection, the client leaves or a read times out."""
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self.close_connection = True  # until a request's head is read and keeps the connection
+                line = self.rfile.readline(_MAX_LINE + 1)
+                if len(line) > _MAX_LINE:
+                    self._send(414, {"error": f"request line over {_MAX_LINE} bytes"})
+                elif line.strip():  # an empty line, or the end of the stream, closes without a reply
+                    self._send(*self._answer(line.decode("latin-1").rstrip("\r\n")))
+        except (ConnectionError, TimeoutError):  # a reset, a dropped connection or a stalled read: no traceback
+            pass
 
-    def parse_request(self) -> bool:
-        """Read the request line and header fields with readline instead of the stdlib's email parser.
-
-        The answers are the stdlib's: 400 for a malformed request line, 505
-        for HTTP/2 and later, 431 for a header line over _MAX_LINE bytes or
-        more than _MAX_FIELDS of them; HTTP/1.0 without `Connection:
-        keep-alive`, or any `Connection: close`, closes the connection, and
-        `Expect: 100-continue` gets an interim 100. Also a 400 for a header
-        line without a colon, and 501 for Transfer-Encoding: this server
-        reads Content-Length bodies only, and an unread body would be read
-        as the next request. Every refusal closes the connection.
-        """
-        self.command = None
-        self.request_version = self.default_request_version
-        self.close_connection = True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = self.requestline.split()
-        if not words:
-            return False
+    def _answer(self, requestline: str) -> tuple[int, dict]:
+        """The reply to the request that starts with ``requestline``: a refusal or one of the four service calls."""
+        words = requestline.split()
         version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
         if version is None:
-            self.send_error(400, f"Bad request syntax ({_shown(self.requestline)})")
-            return False
+            return 400, {"error": f"Bad request syntax ({_shown(requestline)})"}
         number = int(version[1]), int(version[2])
         if number >= (2, 0):
-            self.send_error(505, f"Invalid HTTP version ({words[2]})")
-            return False
-        self.command, self.path, self.request_version = words
+            return 505, {"error": f"Invalid HTTP version ({words[2]})"}
+        method, target, _ = words
         try:
             self.headers = _read_fields(self.rfile)
         except _BadHead as exc:
-            self.send_error(exc.status, str(exc))
-            return False
+            return exc.status, {"error": str(exc)}
         if "transfer-encoding" in self.headers:
-            self.send_error(501, "Transfer-Encoding is not supported; send Content-Length")
-            return False
+            return 501, {"error": "Transfer-Encoding is not supported; send Content-Length"}
+        if method not in ("GET", "POST"):
+            return 501, {"error": f"Unsupported method ({_shown(method)})"}
         connection = self.headers.get("connection", "").lower()
         self.close_connection = connection == "close" or (number < (1, 1) and connection != "keep-alive")
-        if self.headers.get("expect", "").lower() == "100-continue" and number >= (1, 1):
-            return self.handle_expect_100()
-        return True
+        if number >= (1, 1) and self.headers.get("expect", "").lower() == "100-continue":
+            self._send(100)
+        parsed = urllib.parse.urlparse(target)
+        route = [p for p in parsed.path.split("/") if p]
+        if method == "GET":
+            if self.headers.get("content-length", "0") != "0":
+                self.close_connection = True  # the body is left unread: kept, it would be read as the next request
+                return 400, {"error": "a GET request must not carry a body"}
+            if route == ["v1", "health"]:
+                return self.service.health()
+            if route == ["v1", "alerts"]:
+                query = urllib.parse.parse_qs(parsed.query)
 
-    def _send(self, status: int, body: dict) -> None:
-        text = body.text if isinstance(body, _Text) else _canonical(body)
-        payload = (text + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        if self.close_connection:
-            self.send_header("Connection", "close")  # so the client does not park this connection
-        # status line, headers and body in one write: a second small write on a
+                def q(name, default=None):
+                    return query[name][0] if name in query else default
+
+                try:
+                    since_seq = int(q("since_seq", "0"))
+                    limit = int(q("limit", str(DEFAULT_LIMIT)))
+                except ValueError:
+                    return 400, {"error": "since_seq and limit must be integers"}
+                return self.service.list_alerts(job_id=q("job_id"), node_id=q("node_id"), since_seq=since_seq, limit=limit)
+            return 404, {"error": f"no route for GET {parsed.path}"}
+        status, body = self._read_body()
+        if status != 200:
+            return status, body
+        if route == ["v1", "nodes"]:
+            return self.service.register_node(body.get("hostname", ""), self.headers.get("idempotency-key"))
+        if route == ["v1", "alerts"]:
+            return self.service.ingest_alert(body.get("node_id"), body)
+        return 404, {"error": f"no route for POST {parsed.path}"}
+
+    def _send(self, status: int, body: dict | None = None) -> None:
+        """Write one reply in one write; without a body, the interim 100 Continue, a status line alone."""
+        head, payload = f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n", b""
+        if body is not None:
+            text = body.text if isinstance(body, _Text) else _canonical(body)
+            payload = (text + "\n").encode("utf-8")
+            close = "Connection: close\r\n" if self.close_connection else ""  # so the client does not park it
+            head += (f"Date: {formatdate(usegmt=True)}\r\nContent-Type: application/json\r\n"
+                     f"Content-Length: {len(payload)}\r\n{close}")
+        # status line, fields and body in one write: a second small write on a
         # kept-alive connection waits on Nagle and the client's delayed ACK (~40 ms)
-        self._headers_buffer.append(b"\r\n" + payload)
-        self.flush_headers()
+        self.wfile.write((head + "\r\n").encode("latin-1") + payload)
 
     def _read_body(self) -> tuple[int, dict]:
         """(200, the JSON object sent) or (4xx, an error body)."""
@@ -506,61 +541,15 @@ class _Handler(BaseHTTPRequestHandler):
             return 400, {"error": "request body must be a JSON object"}
         return 200, obj
 
-    def do_GET(self):
-        if self.headers.get("content-length", "0") != "0":
-            self.close_connection = True  # the body is left unread: kept, it would be read as the next request
-            return self._send(400, {"error": "a GET request must not carry a body"})
-        parsed = urllib.parse.urlparse(self.path)
-        parts = [p for p in parsed.path.split("/") if p]
-        if parts == ["v1", "health"]:
-            return self._send(*self.service.health())
-        if parts == ["v1", "alerts"]:
-            query = urllib.parse.parse_qs(parsed.query)
 
-            def q(name, default=None):
-                return query[name][0] if name in query else default
-
-            try:
-                since_seq = int(q("since_seq", "0"))
-                limit = int(q("limit", str(DEFAULT_LIMIT)))
-            except ValueError:
-                return self._send(400, {"error": "since_seq and limit must be integers"})
-            return self._send(
-                *self.service.list_alerts(
-                    job_id=q("job_id"), node_id=q("node_id"), since_seq=since_seq, limit=limit
-                )
-            )
-        return self._send(404, {"error": f"no route for GET {parsed.path}"})
-
-    def do_POST(self):
-        parsed = urllib.parse.urlparse(self.path)
-        parts = [p for p in parsed.path.split("/") if p]
-        status, body = self._read_body()
-        if status != 200:
-            return self._send(status, body)
-        if parts == ["v1", "nodes"]:
-            return self._send(
-                *self.service.register_node(
-                    body.get("hostname", ""), self.headers.get("idempotency-key")
-                )
-            )
-        if parts == ["v1", "alerts"]:
-            return self._send(*self.service.ingest_alert(body.get("node_id"), body))
-        return self._send(404, {"error": f"no route for POST {parsed.path}"})
-
-
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
     # class attributes: the constructor binds and listens, so setting them afterwards is too late
-    request_queue_size = LISTEN_BACKLOG
+    allow_reuse_address = True  # a restart can bind the port while the last run's connections are in TIME_WAIT
     daemon_threads = True
-
-    def handle_error(self, request, client_address):
-        """A client that resets or drops its connection is routine: no traceback. Any other error is reported as before."""
-        if not isinstance(sys.exc_info()[1], (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)):
-            super().handle_error(request, client_address)
+    request_queue_size = LISTEN_BACKLOG
 
 
-def make_server(listen: str, ledger_path) -> tuple[ThreadingHTTPServer, CoordinatorService]:
+def make_server(listen: str, ledger_path) -> tuple[socketserver.ThreadingTCPServer, CoordinatorService]:
     """Bind the service; listen is "host:port" (port 0 picks a free port)."""
     host, _, port = listen.rpartition(":")
     service = CoordinatorService(ledger_path)

@@ -71,9 +71,10 @@ class InvalidSpec(ValueError):
 class BehaviorProfile:
     """Parameters of one synthetic job behavior.
 
-    ``transition`` rows follow ``syscall_vocab`` order and each row must sum
-    to 1 (tolerance 1e-9). Network rates are piecewise-constant
-    (duration_s, bytes_per_s) segments, cycled over the trace duration.
+    Every number a profile holds must be finite. ``transition`` rows follow
+    ``syscall_vocab`` order and each row must sum to 1 (tolerance 1e-9).
+    Network rates are piecewise-constant (duration_s, bytes_per_s)
+    segments, cycled over the trace duration.
     The vocab, args and return-value checks are the ones a ``SyscallEvent``
     makes, so every syscall row generated from a valid profile is valid.
     """
@@ -119,18 +120,20 @@ class BehaviorProfile:
         for i, row in enumerate(self.transition):
             if len(row) != len(self.syscall_vocab):
                 raise InvalidProfile(f"transition row {i} has wrong length")
-            if any(p < 0 for p in row):
-                raise InvalidProfile(f"transition row {i} has negative entries")
+            if not all(0 <= p < math.inf for p in row):  # NaN fails too
+                raise InvalidProfile(f"transition row {i} must hold finite entries >= 0")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise InvalidProfile(f"transition row {i} sums to {sum(row)!r}, not 1")
-        if self.rate_events_per_s <= 0:
-            raise InvalidProfile("rate_events_per_s must be positive")
-        if self.log_lines_per_s < 0:
-            raise InvalidProfile("log_lines_per_s must be >= 0")
+        if not 0 < self.rate_events_per_s < math.inf:
+            raise InvalidProfile("rate_events_per_s must be finite and positive")
+        if not 0 <= self.log_lines_per_s < math.inf:
+            raise InvalidProfile("log_lines_per_s must be finite and >= 0")
         for segs in (self.net_tx_rate, self.net_rx_rate):
             for dur, rate in segs:
-                if dur <= 0 or rate < 0:
-                    raise InvalidProfile("net rate segments need positive duration, rate >= 0")
+                if not (0 < dur < math.inf and 0 <= rate < math.inf):
+                    raise InvalidProfile("net rate segments need a finite positive duration and a finite rate >= 0")
+        if not all(-math.inf < x < math.inf for x in (*self.cpu_envelope, *self.rss_envelope)):
+            raise InvalidProfile("cpu_envelope and rss_envelope must hold finite numbers")
         if not 1 <= self.n_threads <= MAX_THREADS:
             raise InvalidProfile(f"n_threads must be in [1, {MAX_THREADS}]")
 

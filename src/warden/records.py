@@ -260,11 +260,11 @@ def serialize_line(record: TelemetryRecord) -> str:
     """Serialize one record to its canonical line (no trailing newline).
 
     Pure and byte-deterministic: equal records produce identical bytes.
-    Raises InvalidRecord if the record's invariants do not hold.
+    Raises InvalidRecord for anything but a telemetry record, whose fields
+    its class checked when it was built.
     """
     if not isinstance(record, (SyscallEvent, ResourceSample, LogRecord)):
         raise InvalidRecord(f"not a telemetry record: {type(record).__name__}")
-    record.__post_init__()  # re-check invariants; construction normally guarantees them
     if isinstance(record, SyscallEvent):
         key = (record.tid, record.name, record.args_digest, record.retval)
         return f"{_SYS_HEAD}{record.t_ns}{_sys_tails(record.job_id, record.pid, (key,))[0]}"

@@ -771,6 +771,54 @@ def test_no_request_or_reply_goes_through_the_email_header_parser(live, monkeypa
     assert live["service"].state.idempotency == {"key-ü": node}  # header values travel as Latin-1
 
 
+def reply_parts(reply: bytes) -> tuple[bytes, dict[bytes, bytes], bytes]:
+    """(status line, fields by lower-cased name, body) of one reply, with no second reply after it."""
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status, *lines = head.split(b"\r\n")
+    fields = {name.lower(): value.strip() for name, _, value in (line.partition(b":") for line in lines)}
+    assert reply.count(b"HTTP/1.1 ") == 1 and int(fields[b"content-length"]) == len(body), reply
+    return status, fields, body
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GET /v1/health HTTP/one\r\n\r\n", 400),
+    (b"GET /v1/health HTTP/2.0\r\n\r\n", 505),
+    (b"GET /v1/health HTTP/1.1\r\n" + b"".join(b"X-Field-%d: v\r\n" % i for i in range(101)) + b"\r\n", 431),
+    (nodes_request(b"10\r\n" + HOSTNAME + b"\r\n0\r\n\r\n", b"Transfer-Encoding: chunked\r\n"), 501),
+    (b"PUT /v1/nodes HTTP/1.1\r\nHost: test\r\nContent-Length: 16\r\n\r\n" + HOSTNAME, 501),
+], ids=["bad-request-line", "http-2", "101-header-lines", "transfer-encoding", "put"])
+def test_every_refusal_is_one_json_reply_that_closes(live, request_bytes, status):
+    line, fields, body = reply_parts(raw_exchange(live["address"], request_bytes))
+    assert line.startswith(b"HTTP/1.1 %d " % status)
+    assert fields[b"content-type"] == b"application/json" and fields[b"connection"] == b"close"
+    assert fields[b"date"].endswith(b" GMT") and b"server" not in fields
+    assert list(json.loads(body)) == ["error"] and json.loads(body)["error"]
+    assert live["service"].state.nodes == {}
+
+
+def test_a_request_line_over_64_kib_is_414_and_closed(live):
+    line, fields, body = reply_parts(raw_exchange(live["address"], b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"))
+    assert line.startswith(b"HTTP/1.1 414 ") and fields[b"connection"] == b"close"
+    assert json.loads(body) == {"error": "request line over 65536 bytes"}
+
+
+def test_a_refusal_reaches_the_client_as_its_error_text(live):
+    client = CoordinatorClient(f"http://127.0.0.1:{live['address'][1]}/a b")  # a request line of four words
+    with pytest.raises(Rejected) as exc:
+        client.health()
+    assert exc.value.status == 400
+    assert exc.value.body == {"error": "Bad request syntax ('GET /a b/v1/health HTTP/1.1')"}
+    assert client._idle == []
+
+
+def test_importing_the_coordinator_loads_no_stdlib_http_server_client_or_email_parser():
+    src = os.path.dirname(os.path.dirname(coordinator.__file__))
+    script = "import sys, warden.coordinator; print(sorted({'http.server', 'http.client', 'email.parser'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 # --- HTTP/1.1 framing, client side (a server of canned replies) -----------------------
 
 class CannedServer:

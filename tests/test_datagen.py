@@ -23,7 +23,7 @@ from warden.datagen import (
     profiles_by_name,
 )
 from warden.hashing import derive_seed
-from warden.records import MAX_ARGS, ResourceSample, SyscallEvent, read_trace_file, serialize_line
+from warden.records import MAX_ARGS, LogRecord, ResourceSample, SyscallEvent, read_trace_file, serialize_line
 from trace_validation import validate_trace
 
 
@@ -204,6 +204,21 @@ def test_profile_rejects_thread_counts_outside_the_tid_range(n_threads):
         _profile(n_threads=n_threads)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"rate_events_per_s": math.inf},
+    {"transition": ((math.nan, 1.0), (0.5, 0.5))},
+    {"cpu_envelope": (math.nan, 1.0)},
+    {"net_tx_rate": ((math.nan, 1.0),)},
+    {"net_rx_rate": ((1.0, math.inf),)},
+    {"log_lines_per_s": math.inf},
+    {"rss_envelope": (math.inf, 0)},
+], ids=["rate", "transition", "cpu", "net-tx", "net-rx", "log-rate", "rss"])
+def test_profile_rejects_non_finite_numbers(overrides):
+    # construction only: the reference loop in tests/reference_datagen.py never ends on an inf rate
+    with pytest.raises(InvalidProfile, match="finite"):
+        _profile(**overrides)
+
+
 def test_profile_accepts_longest_name_and_args():
     _profile(syscall_vocab=("read", "x" * 32), args_choices={"read": ("a" * MAX_ARGS, "")}, fail_retval={"read": (1, -2)})
 
@@ -228,6 +243,20 @@ def test_written_trace_equals_serialized_gen_trace(tmp_path, name):
     spec = ScenarioSpec(n_normal=int(normal), n_malicious=int(not normal), duration_s=12.5, seed=31, profile_mix={name: 1.0})
     (entry,) = gen_dataset(spec, tmp_path)["entries"]
     assert _written_lines(tmp_path, entry) == _generated_lines(profile, 12.5, entry)
+
+
+def test_gen_dataset_checks_each_sample_and_log_record_once(tmp_path, monkeypatch):
+    calls = {ResourceSample: 0, LogRecord: 0}
+    for cls in calls:
+        def counted(self, cls=cls, check=cls.__post_init__):
+            calls[cls] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    entries = gen_dataset(ScenarioSpec(n_normal=2, n_malicious=2, duration_s=10.0, seed=3), tmp_path)["entries"]
+    lines = [line for entry in entries for line in _written_lines(tmp_path, entry)]
+    assert calls[ResourceSample] == sum(line.startswith('{"kind":"res"') for line in lines) > 0
+    assert calls[LogRecord] == sum(line.startswith('{"kind":"log"') for line in lines) > 0
 
 
 def test_written_args_are_json_encoded_like_serialize_line(tmp_path, monkeypatch):
