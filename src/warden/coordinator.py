@@ -63,6 +63,8 @@ MAX_BODY_BYTES = 1 << 20  # one alert is a few hundred bytes
 REQUEST_TIMEOUT_S = 10.0  # per socket read or write on the server side; also how long an idle connection lives
 IDLE_CONNECTIONS = 8  # per client; each one parked holds a server thread
 RETRY_DELAYS_S = (0.01, 0.04)  # bounds of the jittered sleeps before the two resends of an idempotent request
+LINGER_BYTES = 16 << 20  # request bytes read and discarded, at most, after a refusal that left them unread
+LINGER_S = 2.0  # how long that discarding may take
 _MAX_LINE = 65536  # bytes in a request, status or header line, as http.server and http.client allow
 _MAX_FIELDS = 100  # header lines in a request or a reply, as http.server and http.client allow
 
@@ -435,7 +437,9 @@ class _Handler(socketserver.StreamRequestHandler):
     a 400, one over MAX_BODY_BYTES a 413, and a GET with a body a 400. Every
     refusal closes the connection, so no unread body is read as the next
     request; so do HTTP/1.0 without `Connection: keep-alive` and any
-    `Connection: close`. `Expect: 100-continue` gets an interim 100.
+    `Connection: close`. `Expect: 100-continue` gets an interim 100. A 413,
+    414 or 431 leaves request bytes unread, so its close lingers (RFC 9112
+    section 9.6) and the client reads the refusal instead of a reset.
     """
 
     timeout = REQUEST_TIMEOUT_S  # a stalled client times out instead of pinning its thread
@@ -449,11 +453,26 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.close_connection = True  # until a request's head is read and keeps the connection
                 line = self.rfile.readline(_MAX_LINE + 1)
                 if len(line) > _MAX_LINE:
-                    self._send(414, {"error": f"request line over {_MAX_LINE} bytes"})
-                elif line.strip():  # an empty line, or the end of the stream, closes without a reply
-                    self._send(*self._answer(line.decode("latin-1").rstrip("\r\n")))
+                    status, body = 414, {"error": f"request line over {_MAX_LINE} bytes"}
+                elif line.strip():
+                    status, body = self._answer(line.decode("latin-1").rstrip("\r\n"))
+                else:  # an empty line, or the end of the stream, closes without a reply
+                    break
+                self._send(status, body)
+                if status in (413, 414, 431):  # refusals that leave bytes of the request unread
+                    self._linger()
         except (ConnectionError, TimeoutError):  # a reset, a dropped connection or a stalled read: no traceback
             pass
+
+    def _linger(self) -> None:
+        """Shut the write side, then discard what the client sends until its end, LINGER_BYTES or LINGER_S."""
+        self.connection.shutdown(socket.SHUT_WR)
+        deadline, left = time.monotonic() + LINGER_S, LINGER_BYTES
+        while left > 0 and (remaining := deadline - time.monotonic()) > 0:
+            self.connection.settimeout(remaining)
+            if not (chunk := self.rfile.read1(min(left, 65536))):
+                break
+            left -= len(chunk)
 
     def _answer(self, requestline: str) -> tuple[int, dict]:
         """The reply to the request that starts with ``requestline``: a refusal or one of the four service calls."""

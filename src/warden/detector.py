@@ -212,29 +212,35 @@ class AlertSpool:
         return [alert for alert in read_alert_log(self.path) if isinstance(alert, Alert)]
 
     def clear(self) -> None:
-        if os.path.exists(self.path):
+        try:
             os.remove(self.path)
+        except FileNotFoundError:
+            pass
 
 
 def flush_spool(spool: AlertSpool, client, node_id: str) -> int:
     """Redeliver spooled alerts; server-side id dedup makes retries harmless.
 
-    An alert the coordinator rejects (Rejected) is skipped, since
-    resending it cannot succeed, and so is a spool line that holds no alert
-    (torn, not JSON, or a missing or mistyped field). Returns the number
-    delivered; the spool is cleared only when every alert was delivered or
-    rejected, so a transport failure keeps it whole for the next flush.
+    The spool is claimed by renaming it to ``<path>.flushing`` and delivered
+    from there, after any claimed file a failed or crashed flush left, and
+    again until no spool is left, so an alert spooled meanwhile is not lost.
+    A rejected alert (Rejected) and a line that holds none are skipped.
+    Returns the number delivered; a transport failure keeps the claimed file.
     """
-    alerts = spool.drain()
+    claimed = AlertSpool(spool.path + ".flushing")
     delivered = 0
-    for alert in alerts:
+    while True:
+        for alert in claimed.drain():
+            try:
+                client.post_alert(node_id, alert)
+            except Rejected:
+                continue
+            delivered += 1
+        claimed.clear()
         try:
-            client.post_alert(node_id, alert)
-        except Rejected:
-            continue
-        delivered += 1
-    spool.clear()
-    return delivered
+            os.replace(spool.path, claimed.path)
+        except FileNotFoundError:
+            return delivered
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Job isolation policies and the two execution backends.
 
 The process backend runs a real command in its own session with a scrubbed
-environment, best-effort OS resource limits, per-second resource sampling,
-stdout/stderr capture as log records and a sampled view of the current
-syscall (via /proc/<pid>/syscall, where available). The replay backend
-streams a recorded `.trc` file and is fully deterministic; the detection
-pipeline consumes both through the same telemetry-stream interface.
+environment and best-effort OS resource limits. One thread per live job
+captures stdout/stderr lines as log records, samples resource use and the
+current syscall (via /proc/<pid>/syscall, where available), and puts one
+chunk per tick. The replay backend streams a recorded `.trc` file and is
+fully deterministic; the detection pipeline consumes both through the same
+telemetry-stream interface.
 
 Limit enforcement is split deliberately: a wallclock breach ends the job
 here with kill reason WALLCLOCK_EXCEEDED, while CPU/memory/network breaches
@@ -19,6 +20,7 @@ import enum
 import os
 import platform
 import re
+import selectors
 import shutil
 import signal
 import subprocess
@@ -32,7 +34,6 @@ from .records import (
     LogRecord,
     ResourceSample,
     SyscallEvent,
-    TelemetryRecord,
     TraceColumns,
     read_trace_columns,
     read_trace_file,  # no caller here; kept importable for tools that look the parse up on this module
@@ -115,7 +116,7 @@ def validate_policy(policy: SandboxPolicy) -> list[FieldViolation]:
     return out
 
 
-_JOB_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_JOB_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class JobDescriptor:
     policy: SandboxPolicy = field(default_factory=SandboxPolicy)
 
     def __post_init__(self):
-        if not isinstance(self.job_id, str) or not self.job_id or len(self.job_id) > 64 or not _JOB_ID_RE.match(self.job_id):
+        if not isinstance(self.job_id, str) or len(self.job_id) > 64 or not _JOB_ID_RE.fullmatch(self.job_id):
             raise ValueError(f"job_id must match [A-Za-z0-9._-]+ and be at most 64 chars, got {self.job_id!r}")
         object.__setattr__(self, "command", tuple(self.command))
         if not self.command:
@@ -419,8 +420,8 @@ class ReplayBackend(ExecutionBackend):
 
 _CLK_TCK = os.sysconf("SC_CLK_TCK") if hasattr(os, "sysconf") else 100
 
-# common x86_64 syscall numbers for the sampled /proc/<pid>/syscall probe
-_SYSCALL_NAMES_X86_64 = {
+# common x86_64 syscall numbers for the sampled /proc/<pid>/syscall probe; elsewhere every number reads sys_<n>
+_SYSCALL_NAMES = {
     0: "read", 1: "write", 2: "open", 3: "close", 4: "stat", 5: "fstat", 7: "poll",
     8: "lseek", 9: "mmap", 10: "mprotect", 11: "munmap", 12: "brk", 13: "rt_sigaction",
     14: "rt_sigprocmask", 16: "ioctl", 17: "pread64", 18: "pwrite64", 19: "readv",
@@ -433,13 +434,7 @@ _SYSCALL_NAMES_X86_64 = {
     228: "clock_gettime", 230: "clock_nanosleep", 231: "exit_group", 232: "epoll_wait",
     257: "openat", 262: "newfstatat", 270: "pselect6", 271: "ppoll", 281: "epoll_pwait",
     318: "getrandom",
-}
-
-
-def _syscall_name(number: int) -> str:
-    if platform.machine() == "x86_64":
-        return _SYSCALL_NAMES_X86_64.get(number, f"sys_{number}")
-    return f"sys_{number}"
+} if platform.machine() == "x86_64" else {}
 
 
 def syscall_sampling_supported() -> bool:
@@ -451,8 +446,40 @@ def syscall_sampling_supported() -> bool:
         return False
 
 
+def _read_lines(pipes: selectors.BaseSelector, job_id: str, timeout: float) -> list[LogRecord]:
+    """Log records of the lines the pipes deliver within ``timeout`` s, each cut at 4096 characters.
+
+    An unfinished line waits in its pipe's buffer and counts at the pipe's end, where the pipe is unregistered.
+    Once both pipes are unregistered, a sleep.
+    """
+    if not pipes.get_map():
+        time.sleep(max(timeout, 0.0))
+        return []
+    records = []
+    for key, _ in pipes.select(timeout):  # a timeout below 0 polls
+        source, severity, buf = key.data
+        data = os.read(key.fd, 65536)
+        if not data:  # the pipe's end: an unfinished last line counts too
+            pipes.unregister(key.fileobj)
+            data = b"\n" if buf else b""
+        buf += data
+        cut = buf.rfind(b"\n", len(buf) - len(data)) + 1  # after the last newline, looked for in the new bytes only
+        lines, t_ns = buf[:cut].split(b"\n")[:-1], time.time_ns()
+        del buf[:cut]
+        records += [LogRecord(t_ns, job_id, source, severity, line.decode("utf-8", errors="replace")[:4096])
+                    for line in lines]
+    return records
+
+
 class ProcessBackend(ExecutionBackend):
     """Runs the command as a real subprocess under best-effort limits.
+
+    One thread per live job (``_run``) works in ticks. A tick waits at most
+    SYSCALL_POLL_S for the job's stdout and stderr lines, then checks for
+    exit, else for the wallclock limit, else probes the current syscall and,
+    every ``sample_interval_ms``, samples resource use; the tick's records
+    reach the stream as one chunk. While the stream is full, the thread
+    (and so the exit and wallclock checks) waits for the consumer.
 
     Isolation notes (documented limitations): memory is limited via
     RLIMIT_AS, CPU share is not throttled (breaches surface as violations),
@@ -468,7 +495,6 @@ class ProcessBackend(ExecutionBackend):
     def _launch(self, descriptor: JobDescriptor) -> JobHandle:
         policy = descriptor.policy
         workdir = tempfile.mkdtemp(prefix=f"warden-{descriptor.job_id}-")
-        env = dict(descriptor.env)
 
         def preexec():
             os.setsid()
@@ -480,172 +506,96 @@ class ProcessBackend(ExecutionBackend):
                 pass  # best-effort: missing permissions must not block the launch
 
         try:
-            proc = subprocess.Popen(
-                list(descriptor.command),
-                env=env,
-                cwd=workdir,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                preexec_fn=preexec,
-            )
+            proc = subprocess.Popen(list(descriptor.command), env=dict(descriptor.env), cwd=workdir,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=preexec)
         except (OSError, ValueError) as exc:
             shutil.rmtree(workdir, ignore_errors=True)
             raise SpawnFailure(f"cannot spawn {descriptor.command!r}: {exc}") from None
 
         handle = JobHandle(descriptor.job_id, TelemetryStream(PROCESS_STREAM_ROWS), self)
         handle._proc = proc
-        handle._workdir = workdir
         handle._set_running()
-
-        threads = [
-            threading.Thread(target=self._pipe_reader, args=(handle, proc.stdout, "stdout", "info"), daemon=True),
-            threading.Thread(target=self._pipe_reader, args=(handle, proc.stderr, "stderr", "error"), daemon=True),
-            threading.Thread(target=self._monitor, args=(handle,), daemon=True),
-            threading.Thread(target=self._waiter, args=(handle,), daemon=True),
-        ]
-        handle._threads = threads
         # launch has validated the policy, so the limit is positive
-        handle._timer = threading.Timer(policy.wallclock_limit_s, handle.terminate, args=(KillReason.WALLCLOCK_EXCEEDED,))
-        handle._timer.daemon = True
-        handle._timer.start()
-        for t in threads:
-            t.start()
+        threading.Thread(target=self._run, args=(handle, workdir, policy.wallclock_limit_s), daemon=True).start()
         return handle
-
-    def _pipe_reader(self, handle: JobHandle, pipe, source: str, severity: str) -> None:
-        try:
-            for raw in iter(pipe.readline, b""):
-                text = raw.decode("utf-8", errors="replace").rstrip("\n").replace("\n", " ")[:4096]
-                _put(handle, LogRecord(t_ns=time.time_ns(), job_id=handle.job_id, source=source, severity=severity, message=text))
-        except (OSError, ValueError):
-            pass
-        finally:
-            pipe.close()
 
     def _read_proc(self, pid: int):
         """(cpu_ticks, rss_bytes, io_read, io_write) or None once the process is gone."""
         try:
             with open(f"/proc/{pid}/stat", "rb") as fh:
-                stat = fh.read().decode("ascii", errors="replace")
-            fields = stat[stat.rindex(")") + 2 :].split()
-            utime, stime = int(fields[11]), int(fields[12])  # fields 14/15, 1-based
-            rss_pages = int(fields[21])  # field 24
-            rss = rss_pages * os.sysconf("SC_PAGE_SIZE")
+                fields = fh.read().rpartition(b")")[2].split()  # from field 3 on: the name may hold spaces
+            ticks = int(fields[11]) + int(fields[12])  # utime + stime, fields 14/15, 1-based
+            rss = int(fields[21]) * os.sysconf("SC_PAGE_SIZE")  # field 24
         except (OSError, ValueError, IndexError):
             return None
-        io_r = io_w = 0
         try:
             with open(f"/proc/{pid}/io", "rb") as fh:
-                for line in fh.read().decode("ascii", errors="replace").splitlines():
-                    if line.startswith("read_bytes:"):
-                        io_r = int(line.split()[1])
-                    elif line.startswith("write_bytes:"):
-                        io_w = int(line.split()[1])
-        except OSError:
-            pass
-        return utime + stime, rss, io_r, io_w
+                io = dict(line.split(b":", 1) for line in fh.read().splitlines())
+            return ticks, rss, int(io.get(b"read_bytes", 0)), int(io.get(b"write_bytes", 0))
+        except (OSError, ValueError):
+            return ticks, rss, 0, 0
 
-    def _monitor(self, handle: JobHandle) -> None:
-        """Per-interval resource samples plus sampled current-syscall events."""
-        pid = handle._proc.pid
+    def _run(self, handle: JobHandle, workdir: str, wallclock_s: float) -> None:
+        """Tick until the process exits; then drain the pipes (at most KILL_GRACE_S) and clean up."""
+        proc, job_id, pid = handle._proc, handle.job_id, handle._proc.pid
         interval = self.sample_interval_ms / 1000.0
-        prev_ticks = None
         last_sample = time.monotonic()
-        can_sample_syscall = syscall_sampling_supported()
-        while not handle._stop.is_set() and handle._proc.poll() is None:
-            time.sleep(SYSCALL_POLL_S)
-            now_ns = time.time_ns()
-            if can_sample_syscall:
-                try:
-                    with open(f"/proc/{pid}/syscall", "r") as fh:
-                        first = fh.read().split()[0]
-                    if first not in ("-1", "running"):
-                        number = int(first)
-                        _put(
-                            handle,
-                            SyscallEvent(
-                                t_ns=now_ns,
-                                job_id=handle.job_id,
-                                pid=pid,
-                                tid=pid,
-                                name=_syscall_name(number),
-                                direction=ENTER,
-                                args_digest="",
-                            )
-                        )
-                except (OSError, ValueError, IndexError):
-                    pass
-            now = time.monotonic()
-            if now - last_sample >= interval:
-                last_sample = now
-                snap = self._read_proc(pid)
-                if snap is None:
-                    continue
-                ticks, rss, io_r, io_w = snap
-                cpu_pct = 0.0
-                if prev_ticks is not None:
-                    cpu_pct = max(0.0, (ticks - prev_ticks) / _CLK_TCK / interval * 100.0)
-                prev_ticks = ticks
-                _put(
-                    handle,
-                    ResourceSample(
-                        t_ns=now_ns,
-                        job_id=handle.job_id,
-                        cpu_pct=cpu_pct,
-                        rss_bytes=rss,
-                        net_rx_bytes=0,
-                        net_tx_bytes=0,
-                        io_read_bytes=io_r,
-                        io_write_bytes=io_w,
-                    )
-                )
-
-    def _waiter(self, handle: JobHandle) -> None:
-        rc = handle._proc.wait()
-        handle._stop.set()
-        handle._set_terminal(JobStatus.completed(rc))
-        for t in handle._threads[:2]:  # let pipe readers drain
-            t.join(timeout=2.0)
-        shutil.rmtree(handle._workdir, ignore_errors=True)
-        handle.telemetry.close()  # after the removal, so a consumer that reads to the end finds it gone
-        handle._timer.cancel()
+        deadline, next_probe = last_sample + wallclock_s, last_sample + SYSCALL_POLL_S
+        prev_ticks, rc = None, None
+        pipes = selectors.DefaultSelector()
+        pipes.register(proc.stdout, selectors.EVENT_READ, ("stdout", "info", bytearray()))
+        pipes.register(proc.stderr, selectors.EVENT_READ, ("stderr", "error", bytearray()))
+        try:
+            while rc is None:
+                records = _read_lines(pipes, job_id, next_probe - time.monotonic())
+                now, rc = time.monotonic(), proc.poll()
+                if rc is not None:
+                    handle._set_terminal(JobStatus.completed(rc))
+                    while pipes.get_map() and time.monotonic() < now + KILL_GRACE_S:
+                        records += _read_lines(pipes, job_id, now + KILL_GRACE_S - time.monotonic())
+                elif now >= deadline:
+                    handle.terminate(KillReason.WALLCLOCK_EXCEEDED)
+                elif now >= next_probe:
+                    next_probe, now_ns = now + SYSCALL_POLL_S, time.time_ns()
+                    try:  # a kernel without /proc/<pid>/syscall fails the open
+                        with open(f"/proc/{pid}/syscall", "r") as fh:
+                            first = fh.read().split()[0]
+                        if first not in ("-1", "running"):
+                            name = _SYSCALL_NAMES.get(int(first), f"sys_{first}")
+                            records.append(SyscallEvent(now_ns, job_id, pid, pid, name, ENTER))
+                    except (OSError, ValueError, IndexError):
+                        pass
+                    if now - last_sample >= interval and (snap := self._read_proc(pid)) is not None:
+                        ticks, rss, io_r, io_w = snap
+                        cpu_pct = 0.0 if prev_ticks is None else max(0.0, (ticks - prev_ticks) / _CLK_TCK / interval * 100)
+                        last_sample, prev_ticks = now, ticks
+                        records.append(ResourceSample(now_ns, job_id, cpu_pct, rss, 0, 0, io_r, io_w))
+                if records:
+                    handle.telemetry.put_many(TraceColumns.from_records(records, job_id))
+        finally:
+            pipes.close()
+            proc.stdout.close()
+            proc.stderr.close()
+            shutil.rmtree(workdir, ignore_errors=True)
+            handle.telemetry.close()  # after the removal, so a consumer that reads to the end finds it gone
 
     def _terminate(self, handle: JobHandle, reason: KillReason) -> JobStatus:
-        status = handle.status()
-        if status.terminal:
-            return status
-        final = handle._set_terminal(JobStatus.killed(reason))
-        if final.phase != "killed" or final.kill_reason != reason:
-            return final  # lost the race to another terminal transition
-        handle._stop.set()
+        killed = JobStatus.killed(reason)
+        final = handle._set_terminal(killed)
+        if final is not killed:
+            return final  # already terminal, or lost the race to another terminal transition
         proc = handle._proc
-        try:
-            pgid = os.getpgid(proc.pid)
-        except ProcessLookupError:
-            pgid = None
-        try:
-            if pgid is not None:
-                os.killpg(pgid, signal.SIGTERM)
-            else:
-                proc.terminate()
-        except (ProcessLookupError, PermissionError):
-            pass
-        try:
-            proc.wait(timeout=KILL_GRACE_S)
-        except subprocess.TimeoutExpired:
+        for sig in (signal.SIGTERM, signal.SIGKILL):
             try:
-                if pgid is not None:
-                    os.killpg(pgid, signal.SIGKILL)
-                else:
-                    proc.kill()
+                os.killpg(proc.pid, sig)  # the job leads its own process group (setsid at launch)
             except (ProcessLookupError, PermissionError):
                 pass
-            proc.wait()
+            try:
+                proc.wait(timeout=KILL_GRACE_S)
+                break
+            except subprocess.TimeoutExpired:
+                pass
         return final
-
-
-def _put(handle: JobHandle, record: TelemetryRecord) -> None:
-    handle.telemetry.put_many(TraceColumns.from_records((record,), handle.job_id))
 
 
 def replay_job(trace_path, job_id: str, speed: float = 0.0) -> JobHandle:

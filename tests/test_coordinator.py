@@ -802,6 +802,40 @@ def test_a_request_line_over_64_kib_is_414_and_closed(live):
     assert json.loads(body) == {"error": "request line over 65536 bytes"}
 
 
+def test_a_refused_large_body_reaches_the_client_as_413_on_one_connection(live, monkeypatch):
+    opened = count_connections(monkeypatch, live["server"])
+    with pytest.raises(Rejected) as exc:
+        live["client"].register("h" * (8 << 20), idempotency_key="big")
+    assert exc.value.status == 413
+    assert len(opened) == 1  # the client read the refusal instead of a reset, so it did not resend
+    assert live["service"].state.nodes == {}
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GET /" + b"a" * (4 << 20) + b" HTTP/1.1\r\n\r\n", 414),
+    (b"GET /v1/health HTTP/1.1\r\nX-Big: " + b"a" * (4 << 20) + b"\r\n\r\n", 431),
+], ids=["request-line", "header-line"])
+def test_a_refusal_with_request_bytes_unread_lingers_until_the_client_has_sent_them(live, request_bytes, status):
+    with socket.create_connection(live["address"], timeout=5.0) as sock:
+        sock.sendall(request_bytes)  # a reset would fail this send
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    line, fields, _ = reply_parts(reply)
+    assert line.startswith(b"HTTP/1.1 %d " % status) and fields[b"connection"] == b"close"
+
+
+def test_a_lingering_close_stops_at_its_byte_bound(live, monkeypatch):
+    monkeypatch.setattr(coordinator, "LINGER_BYTES", 1 << 16)
+    with socket.create_connection(live["address"], timeout=5.0) as sock:
+        sock.sendall(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+        start = time.monotonic()
+        with pytest.raises(OSError):  # the server stops reading and closes; more bytes meet a reset
+            while True:
+                sock.sendall(b"a" * 65536)
+    assert time.monotonic() - start < coordinator.LINGER_S + 2.0
+
+
 def test_a_refusal_reaches_the_client_as_its_error_text(live):
     client = CoordinatorClient(f"http://127.0.0.1:{live['address'][1]}/a b")  # a request line of four words
     with pytest.raises(Rejected) as exc:

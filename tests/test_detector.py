@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -412,6 +413,44 @@ def test_flush_spool_skips_torn_and_bad_lines_and_delivers_the_rest(tmp_path):
     assert flush_spool(spool, client, "n1") == 2
     assert client.delivered == [("n1", "j/1"), ("n1", "j/2")]
     assert spool.drain() == []
+
+
+class SpoolingClient(FlakyClient):
+    """Delivers, and on its first post spools ``late`` to ``path``, as another process could mid-flush."""
+
+    def __init__(self, path, late):
+        super().__init__(fail=0)
+        self.spool, self.late = AlertSpool(path), late
+
+    def post_alert(self, node_id, alert):
+        if self.late is not None:
+            self.spool.append(self.late)
+            self.late = None
+        return super().post_alert(node_id, alert)
+
+
+def test_an_alert_spooled_during_a_flush_is_delivered_not_lost(tmp_path):
+    spool = AlertSpool(tmp_path / "spool.alog")
+    first, late = parse_alert_line(GOOD_LINE), parse_alert_line(GOOD_LINE.replace("j/1", "j/2"))
+    spool.append(first)
+    client = SpoolingClient(spool.path, late)
+    assert flush_spool(spool, client, "n1") == 2
+    assert client.delivered == [("n1", "j/1"), ("n1", "j/2")]
+    assert spool.drain() == [] and os.listdir(tmp_path) == []
+
+
+def test_a_transport_failure_keeps_the_claimed_alerts_for_the_next_flush(tmp_path):
+    spool = AlertSpool(tmp_path / "spool.alog")
+    first, second = parse_alert_line(GOOD_LINE), parse_alert_line(GOOD_LINE.replace("j/1", "j/2"))
+    spool.append(first)
+    spool.append(second)
+    with pytest.raises(ConnectionError):
+        flush_spool(spool, FlakyClient(fail=1), "n1")
+    spool.append(parse_alert_line(GOOD_LINE.replace("j/1", "j/3")))  # spooled after the failed flush
+    client = FlakyClient(fail=0)
+    assert flush_spool(spool, client, "n1") == 3
+    assert client.delivered == [("n1", "j/1"), ("n1", "j/2"), ("n1", "j/3")]  # the claimed file first
+    assert os.listdir(tmp_path) == []
 
 
 def test_an_alert_spooled_after_a_torn_last_line_starts_a_line_of_its_own(tmp_path):

@@ -34,6 +34,7 @@ from warden.sandbox import (
     LimitTracker,
     TelemetryStream,
     replay_job,
+    syscall_sampling_supported,
     validate_policy,
 )
 
@@ -84,6 +85,12 @@ def test_policy_violations_name_fields():
     assert [v.field for v in validate_policy(rel)] == ["fs_hidden_paths[0]"]
     multi = SandboxPolicy(cpu_limit_pct=0, wallclock_limit_s=-1)
     assert {v.field for v in validate_policy(multi)} == {"cpu_limit_pct", "wallclock_limit_s"}
+
+
+@pytest.mark.parametrize("job_id", ["job-1\n", "j\n", "a.b_c-9\n"])
+def test_a_job_id_that_ends_in_a_newline_is_refused(job_id):
+    with pytest.raises(ValueError, match="job_id must match"):
+        JobDescriptor(job_id=job_id, command=("x",))
 
 
 # --- replay backend --------------------------------------------------------------
@@ -457,6 +464,80 @@ def test_detector_kill_reason_reported():
     status = handle.terminate(KillReason.DETECTOR_ACTION)
     assert status == JobStatus.killed(KillReason.DETECTOR_ACTION)
     assert handle.wait(5.0) == status
+
+
+def drain_logs(handle):
+    """(stdout messages, stderr messages, resource samples, chunks) of a job's whole stream."""
+    chunks = list(handle.telemetry)
+    logs = [log for chunk in chunks for log in chunk.logs]
+    samples = [sample for chunk in chunks for sample in chunk.samples]
+    by_source = {source: [log.message for log in logs if log.source == source] for source in ("stdout", "stderr")}
+    return by_source["stdout"], by_source["stderr"], samples, chunks
+
+
+def test_a_live_job_adds_exactly_one_thread():
+    backend = ProcessBackend(sample_interval_ms=100)
+    before = set(threading.enumerate())
+    handle = backend.launch(JobDescriptor(job_id="one-thread", command=("/bin/sleep", "1")))
+    added = [t for t in threading.enumerate() if t not in before]
+    assert len(added) == 1 and added[0].is_alive()
+    drain_logs(handle)
+    assert handle.wait(10.0) == JobStatus.completed(0)
+    added[0].join(5.0)
+    assert not added[0].is_alive()  # the thread ends with the stream
+
+
+@pytest.mark.skipif(not syscall_sampling_supported(), reason="/proc/<pid>/syscall not readable on this kernel")
+def test_a_tick_puts_its_syscall_probe_and_resource_sample_in_one_chunk():
+    backend = ProcessBackend(sample_interval_ms=100)
+    handle = backend.launch(JobDescriptor(job_id="one-tick", command=("/bin/sleep", "0.6")))
+    chunks = drain_logs(handle)[3]
+    assert handle.wait(10.0) == JobStatus.completed(0)
+    both = [c for c in chunks if SYS_ROW in c.kind and RES_ROW in c.kind]
+    assert both  # a sleeping job's probe reads its sleep, so sample ticks carry a syscall row too
+    for chunk in both:
+        assert len(set(chunk.t_ns.tolist())) == 1  # the probe and the sample share the tick's time
+
+
+def test_lines_an_empty_one_and_an_unfinished_last_one_are_logged_and_sampling_outlives_the_pipes():
+    backend = ProcessBackend(sample_interval_ms=100)
+    command = "printf 'a\\n\\nlast'; printf 'e1\\n' >&2; exec >&- 2>&-; sleep 0.6"
+    handle = backend.launch(JobDescriptor(job_id="lines", command=("/bin/sh", "-c", command)))
+    out, err, samples, chunks = drain_logs(handle)
+    assert handle.wait(10.0) == JobStatus.completed(0)
+    assert out == ["a", "", "last"] and err == ["e1"]
+    assert len(samples) >= 3
+    last_log = max(log.t_ns for chunk in chunks for log in chunk.logs)
+    assert samples[-1].t_ns - last_log > 0.3e9  # the pipes closed, the process went on and so did sampling
+
+
+def test_a_long_line_is_cut_and_a_character_split_across_writes_is_decoded_whole():
+    backend = ProcessBackend(sample_interval_ms=100)
+    command = "head -c 5000 /dev/zero | tr '\\0' x; echo; printf 'caf\\303'; sleep 0.2; printf '\\251\\n\\377\\n'"
+    handle = backend.launch(JobDescriptor(job_id="long-line", command=("/bin/sh", "-c", command)))
+    out = drain_logs(handle)[0]
+    assert handle.wait(10.0) == JobStatus.completed(0)
+    assert out == ["x" * 4096, "café", "\ufffd"]
+
+
+def test_lines_read_in_one_tick_reach_the_stream_in_one_chunk():
+    backend = ProcessBackend(sample_interval_ms=1000)
+    handle = backend.launch(JobDescriptor(job_id="chatty", command=("seq", "1", "5000")))
+    out, _, _, chunks = drain_logs(handle)
+    assert handle.wait(10.0) == JobStatus.completed(0)
+    assert out == [str(i) for i in range(1, 5001)]
+    assert len(chunks) < 100  # one chunk per tick, not per line
+
+
+def test_a_job_that_closes_its_pipes_still_ends_at_the_wallclock_limit():
+    backend = ProcessBackend(sample_interval_ms=200)
+    policy = SandboxPolicy(wallclock_limit_s=1.0)
+    start = time.monotonic()
+    command = ("/bin/sh", "-c", "exec >&- 2>&-; sleep 60")
+    handle = backend.launch(JobDescriptor(job_id="closed-pipes", command=command, policy=policy))
+    drain_logs(handle)
+    assert handle.wait(10.0) == JobStatus.killed(KillReason.WALLCLOCK_EXCEEDED)
+    assert time.monotonic() - start <= 3.5  # limit + 2 s grace + 0.5 s slack
 
 
 # --- LimitTracker ------------------------------------------------------------------
