@@ -13,6 +13,7 @@ spooling while the coordinator is unreachable.
 from __future__ import annotations
 
 import enum
+import fcntl
 import json
 import os
 from collections.abc import Iterator
@@ -195,15 +196,27 @@ class AlertSpool:
         self.path = str(path)
 
     def append(self, alert: Alert) -> None:
-        """Add one line; after a torn last line it starts a new one, so the torn bytes stay a line drain skips."""
+        """Add one line; after a torn last line it starts a new one, so the torn bytes stay a line drain skips.
+
+        The write holds the file's lock and goes to the file still at ``path``, so it never lands in a
+        file that flush_spool has claimed.
+        """
         line = (serialize_alert_line(alert) + "\n").encode("utf-8")
         os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
-        with open(self.path, "a+b") as fh:
-            if fh.tell():  # append mode starts at the end
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    line = b"\n" + line
-            fh.write(line)
+        while True:
+            with open(self.path, "a+b") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)  # released on close
+                try:
+                    if not os.path.samestat(os.fstat(fh.fileno()), os.stat(self.path)):
+                        continue  # claimed between the open and the lock: open the new spool
+                except FileNotFoundError:
+                    continue
+                if fh.tell():  # append mode starts at the end
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        line = b"\n" + line
+                fh.write(line)
+                return
 
     def drain(self) -> list[Alert]:
         """The spooled alerts; a line that holds none (such as a torn last line) is skipped."""
@@ -238,7 +251,9 @@ def flush_spool(spool: AlertSpool, client, node_id: str) -> int:
             delivered += 1
         claimed.clear()
         try:
-            os.replace(spool.path, claimed.path)
+            with open(spool.path, "rb") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)  # waits out an append under way; a later one finds the file moved
+                os.replace(spool.path, claimed.path)
         except FileNotFoundError:
             return delivered
 

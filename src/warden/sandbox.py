@@ -226,7 +226,8 @@ class TelemetryStream:
     A chunk is TraceColumns (what the backends put), or any sequence that
     slices by rows; ``put_many`` hands one over. At most ``maxsize`` rows
     (at least 1) are buffered: a producer that finds the stream full blocks
-    until the consumer makes room, so no row is lost. Iteration yields the
+    until the consumer makes room, or until its ``timeout``, so no row is
+    lost unless put_many returns it. Iteration yields the
     chunks in put order and ends after the buffered ones once the stream is
     closed; chunks put after ``close`` are ignored, and ``close`` releases a
     blocked producer.
@@ -241,18 +242,24 @@ class TelemetryStream:
         self._cond = threading.Condition()
         self._closed = False
 
-    def put_many(self, chunk) -> None:
+    def put_many(self, chunk, timeout: float | None = None):
+        """Put the chunk's rows; returns those not put, which is none unless ``timeout`` s passed without room."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while len(chunk) and not self._closed:
                 room = self._maxsize - self._size
                 if room <= 0:
-                    self._cond.wait()
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if remaining is not None and remaining <= 0:
+                        break
+                    self._cond.wait(timeout=remaining)
                     continue
                 part = chunk[:room]
                 self._chunks.append(part)
                 self._size += len(part)
                 self._cond.notify_all()
                 chunk = chunk[room:]
+        return chunk
 
     def close(self) -> None:
         with self._cond:
@@ -449,8 +456,9 @@ def syscall_sampling_supported() -> bool:
 def _read_lines(pipes: selectors.BaseSelector, job_id: str, timeout: float) -> list[LogRecord]:
     """Log records of the lines the pipes deliver within ``timeout`` s, each cut at 4096 characters.
 
-    An unfinished line waits in its pipe's buffer and counts at the pipe's end, where the pipe is unregistered.
-    Once both pipes are unregistered, a sleep.
+    One read per ready pipe, of at most PROCESS_STREAM_ROWS // 2 bytes, so a call gives at most
+    PROCESS_STREAM_ROWS records. An unfinished line waits in its pipe's buffer and counts at the
+    pipe's end, where the pipe is unregistered. Once both pipes are unregistered, a sleep.
     """
     if not pipes.get_map():
         time.sleep(max(timeout, 0.0))
@@ -458,7 +466,7 @@ def _read_lines(pipes: selectors.BaseSelector, job_id: str, timeout: float) -> l
     records = []
     for key, _ in pipes.select(timeout):  # a timeout below 0 polls
         source, severity, buf = key.data
-        data = os.read(key.fd, 65536)
+        data = os.read(key.fd, PROCESS_STREAM_ROWS // 2)
         if not data:  # the pipe's end: an unfinished last line counts too
             pipes.unregister(key.fileobj)
             data = b"\n" if buf else b""
@@ -478,8 +486,10 @@ class ProcessBackend(ExecutionBackend):
     SYSCALL_POLL_S for the job's stdout and stderr lines, then checks for
     exit, else for the wallclock limit, else probes the current syscall and,
     every ``sample_interval_ms``, samples resource use; the tick's records
-    reach the stream as one chunk. While the stream is full, the thread
-    (and so the exit and wallclock checks) waits for the consumer.
+    reach the stream as one chunk. While the stream is full, a tick waits
+    for room instead of reading or probing, so at most one tick's rows wait
+    outside the stream and the exit and wallclock checks go on. After the
+    exit, ticks drain the pipes for at most KILL_GRACE_S.
 
     Isolation notes (documented limitations): memory is limited via
     RLIMIT_AS, CPU share is not throttled (breaches surface as violations),
@@ -495,6 +505,7 @@ class ProcessBackend(ExecutionBackend):
     def _launch(self, descriptor: JobDescriptor) -> JobHandle:
         policy = descriptor.policy
         workdir = tempfile.mkdtemp(prefix=f"warden-{descriptor.job_id}-")
+        env = dict(descriptor.env)
 
         def preexec():
             os.setsid()
@@ -506,8 +517,14 @@ class ProcessBackend(ExecutionBackend):
                 pass  # best-effort: missing permissions must not block the launch
 
         try:
-            proc = subprocess.Popen(list(descriptor.command), env=dict(descriptor.env), cwd=workdir,
-                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=preexec)
+            proc = subprocess.Popen(
+                list(descriptor.command),
+                env=env,
+                cwd=workdir,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                preexec_fn=preexec,
+            )
         except (OSError, ValueError) as exc:
             shutil.rmtree(workdir, ignore_errors=True)
             raise SpawnFailure(f"cannot spawn {descriptor.command!r}: {exc}") from None
@@ -523,55 +540,67 @@ class ProcessBackend(ExecutionBackend):
         """(cpu_ticks, rss_bytes, io_read, io_write) or None once the process is gone."""
         try:
             with open(f"/proc/{pid}/stat", "rb") as fh:
-                fields = fh.read().rpartition(b")")[2].split()  # from field 3 on: the name may hold spaces
-            ticks = int(fields[11]) + int(fields[12])  # utime + stime, fields 14/15, 1-based
-            rss = int(fields[21]) * os.sysconf("SC_PAGE_SIZE")  # field 24
+                stat = fh.read().decode("ascii", errors="replace")
+            fields = stat[stat.rindex(")") + 2 :].split()
+            utime, stime = int(fields[11]), int(fields[12])  # fields 14/15, 1-based
+            rss_pages = int(fields[21])  # field 24
+            rss = rss_pages * os.sysconf("SC_PAGE_SIZE")
         except (OSError, ValueError, IndexError):
             return None
+        io_r = io_w = 0
         try:
             with open(f"/proc/{pid}/io", "rb") as fh:
-                io = dict(line.split(b":", 1) for line in fh.read().splitlines())
-            return ticks, rss, int(io.get(b"read_bytes", 0)), int(io.get(b"write_bytes", 0))
-        except (OSError, ValueError):
-            return ticks, rss, 0, 0
+                for line in fh.read().decode("ascii", errors="replace").splitlines():
+                    if line.startswith("read_bytes:"):
+                        io_r = int(line.split()[1])
+                    elif line.startswith("write_bytes:"):
+                        io_w = int(line.split()[1])
+        except OSError:
+            pass
+        return utime + stime, rss, io_r, io_w
 
     def _run(self, handle: JobHandle, workdir: str, wallclock_s: float) -> None:
-        """Tick until the process exits; then drain the pipes (at most KILL_GRACE_S) and clean up."""
+        """Tick until the process exits and its pipes are drained (at most KILL_GRACE_S after the exit); then clean up."""
         proc, job_id, pid = handle._proc, handle.job_id, handle._proc.pid
         interval = self.sample_interval_ms / 1000.0
         last_sample = time.monotonic()
-        deadline, next_probe = last_sample + wallclock_s, last_sample + SYSCALL_POLL_S
-        prev_ticks, rc = None, None
+        # until: where a tick's wait ends, which is the next probe, or once the process has exited the drain's end
+        deadline, until = last_sample + wallclock_s, last_sample + SYSCALL_POLL_S
+        prev_ticks, rc, held = None, None, ()  # held: rows the full stream has not taken yet
         pipes = selectors.DefaultSelector()
         pipes.register(proc.stdout, selectors.EVENT_READ, ("stdout", "info", bytearray()))
         pipes.register(proc.stderr, selectors.EVENT_READ, ("stderr", "error", bytearray()))
         try:
-            while rc is None:
-                records = _read_lines(pipes, job_id, next_probe - time.monotonic())
-                now, rc = time.monotonic(), proc.poll()
-                if rc is not None:
+            while rc is None or (time.monotonic() < until and (pipes.get_map() or held)):
+                if held:  # the stream is full: wait for room, not for more output
+                    records, held = [], handle.telemetry.put_many(held, until - time.monotonic())
+                else:
+                    records = _read_lines(pipes, job_id, until - time.monotonic())
+                now = time.monotonic()
+                if rc is None and (rc := proc.poll()) is not None:
                     handle._set_terminal(JobStatus.completed(rc))
-                    while pipes.get_map() and time.monotonic() < now + KILL_GRACE_S:
-                        records += _read_lines(pipes, job_id, now + KILL_GRACE_S - time.monotonic())
-                elif now >= deadline:
-                    handle.terminate(KillReason.WALLCLOCK_EXCEEDED)
-                elif now >= next_probe:
-                    next_probe, now_ns = now + SYSCALL_POLL_S, time.time_ns()
-                    try:  # a kernel without /proc/<pid>/syscall fails the open
-                        with open(f"/proc/{pid}/syscall", "r") as fh:
-                            first = fh.read().split()[0]
-                        if first not in ("-1", "running"):
-                            name = _SYSCALL_NAMES.get(int(first), f"sys_{first}")
-                            records.append(SyscallEvent(now_ns, job_id, pid, pid, name, ENTER))
-                    except (OSError, ValueError, IndexError):
-                        pass
-                    if now - last_sample >= interval and (snap := self._read_proc(pid)) is not None:
-                        ticks, rss, io_r, io_w = snap
-                        cpu_pct = 0.0 if prev_ticks is None else max(0.0, (ticks - prev_ticks) / _CLK_TCK / interval * 100)
-                        last_sample, prev_ticks = now, ticks
-                        records.append(ResourceSample(now_ns, job_id, cpu_pct, rss, 0, 0, io_r, io_w))
+                    until = now + KILL_GRACE_S
+                elif rc is None and now >= until:
+                    until = now + SYSCALL_POLL_S
+                    if now >= deadline:
+                        handle.terminate(KillReason.WALLCLOCK_EXCEEDED)
+                    elif not held:
+                        now_ns = time.time_ns()
+                        try:  # a kernel without /proc/<pid>/syscall fails the open
+                            with open(f"/proc/{pid}/syscall", "r") as fh:
+                                first = fh.read().split()[0]
+                            if first not in ("-1", "running"):
+                                name = _SYSCALL_NAMES.get(int(first), f"sys_{first}")
+                                records.append(SyscallEvent(now_ns, job_id, pid, pid, name, ENTER))
+                        except (OSError, ValueError, IndexError):
+                            pass
+                        if now - last_sample >= interval and (snap := self._read_proc(pid)) is not None:
+                            ticks, rss, io_r, io_w = snap
+                            cpu_pct = 0.0 if prev_ticks is None else max(0.0, (ticks - prev_ticks) / _CLK_TCK / interval * 100)
+                            last_sample, prev_ticks = now, ticks
+                            records.append(ResourceSample(now_ns, job_id, cpu_pct, rss, 0, 0, io_r, io_w))
                 if records:
-                    handle.telemetry.put_many(TraceColumns.from_records(records, job_id))
+                    held = handle.telemetry.put_many(TraceColumns.from_records(records, job_id), 0)
         finally:
             pipes.close()
             proc.stdout.close()

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import fcntl
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -437,6 +439,35 @@ def test_an_alert_spooled_during_a_flush_is_delivered_not_lost(tmp_path):
     assert flush_spool(spool, client, "n1") == 2
     assert client.delivered == [("n1", "j/1"), ("n1", "j/2")]
     assert spool.drain() == [] and os.listdir(tmp_path) == []
+
+
+def test_an_append_under_way_when_a_flush_starts_is_delivered_not_lost(tmp_path):
+    spool = AlertSpool(tmp_path / "spool.alog")
+    spool.append(parse_alert_line(GOOD_LINE))
+    client, flushed = FlakyClient(fail=0), []
+    with open(spool.path, "ab") as fh:  # an append that has opened the spool and not yet written
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        flusher = threading.Thread(target=lambda: flushed.append(flush_spool(spool, client, "n1")))
+        flusher.start()
+        time.sleep(0.2)
+        fh.write((GOOD_LINE.replace("j/1", "j/2") + "\n").encode())
+    flusher.join(5.0)
+    assert flushed == [2] and client.delivered == [("n1", "j/1"), ("n1", "j/2")]
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_append_that_finds_its_spool_claimed_writes_to_the_new_spool(tmp_path):
+    spool, claimed = AlertSpool(tmp_path / "spool.alog"), AlertSpool(tmp_path / "claimed.alog")
+    spool.append(parse_alert_line(GOOD_LINE))
+    with open(spool.path, "rb") as fh:  # a flush that holds the lock and claims the spool
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        appender = threading.Thread(target=spool.append, args=(parse_alert_line(GOOD_LINE.replace("j/1", "j/2")),))
+        appender.start()
+        time.sleep(0.2)
+        os.replace(spool.path, claimed.path)
+    appender.join(5.0)
+    assert [a.alert_id for a in claimed.drain()] == ["j/1"]
+    assert [a.alert_id for a in spool.drain()] == ["j/2"]
 
 
 def test_a_transport_failure_keeps_the_claimed_alerts_for_the_next_flush(tmp_path):

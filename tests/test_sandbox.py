@@ -234,6 +234,17 @@ def test_close_releases_a_blocked_producer():
     assert flat(stream) == [0, 1]
 
 
+def test_a_timed_put_returns_the_rows_the_full_stream_did_not_take():
+    stream = TelemetryStream(maxsize=4)
+    assert stream.put_many([0, 1, 2], timeout=0) == []
+    start = time.monotonic()
+    assert stream.put_many([3, 4, 5], timeout=0.2) == [4, 5]  # room for one row, then none before the timeout
+    assert 0.15 <= time.monotonic() - start < 2.0
+    assert stream.put_many([6], timeout=-1) == [6]  # a timeout already past does not wait
+    stream.close()
+    assert flat(stream) == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("maxsize", [0, -1])
 def test_a_stream_without_room_for_one_row_is_refused(maxsize):
     with pytest.raises(ValueError, match="maxsize must be >= 1"):
@@ -538,6 +549,54 @@ def test_a_job_that_closes_its_pipes_still_ends_at_the_wallclock_limit():
     drain_logs(handle)
     assert handle.wait(10.0) == JobStatus.killed(KillReason.WALLCLOCK_EXCEEDED)
     assert time.monotonic() - start <= 3.5  # limit + 2 s grace + 0.5 s slack
+
+
+def launch_unread(backend, descriptor):
+    """(handle, the job's telemetry thread) of a job launched with nobody reading its stream."""
+    before = set(threading.enumerate())
+    handle = backend.launch(descriptor)
+    (thread,) = [t for t in threading.enumerate() if t not in before]
+    return handle, thread
+
+
+def test_a_writer_that_outlives_the_job_holds_at_most_one_tick_of_rows_outside_a_full_stream(monkeypatch):
+    sizes = []
+    from_records = sandbox.TraceColumns.from_records
+    monkeypatch.setattr(
+        sandbox.TraceColumns, "from_records", lambda records, job_id: sizes.append(len(records)) or from_records(records, job_id)
+    )
+    backend = ProcessBackend(sample_interval_ms=100)
+    command = ("/bin/sh", "-c", "seq 1 300000 & exit 0")  # seq keeps the pipe open after the job's exit
+    handle, thread = launch_unread(backend, JobDescriptor(job_id="outlived", command=command))
+    assert handle.wait(5.0) == JobStatus.completed(0)
+    thread.join(sandbox.KILL_GRACE_S + 3.0)
+    assert not thread.is_alive()  # the drain ends at KILL_GRACE_S even while the stream is full and unread
+    out, _, _, chunks = drain_logs(handle)
+    assert out == [str(i) for i in range(1, len(out) + 1)]
+    assert sum(map(len, chunks)) == sandbox.PROCESS_STREAM_ROWS  # what the stream buffered; the rest was never read
+    assert sizes and max(sizes) <= sandbox.PROCESS_STREAM_ROWS  # one tick's rows, not the whole drain's
+
+
+def test_a_chatty_job_that_nobody_reads_still_ends_at_the_wallclock_limit():
+    backend = ProcessBackend(sample_interval_ms=100)
+    policy = SandboxPolicy(wallclock_limit_s=1.0)
+    descriptor = JobDescriptor(job_id="unread", command=("seq", "1", "1000000"), policy=policy)
+    handle, thread = launch_unread(backend, descriptor)
+    assert handle.wait(5.0) == JobStatus.killed(KillReason.WALLCLOCK_EXCEEDED)
+    thread.join(sandbox.KILL_GRACE_S + 3.0)
+    assert not thread.is_alive()
+    assert sum(map(len, drain_logs(handle)[3])) == sandbox.PROCESS_STREAM_ROWS
+
+
+def test_the_loop_does_not_spin_while_another_terminate_waits_out_its_grace():
+    backend = ProcessBackend(sample_interval_ms=100)
+    policy = SandboxPolicy(wallclock_limit_s=0.3)
+    command = ("/bin/sh", "-c", "trap '' TERM; sleep 30")  # ignores SIGTERM, so terminate waits KILL_GRACE_S
+    handle = backend.launch(JobDescriptor(job_id="grace", command=command, policy=policy))
+    cpu = time.process_time()
+    assert handle.terminate(KillReason.DETECTOR_ACTION) == JobStatus.killed(KillReason.DETECTOR_ACTION)
+    drain_logs(handle)
+    assert time.process_time() - cpu < 0.5  # the wallclock ticks inside the grace wait SYSCALL_POLL_S each
 
 
 # --- LimitTracker ------------------------------------------------------------------
