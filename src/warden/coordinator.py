@@ -111,11 +111,6 @@ def _ledger_line(event: dict) -> tuple[str, str]:
     return text, _canonical({**event, "crc": f"{crc:08x}"})
 
 
-def encode_ledger_line(event: dict) -> str:
-    """Event line with an embedded crc over the canonical event body."""
-    return _ledger_line(event)[1]
-
-
 def decode_ledger_line(line: str) -> tuple[dict, str]:
     """(event, its canonical text) of a line whose crc checks out."""
     obj = json.loads(line)

@@ -140,7 +140,7 @@ class FeatureVector:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("values must be a 1-D vector")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -173,6 +173,13 @@ def _before(sorted_t: np.ndarray, t: int) -> int:
     if t > _INT64_MAX and sorted_t.dtype != object:
         return len(sorted_t)
     return int(sorted_t.searchsorted(t))
+
+
+def _before_both(sorted_t: np.ndarray, start: int, end: int) -> list[int]:
+    """``[_before(sorted_t, start), _before(sorted_t, end)]`` from one search, for ``start <= end``."""
+    if end > _INT64_MAX and sorted_t.dtype != object:
+        return [_before(sorted_t, start), len(sorted_t)]
+    return sorted_t.searchsorted((start, end)).tolist()
 
 
 def _buffered(ts: np.ndarray, values: np.ndarray, new_ts: np.ndarray, new_values: np.ndarray, in_order: bool):
@@ -234,7 +241,7 @@ class Windower:
         if self.t0 is None:
             self.t0 = self._t_max = int(t[0])
             self._next_end = self.t0 + self.config.window_ns
-        in_order = bool(np.all(t[1:] >= t[:-1]))
+        in_order = bool((t[1:] >= t[:-1]).all())
         events, codes = chunk.kind == SYS_ROW, self._codes(chunk)
         sample_rows = chunk.record_rows[0]
         samples = np.fromiter(chunk.samples, dtype=object, count=len(chunk.samples))
@@ -284,11 +291,11 @@ class Windower:
         start = self.t0 + k * self.config.hop_ns
         end = start + self.config.window_ns
         self._k, self._next_end = k + 1, end + self.config.hop_ns
-        lo, hi = _before(self._event_ts, start), _before(self._event_ts, end)
+        lo, hi = _before_both(self._event_ts, start, end)
         if hi == lo:
             return None
-        # from the last sample before the window, for delta computation
-        s_lo, s_hi = max(_before(self._sample_ts, start) - 1, 0), _before(self._sample_ts, end)
+        s_lo, s_hi = _before_both(self._sample_ts, start, end)
+        s_lo = max(s_lo - 1, 0)  # from the last sample before the window, for delta computation
         return Window(
             job_id=self.job_id,
             index=k,
@@ -302,32 +309,35 @@ class Windower:
         """L1-normalized hashed n-gram frequencies over the enter events of buffer rows [lo, hi).
 
         An n-gram is n consecutive enter events of one (pid, tid) thread, so
-        n-grams never cross threads. Counts are exact integers before the
-        single normalizing division, so the result is bit-deterministic.
+        n-grams never cross threads. The buckets of every order are counted
+        by one bincount, exact integers before the single normalizing
+        division, so the result is bit-deterministic.
         """
         codes = self._event_code[lo:hi]
         codes = codes[(codes & 1).astype(bool)]  # enter events
-        names, threads = codes >> 32, (codes >> 1) & 0x7FFFFFFF
-        order = np.argsort(threads, kind="stable")  # each thread's events together, still in time order
-        names, threads = names[order], threads[order]
+        names = codes >> 32
+        one_thread = len(self._threads) == 1  # then every gram lies inside the thread
+        if not one_thread:
+            threads = (codes >> 1) & 0x7FFFFFFF
+            order = np.argsort(threads, kind="stable")  # each thread's events together, still in time order
+            names, threads = names[order], threads[order]
         dim = self.config.hash_dim
         if len(self._unigrams) != len(self._names):  # new names since the last window
             self._unigrams = np.array([hash_bucket(name, dim) for name in self._names.ordered], dtype=np.int64)
-        counts = np.zeros(dim, dtype=np.int64)
-        total = 0
+        buckets = []
         for n in self.config.ngram_orders:
             if n == 1:
-                buckets = self._unigrams[names]
+                buckets.append(self._unigrams[names])
+                continue
+            m = max(len(names) - n + 1, 0)
+            if one_thread:
+                ids = [names[j : j + m] for j in range(n)]
             else:
-                m = max(len(names) - n + 1, 0)
                 starts = np.flatnonzero(threads[:m] == threads[n - 1 : n - 1 + m])
-                buckets = self._gram_buckets(n, [names[starts + j] for j in range(n)])
-            counts += np.bincount(buckets, minlength=dim)
-            total += len(buckets)
-        vec = counts.astype(np.float64)
-        if total:
-            vec /= float(total)
-        return vec
+                ids = [names[starts + j] for j in range(n)]
+            buckets.append(self._gram_buckets(n, ids))
+        buckets = buckets[0] if len(buckets) == 1 else np.concatenate(buckets)
+        return np.bincount(buckets, minlength=dim) / float(max(len(buckets), 1))
 
     def _gram_buckets(self, n: int, ids: list[np.ndarray]) -> np.ndarray:
         """Buckets of the n-grams whose j-th name ids are ``ids[j]``, in no particular order.
@@ -404,10 +414,14 @@ def resource_features(samples, window: Window) -> np.ndarray:
     if not in_window:
         return out
 
-    # one row per quantity: reducing along axis 1 sums each contiguous row pairwise, as np.mean/np.std sum a 1-D array
+    # one row per quantity: reducing along axis 1 sums each contiguous row pairwise, as np.mean/np.std sum a 1-D
+    # array; mean and population std take numpy's own steps, with each row's sum taken once
     cpu_rss = np.array([[s.cpu_pct for s in in_window], [s.rss_bytes / 2.0**20 for s in in_window]], dtype=np.float64)
-    out[0:6:3] = cpu_rss.mean(axis=1)
-    out[1:6:3] = cpu_rss.std(axis=1)
+    n = len(in_window)
+    mean = cpu_rss.sum(axis=1, keepdims=True) / n
+    dev = cpu_rss - mean
+    out[0:6:3] = mean[:, 0]
+    out[1:6:3] = np.sqrt((dev * dev).sum(axis=1) / n)
     out[2:6:3] = cpu_rss.max(axis=1)
 
     rates: list[tuple[float, float, float, float]] = []  # Python arithmetic: counters may pass int64
@@ -425,7 +439,7 @@ def resource_features(samples, window: Window) -> np.ndarray:
         )
     if rates:
         rx_tx_read_write = np.array(list(zip(*rates)), dtype=np.float64)
-        mean, peak = rx_tx_read_write.mean(axis=1), rx_tx_read_write[:2].max(axis=1)
+        mean, peak = rx_tx_read_write.sum(axis=1) / len(rates), rx_tx_read_write[:2].max(axis=1)
         out[6:12] = mean[0], peak[0], mean[1], peak[1], mean[2], mean[3]
     return out
 

@@ -98,7 +98,7 @@ def check_matrix(X, name: str = "X") -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError(f"{name} contains non-finite values")
     return X
 
@@ -124,14 +124,11 @@ def check_dim(X: np.ndarray, dim: int) -> None:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below, so exp never overflows."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))  # e^-|z|; a NaN z stays itself, as np.minimum returns its first NaN
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 # float64 rounds sigmoid to exactly 0/1 for |z| beyond ~37/745; probability
@@ -143,7 +140,7 @@ _P_HI = np.nextafter(1.0, 0.0)
 
 def probability(z):
     """sigmoid(z) restricted to the open interval (0, 1)."""
-    return np.clip(sigmoid(z), _P_LO, _P_HI)
+    return np.minimum(np.maximum(sigmoid(z), _P_LO), _P_HI)
 
 
 def bce_from_logits(z, y) -> float:

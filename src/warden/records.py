@@ -539,9 +539,12 @@ class TraceColumns:
             raise ValueError("TraceColumns rows are sliced with step 1 only")
         start, stop, _ = rows.indices(len(self))
         cut = slice(start, max(start, stop))
-        (s_lo, s_hi), (l_lo, l_hi) = (np.searchsorted(r, (cut.start, cut.stop)).tolist() for r in self.record_rows)
+        sample_rows, log_rows = self.record_rows
+        (s_lo, s_hi), (l_lo, l_hi) = (np.searchsorted(r, (cut.start, cut.stop)).tolist() for r in (sample_rows, log_rows))
         columns = (c[cut] for c in (self.t_ns, self.kind, self.name_id, self.thread_id, self.enter))
-        return TraceColumns(self.job_id, *columns, self.names, self.threads, self.samples[s_lo:s_hi], self.logs[l_lo:l_hi])
+        part = TraceColumns(self.job_id, *columns, self.names, self.threads, self.samples[s_lo:s_hi], self.logs[l_lo:l_hi])
+        vars(part)["record_rows"] = sample_rows[s_lo:s_hi] - start, log_rows[l_lo:l_hi] - start  # the parent's, shifted
+        return part
 
     @functools.cached_property
     def record_rows(self) -> tuple[np.ndarray, np.ndarray]:

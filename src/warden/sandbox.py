@@ -453,12 +453,17 @@ def syscall_sampling_supported() -> bool:
         return False
 
 
+_LINE_CHARS = 4096  # a log message's length cap
+_LINE_BYTES = 4 * _LINE_CHARS  # every decoded character takes 1 to 4 bytes, so these decode to the first _LINE_CHARS
+
+
 def _read_lines(pipes: selectors.BaseSelector, job_id: str, timeout: float) -> list[LogRecord]:
     """Log records of the lines the pipes deliver within ``timeout`` s, each cut at 4096 characters.
 
     One read per ready pipe, of at most PROCESS_STREAM_ROWS // 2 bytes, so a call gives at most
     PROCESS_STREAM_ROWS records. An unfinished line waits in its pipe's buffer and counts at the
-    pipe's end, where the pipe is unregistered. Once both pipes are unregistered, a sleep.
+    pipe's end, where the pipe is unregistered. The buffer keeps a line's first _LINE_BYTES bytes
+    and drops the rest as it arrives. Once both pipes are unregistered, a sleep.
     """
     if not pipes.get_map():
         time.sleep(max(timeout, 0.0))
@@ -470,12 +475,14 @@ def _read_lines(pipes: selectors.BaseSelector, job_id: str, timeout: float) -> l
         if not data:  # the pipe's end: an unfinished last line counts too
             pipes.unregister(key.fileobj)
             data = b"\n" if buf else b""
-        buf += data
-        cut = buf.rfind(b"\n", len(buf) - len(data)) + 1  # after the last newline, looked for in the new bytes only
-        lines, t_ns = buf[:cut].split(b"\n")[:-1], time.time_ns()
-        del buf[:cut]
-        records += [LogRecord(t_ns, job_id, source, severity, line.decode("utf-8", errors="replace")[:4096])
-                    for line in lines]
+        lines = data.split(b"\n")
+        lines[0] = buf + lines[0][: _LINE_BYTES - len(buf)]
+        buf[:] = lines.pop()[:_LINE_BYTES]  # the unfinished line
+        t_ns = time.time_ns()
+        records += [
+            LogRecord(t_ns, job_id, source, severity, line[:_LINE_BYTES].decode("utf-8", errors="replace")[:_LINE_CHARS])
+            for line in lines
+        ]
     return records
 
 

@@ -33,11 +33,19 @@ from warden.coordinator import (
     CoordinatorUnavailable,
     CorruptLedger,
     Rejected,
-    encode_ledger_line,
     make_server,
     read_ledger,
     recover,
 )
+
+
+def canonical(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def ledger_line(event: dict) -> str:
+    """A ledger line built here: the canonical event with the crc of its canonical text embedded."""
+    return canonical({**event, "crc": f"{zlib.crc32(canonical(event).encode('utf-8')):08x}"})
 
 
 def alert_body(i, job="job-1"):
@@ -988,8 +996,8 @@ def test_recover_discards_torn_tail(tmp_path, live):
 def test_recover_rejects_midfile_corruption(tmp_path):
     path = tmp_path / "ledger.log"
     lines = [
-        encode_ledger_line({"event": "node", "node_id": "node-1", "hostname": "h", "t_ns": 1, "idempotency_key": None}),
-        encode_ledger_line({"event": "node", "node_id": "node-2", "hostname": "h", "t_ns": 2, "idempotency_key": None}),
+        ledger_line({"event": "node", "node_id": "node-1", "hostname": "h", "t_ns": 1, "idempotency_key": None}),
+        ledger_line({"event": "node", "node_id": "node-2", "hostname": "h", "t_ns": 2, "idempotency_key": None}),
     ]
     mangled = lines[0][:-2] + '9"}'  # damage the first line's crc
     path.write_text(mangled + "\n" + lines[1] + "\n", encoding="utf-8")
@@ -1051,7 +1059,7 @@ def test_ledger_with_command_and_ack_lines_recovers(tmp_path):
 
 def test_unknown_ledger_event_kind_is_corruption(tmp_path):
     ledger = tmp_path / "ledger.log"
-    ledger.write_text(encode_ledger_line({"event": "bogus", "t_ns": 1}) + "\n", encoding="utf-8")
+    ledger.write_text(ledger_line({"event": "bogus", "t_ns": 1}) + "\n", encoding="utf-8")
     with pytest.raises(CorruptLedger, match="unknown ledger event kind 'bogus'"):
         recover(ledger)
 

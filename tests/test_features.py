@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from warden.datagen import builtin_profiles, gen_trace, profiles_by_name
 from warden.features import (
+    _INT64_MAX,
     EmptyDataset,
     EmptyTrace,
     FeatureConfig,
@@ -25,6 +26,8 @@ from warden.features import (
     make_windows,
     resource_features,
     window_vector,
+    _before,
+    _before_both,
 )
 from warden.hashing import MASK64
 import reference_windower
@@ -32,6 +35,8 @@ from reference_windower import fed_in_chunks, reference_windows
 from warden.records import (
     ENTER,
     EXIT,
+    LOG_ROW,
+    RES_ROW,
     LabeledTrace,
     LogRecord,
     ResourceSample,
@@ -334,6 +339,36 @@ def test_gram_tables_growing_mid_trace_and_past_their_reach_equal_the_reference(
     assert all(table.size <= 2**18 for table in windower._tables.values())
 
 
+def one_thread_then_two(second_from: int, events: int = 400) -> list:
+    """Enter and exit events 1/8 s apart with samples and logs; a second thread joins at event ``second_from``."""
+    rng = random.Random(second_from)
+    records = []
+    for i in range(events):
+        tid = 2 if i >= second_from and rng.random() < 0.4 else 1
+        records.append(sys_at(i * S // 8, rng.choice(["read", "write", "open", "mmap"]), tid=tid,
+                              direction=EXIT if rng.random() < 0.2 else ENTER))
+        if i % 9 == 0:
+            records.append(res_at(i * S // 8, rx=i) if i % 2 else log_at(i * S // 8))
+    return records
+
+
+@pytest.mark.parametrize("config", [CFG, FeatureConfig(ngram_orders=(1, 2, 3), hash_dim=64, hop_s=3.0)], ids=["bigrams", "trigrams"])
+@pytest.mark.parametrize("second_from", [400, 160], ids=["one thread", "second thread mid-trace"])
+def test_one_thread_windows_and_a_second_thread_joining_mid_trace_equal_the_reference(config, second_from):
+    records = one_thread_then_two(second_from)
+    expected = reference_windower.comparable(reference_windows(records, config))
+    windower, got, threads_seen = Windower(config, "j1"), [], []
+    for a in range(0, len(records), 37):  # each chunk numbers its threads afresh
+        closed = list(windower.push_columns(TraceColumns.from_records(records[a : a + 37], "j1")))
+        got += closed
+        threads_seen += [len(windower._threads)] * len(closed)
+    got += windower.finish()
+    assert reference_windower.comparable(got) == expected
+    assert threads_seen[0] == 1 and threads_seen[-1] == (1 if second_from == 400 else 2)
+    for cuts in ([], range(50, len(records), 50)):  # slices of one table: every thread known from the first chunk
+        assert reference_windower.comparable(fed_in_chunks(records, config, cuts)) == expected
+
+
 def test_trace_columns_slices_carry_their_samples_and_logs():
     records = COLUMN_CASES["late records"] + [log_at(40 * S), res_at(41 * S, 7)]
     whole = TraceColumns.from_records(records, "j1")
@@ -348,6 +383,41 @@ def test_trace_columns_slices_carry_their_samples_and_logs():
         assert part.names is whole.names and part.threads is whole.threads
     with pytest.raises(ValueError):
         whole[::2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=ROWS, bounds=st.lists(st.tuples(st.integers(-70, 70), st.integers(-70, 70)), min_size=1, max_size=4))
+def test_a_slice_takes_the_record_rows_a_fresh_count_gives(rows, bounds):
+    part = TraceColumns.from_records(rows_to_records(rows), "j1")
+    for a, b in bounds:  # each a slice of the one before
+        part = part[a:b]
+        fresh = np.flatnonzero(part.kind == RES_ROW), np.flatnonzero(part.kind == LOG_ROW)
+        for got, expected in zip(part.record_rows, fresh):
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+        assert len(part.samples) == len(fresh[0]) and len(part.logs) == len(fresh[1])
+
+
+NEAR_2_63 = st.integers(_INT64_MAX - 2**12, _INT64_MAX + 2**12)  # float64 cannot tell these apart
+BUFFERS = st.one_of(
+    st.lists(st.integers(-(2**63), _INT64_MAX) | NEAR_2_63.filter(lambda t: t <= _INT64_MAX), max_size=30).map(
+        lambda v: np.array(sorted(v), dtype=np.int64)
+    ),
+    st.lists(st.integers(-(2**63), 2**66) | NEAR_2_63, max_size=30).map(lambda v: np.array(sorted(v), dtype=object)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_t=BUFFERS, data=st.data())
+def test_one_search_for_both_bounds_equals_two(sorted_t, data):
+    bound = st.integers(-(2**62), 2**65) | NEAR_2_63 | st.sampled_from([_INT64_MAX, _INT64_MAX + 1, *sorted_t.tolist()])
+    lo, hi = sorted([data.draw(bound), data.draw(bound)])
+    assert _before_both(sorted_t, lo, hi) == [_before(sorted_t, lo), _before(sorted_t, hi)]
+
+
+@pytest.mark.parametrize("lo, hi", [(0, _INT64_MAX + 1), (_INT64_MAX, _INT64_MAX + 1), (-1, 2**64), (_INT64_MAX + 1, 2**70)])
+def test_one_search_for_both_bounds_past_int64(lo, hi):
+    for sorted_t in (np.array([0, _INT64_MAX - 1, _INT64_MAX]), np.array([0, _INT64_MAX, 2**64], dtype=object)):
+        assert _before_both(sorted_t, lo, hi) == [_before(sorted_t, lo), _before(sorted_t, hi)]
 
 
 # --- n-gram block ------------------------------------------------------------------
@@ -493,6 +563,30 @@ def test_resource_counters_near_2_70_keep_their_exact_deltas():
         (1e6 + 0.5) / 2,  # io read: 1e6 B over 1 s, 1 B over 2 s
         0.0,  # io write
     ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_resource_statistics_equal_numpy_mean_and_std(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 7, 9, 130, 300]))  # pairwise sums change shape past 8 and 128 terms
+    t = np.cumsum(rng.integers(0, 3, n)) * S // 2  # repeated timestamps: zero-dt pairs are skipped
+    counters = np.cumsum(rng.integers(0, 10**9, (n, 4)), axis=0).tolist()
+    samples = [
+        rs(t[i] / S, cpu=float(rng.uniform(0, 400)), rss=int(rng.integers(0, 2**40)),
+           rx=c[0], tx=c[1], io_r=c[2], io_w=c[3])
+        for i, c in enumerate(counters)
+    ]
+    w = win(t[n // 3] / S, t[-1] / S + 10)
+    out = resource_features(samples, w)
+    inside = [s for s in samples if s.t_ns >= w.t_start_ns]
+    cpu, rss = np.array([s.cpu_pct for s in inside]), np.array([s.rss_bytes / 2.0**20 for s in inside])
+    pairs = [(a, b) for a, b in zip(samples, samples[1:]) if b.t_ns != a.t_ns]
+    rates = [
+        np.mean([(getattr(b, f) - getattr(a, f)) / ((b.t_ns - a.t_ns) / 1e9) for a, b in pairs]) if pairs else 0.0
+        for f in ("net_rx_bytes", "net_tx_bytes", "io_read_bytes", "io_write_bytes")
+    ]
+    expected = [np.mean(cpu), np.std(cpu), np.mean(rss), np.std(rss), *rates]
+    assert out[[0, 1, 3, 4, 6, 8, 10, 11]].tobytes() == np.array(expected).tobytes()
 
 
 # --- extract -----------------------------------------------------------------------

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from warden.hashing import SplitMix64
 from warden.ml import (
@@ -19,7 +22,7 @@ from warden.ml import (
     split_indices,
 )
 from warden.features import DimensionMismatch
-from warden.ml.base import glorot_uniform
+from warden.ml.base import _P_HI, _P_LO, glorot_uniform, probability, sigmoid
 
 
 def blobs(seed, n=200, dim=5, center=3.0, sigma=0.3):
@@ -142,6 +145,46 @@ def test_mlp_deterministic_per_seed():
     for name in ("W1_", "b1_", "W2_"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.b2_ == b.b2_
+
+
+def masked_sigmoid(z):
+    """sigmoid as it was computed by masked gathers and scatters, kept as the bit oracle."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def clipped_probability(z):
+    return np.clip(masked_sigmoid(z), _P_LO, _P_HI)
+
+
+def same_bits(a, b) -> bool:
+    """Same type, shape, dtype and every bit, NaN payloads and signs included."""
+    if type(a) is not type(b):
+        return False
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308, 36.7, -36.7, 5e-324]
+LOGITS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40), elements=LOGITS))
+def test_sigmoid_and_probability_keep_the_bits_of_the_masked_code(z):
+    assert same_bits(sigmoid(z), masked_sigmoid(z))
+    assert same_bits(probability(z), clipped_probability(z))
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, np.nan, np.float64(-np.nan), np.inf, -np.inf, 800.0, -800.0, 3, [], [[-0.0]]])
+def test_sigmoid_and_probability_of_python_and_0d_input_keep_their_type_and_bits(z):
+    assert same_bits(sigmoid(z), masked_sigmoid(z))
+    assert same_bits(probability(z), clipped_probability(z))
 
 
 def test_mlp_zero_weight_output_is_sigmoid_b2():

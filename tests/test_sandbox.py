@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import selectors
 import tempfile
 import threading
 import time
@@ -529,6 +530,44 @@ def test_a_long_line_is_cut_and_a_character_split_across_writes_is_decoded_whole
     out = drain_logs(handle)[0]
     assert handle.wait(10.0) == JobStatus.completed(0)
     assert out == ["x" * 4096, "café", "\ufffd"]
+
+
+# what lies across the 16,384-byte cut of a line that starts with 4,095 four-byte characters
+CUT_TAILS = {
+    "ascii": b"",
+    "a whole 4-byte character": "\U0001f600".encode(),
+    "a 4-byte character cut short by ASCII": b"\xf0\x9f\x98A",
+    "a 3-byte character": "\u20ac".encode(),
+    "a 3-byte character cut after 2 bytes": b"\xe2\x82",
+    "invalid bytes": b"\xff\xfe\x80",
+    "an encoded surrogate": b"\xed\xa0\x80",
+}
+
+
+@pytest.mark.parametrize("tail", CUT_TAILS.values(), ids=list(CUT_TAILS))
+def test_an_overlong_line_is_bounded_as_it_arrives_and_cut_as_if_read_whole(tail):
+    line = "\U0001f600".encode() * 4095 + tail + b"x\xc3" * (3 * 2**19)  # 3 MiB with no newline
+    r, w = os.pipe()
+
+    def write():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(line + b"\n" + b"next\n")
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    pipes, buf, messages, largest = selectors.DefaultSelector(), bytearray(), [], 0
+    pipes.register(r, selectors.EVENT_READ, ("stdout", "info", buf))
+    try:
+        while pipes.get_map():
+            messages += [log.message for log in sandbox._read_lines(pipes, "j1", 5.0)]
+            largest = max(largest, len(buf))
+    finally:
+        pipes.close()
+        os.close(r)  # a writer still blocked on the pipe gets a broken pipe
+        writer.join(10.0)
+    assert not writer.is_alive()
+    assert largest <= 4 * 4096
+    assert messages == [line.decode("utf-8", errors="replace")[:4096], "next"]
 
 
 def test_lines_read_in_one_tick_reach_the_stream_in_one_chunk():
